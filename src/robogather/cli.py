@@ -46,15 +46,18 @@ def cmd_run(args) -> int:
         return gather2d.gathering_point(c, backend) is not None
 
     trace = model.execute(robogram, strategy, conf, horizon, backend, stop=stop)
-    traceio.write_trace(
-        args.out,
-        trace,
-        backend,
-        k=strategy.k,
-        strategy_kind=strategy.kind,
-        seed=scenario.demon.get("seed"),
-        horizon=horizon,
-    )
+    try:
+        traceio.write_trace(
+            args.out,
+            trace,
+            backend,
+            k=strategy.k,
+            strategy_kind=strategy.kind,
+            seed=scenario.demon.get("seed"),
+            horizon=horizon,
+        )
+    except OSError as exc:
+        return _fail(f"cannot write trace {args.out}: {exc}")
     gathered = gather2d.gathering_point(trace.final(), backend) is not None
     rounds = len(trace.steps)
     if gathered:

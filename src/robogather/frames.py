@@ -58,6 +58,14 @@ def identity(backend: Backend) -> Similarity:
     return Similarity(one, one, zero, False, zero, zero)
 
 
+def check_params(zoom: Scalar, c: Scalar, s: Scalar, backend: Backend) -> None:
+    """Raise InvalidFrame unless zoom > 0 and c² + s² = 1."""
+    if not zoom > 0:
+        raise InvalidFrame(f"zoom must be positive, got {zoom}")
+    if not backend.eq(c * c + s * s, backend.scalar(1)):
+        raise InvalidFrame(f"(c, s) = ({c}, {s}) is not a unit pair")
+
+
 def make_frame(
     robot_loc: Point,
     zoom: Scalar,
@@ -69,10 +77,7 @@ def make_frame(
     """Build the frame of a robot at ``robot_loc``: the unique similarity with
     the given linear part mapping the robot to the origin of its own frame.
     """
-    if not zoom > 0:
-        raise InvalidFrame(f"zoom must be positive, got {zoom}")
-    if not backend.eq(c * c + s * s, backend.scalar(1)):
-        raise InvalidFrame(f"(c, s) = ({c}, {s}) is not a unit pair")
+    check_params(zoom, c, s, backend)
     zero = backend.scalar(0)
     f0 = Similarity(zoom, c, s, reflect, zero, zero)
     lx, ly = _linear(f0, robot_loc)

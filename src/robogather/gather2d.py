@@ -10,6 +10,12 @@ the SEC or at the target hold still while the others move in, cleaning it.
 The module also provides the global-frame restatement of a round
 (``round_global``), the twelve-phase classification, the bivalent
 ("forbidden") predicate, and the lexicographic termination measure.
+
+One analysis per configuration: ``summarize`` builds the spectrum once and
+runs ``_analyze`` (which computes the SEC) at most once, and reads the
+phase, measure, clean and forbidden flags and the gathering point from that
+spectrum and that analysis. ``pgm`` and ``round_global`` call the lean
+``_analyze`` alone and never pay for the phase or the measure.
 """
 from __future__ import annotations
 
@@ -64,27 +70,6 @@ PHASE_WEIGHT: dict[Phase, int] = {
     Phase.GENERAL_CLEAN: 5,
     Phase.GENERAL_DIRTY: 6,
 }
-
-CLEAN_PHASES = frozenset(
-    {
-        Phase.DIAMETER_CLEAN,
-        Phase.EQUILATERAL_CLEAN,
-        Phase.ISOSCELES_CLEAN,
-        Phase.SCALENE_CLEAN,
-        Phase.GENERAL_CLEAN,
-    }
-)
-
-DIRTY_PHASES = frozenset(
-    {
-        Phase.DIAMETER_DIRTY,
-        Phase.EQUILATERAL_DIRTY,
-        Phase.ISOSCELES_DIRTY,
-        Phase.SCALENE_DIRTY,
-        Phase.GENERAL_DIRTY,
-    }
-)
-
 
 class Measure(NamedTuple):
     """Lexicographic termination measure: (phase weight, residual count)."""
@@ -153,17 +138,6 @@ def target(s: Spectrum, backend: Backend) -> Point:
     return _analyze(s, backend).tgt
 
 
-def sect(s: Spectrum, backend: Backend) -> list[Point]:
-    """The target plus the towers on the SEC: the locations where robots hold
-    still while a dirty spectrum is being cleaned."""
-    return list(_analyze(s, backend).sect_pts)
-
-
-def is_clean(s: Spectrum, backend: Backend) -> bool:
-    """True iff every tower is on the SEC or at the target."""
-    return _analyze(s, backend).clean
-
-
 def pgm(s: Spectrum, backend: Backend) -> Point:
     """Destination computed by a robot observing local spectrum ``s``.
 
@@ -219,21 +193,21 @@ def round_global(activated: Iterable[int], conf: Configuration, backend: Backend
     return tuple(out)
 
 
-def classify_phase(s: Spectrum, backend: Backend) -> Phase:
-    """Total, deterministic classification of a spectrum into the twelve
-    mutually exclusive protocol phases."""
+def _classify(s: Spectrum, backend: Backend) -> tuple[Phase, Optional[_Analysis]]:
+    """The phase of ``s`` and the analysis it was read from (None for the
+    gathered and majority phases, which need no SEC)."""
     if not s:
         raise EmptySpectrum("cannot classify an empty spectrum")
     if len(s) == 1:
-        return Phase.GATHERED
+        return Phase.GATHERED, None
     if len(model.max_support(s)) == 1:
-        return Phase.MAJORITY
+        return Phase.MAJORITY, None
     ana = _analyze(s, backend)
     n = len(ana.boundary)
     if n < 2:
         raise InternalInvariant(f"{len(ana.sup)} towers but {n} on the SEC")
     if n == 2:
-        return Phase.DIAMETER_CLEAN if ana.clean else Phase.DIAMETER_DIRTY
+        return (Phase.DIAMETER_CLEAN if ana.clean else Phase.DIAMETER_DIRTY), ana
     if n == 3:
         shape = geometry.classify_triangle(*ana.boundary, backend)
         by_kind = {
@@ -242,46 +216,27 @@ def classify_phase(s: Spectrum, backend: Backend) -> Phase:
             TriangleKind.SCALENE: (Phase.SCALENE_CLEAN, Phase.SCALENE_DIRTY),
         }
         clean_phase, dirty_phase = by_kind[shape.kind]
-        return clean_phase if ana.clean else dirty_phase
-    return Phase.GENERAL_CLEAN if ana.clean else Phase.GENERAL_DIRTY
+        return (clean_phase if ana.clean else dirty_phase), ana
+    return (Phase.GENERAL_CLEAN if ana.clean else Phase.GENERAL_DIRTY), ana
 
 
-def measure(conf: Configuration, backend: Backend) -> Measure:
-    """Termination measure of a configuration.
+def classify_phase(s: Spectrum, backend: Backend) -> Phase:
+    """Total, deterministic classification of a spectrum into the twelve
+    mutually exclusive protocol phases."""
+    return _classify(s, backend)[0]
 
-    Majority: robots away from the unique highest tower. Clean phases:
-    robots away from the target. Dirty phases: robots neither at the target
-    nor on the SEC. Gathered maps to the global minimum (0, 0).
-    """
-    s = model.spectrum_of(conf, backend)
-    phase = classify_phase(s, backend)
-    if phase is Phase.GATHERED:
-        return Measure(0, 0)
-    weight = PHASE_WEIGHT[phase]
-    if phase is Phase.MAJORITY:
-        top = model.max_support(s)[0]
-        return Measure(weight, model.total(s) - s[top])
-    ana = _analyze(s, backend)
-    if phase in CLEAN_PHASES:
-        off = sum(m for p, m in s.items() if not backend.points_eq(p, ana.tgt))
-    else:
-        off = sum(
-            m
-            for p, m in s.items()
-            if not backend.points_eq(p, ana.tgt)
-            and not geometry.on_circle(ana.circle, p, backend)
-        )
-    return Measure(weight, off)
+
+def _bivalent(s: Spectrum) -> bool:
+    if len(s) != 2:
+        return False
+    m1, m2 = s.values()
+    return m1 == m2
 
 
 def forbidden(conf: Configuration, backend: Backend) -> bool:
     """Bivalent configurations: an even robot count split exactly half-and-half
     across two locations. Gathering is impossible from these."""
-    s = model.spectrum_of(conf, backend)
-    if len(s) != 2:
-        return False
-    m1, m2 = s.values()
-    return m1 == m2
+    return _bivalent(model.spectrum_of(conf, backend))
 
 
 def gathered_at(pt: Point, conf: Configuration, backend: Backend) -> bool:
@@ -368,18 +323,36 @@ class RoundSummary:
 
 
 def summarize(conf: Configuration, backend: Backend) -> RoundSummary:
+    """Phase, termination measure, clean and forbidden flags and gathering
+    point of a configuration, all read from one spectrum and one analysis.
+
+    The measure is lexicographic (phase weight, residual count). Majority:
+    robots away from the unique highest tower. Clean phases: robots away
+    from the target. Dirty phases: robots neither at the target nor on the
+    SEC. Gathered maps to the global minimum (0, 0).
+    """
     s = model.spectrum_of(conf, backend)
-    phase = classify_phase(s, backend)
+    phase, ana = _classify(s, backend)
     if phase is Phase.GATHERED:
-        clean = True
-    elif phase is Phase.MAJORITY:
-        clean = _analyze(s, backend).clean
+        # one tower means every robot is at the first one's location
+        return RoundSummary(phase, Measure(0, 0), True, False, next(iter(s)))
+    if phase is Phase.MAJORITY:
+        ana = _analyze(s, backend)
+        top = model.max_support(s)[0]
+        residual = model.total(s) - s[top]
+    elif ana.clean:
+        residual = sum(m for p, m in s.items() if not backend.points_eq(p, ana.tgt))
     else:
-        clean = phase in CLEAN_PHASES
+        # a tower is on the SEC iff it is in the boundary list
+        residual = sum(
+            m
+            for p, m in s.items()
+            if not backend.points_eq(p, ana.tgt) and p not in ana.boundary
+        )
     return RoundSummary(
         phase=phase,
-        measure=measure(conf, backend),
-        clean=clean,
-        forbidden=forbidden(conf, backend),
-        gathered_pt=gathering_point(conf, backend),
+        measure=Measure(PHASE_WEIGHT[phase], residual),
+        clean=ana.clean,
+        forbidden=_bivalent(s),
+        gathered_pt=None,
     )

@@ -10,8 +10,8 @@ destination is mapped back to the global frame.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 from . import frames
 from .scalars import Backend, Point, Scalar
@@ -37,15 +37,9 @@ class FrameParams:
 @dataclass(frozen=True)
 class DemonicAction:
     """One round of demonic choices: per robot either None (inactive) or the
-    frame parameters for its activation.
-
-    ``relocate_byz`` is the Byzantine-relocation hook; the identifier space
-    here contains good robots only, so it stays empty in every generated
-    action and exists purely to keep the round structure general.
-    """
+    frame parameters for its activation."""
 
     steps: tuple[Optional[FrameParams], ...]
-    relocate_byz: Mapping[int, Point] = field(default_factory=dict)
 
     def activated(self) -> tuple[int, ...]:
         return tuple(i for i, fp in enumerate(self.steps) if fp is not None)
@@ -98,31 +92,32 @@ def round(r: Robogram, da: DemonicAction, conf: Configuration, backend: Backend)
     """One SSYNC round: every activated robot atomically Looks (through its
     frame), Computes (the robogram on its local spectrum) and Moves (the
     destination mapped back to the global frame). Inactive robots stay put.
+
+    A frame is a bijection, so on the exact backend a robot's local spectrum
+    is the image of the global one: the global spectrum is built once per
+    round and each robot maps its towers (``frames.map_multiset``) instead of
+    all nG robots. The result is the same Counter, key order included,
+    because ``apply`` is injective and the towers keep their first-seen order.
+    On floats the tolerance ``eps_abs`` is absolute while a frame rescales
+    the gaps between robots, so towers merged globally may not be the towers
+    merged in a robot's frame; there every robot still maps the whole
+    configuration and clusters it in its own frame.
     """
     if len(da.steps) != len(conf):
         raise ValueError(f"action for {len(da.steps)} robots applied to {len(conf)}")
+    global_spec = spectrum_of(conf, backend) if backend.is_exact else None
     out: list[Point] = []
-    for i, loc in enumerate(conf):
-        if i in da.relocate_byz:  # Byzantine hook; never taken for good robots
-            out.append(da.relocate_byz[i])
-            continue
-        fp = da.steps[i]
+    for loc, fp in zip(conf, da.steps):
         if fp is None:
             out.append(loc)
             continue
         f = frames.make_frame(loc, fp.zoom, fp.c, fp.s, fp.reflect, backend)
-        local_conf = tuple(frames.apply(f, q) for q in conf)
-        dest_local = r.pgm(spectrum_of(local_conf, backend))
-        out.append(frames.apply(frames.inverse(f), dest_local))
+        if global_spec is not None:
+            local_spec = frames.map_multiset(f, global_spec)
+        else:
+            local_spec = spectrum_of(tuple(frames.apply(f, q) for q in conf), backend)
+        out.append(frames.apply(frames.inverse(f), r.pgm(local_spec)))
     return tuple(out)
-
-
-def moving(r: Robogram, da: DemonicAction, conf: Configuration, backend: Backend) -> list[int]:
-    """Ids that change location this round. A subset of the activated ids:
-    activated robots already at their destination do not move.
-    """
-    after = round(r, da, conf, backend)
-    return [i for i in range(len(conf)) if not backend.points_eq(conf[i], after[i])]
 
 
 @dataclass(frozen=True)

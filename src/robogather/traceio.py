@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
-from . import gather2d, model, verify
+from . import frames, gather2d, model, verify
 from .model import Configuration, DemonicAction, FrameParams, Trace
 from .scalars import Backend, Point, get_backend
 
@@ -55,12 +55,49 @@ def _frame_out(fp: Optional[FrameParams], backend: Backend):
 def _frame_in(obj, backend: Backend) -> Optional[FrameParams]:
     if obj is None:
         return None
-    return FrameParams(
+    fp = FrameParams(
         zoom=backend.parse(obj["zoom"]),
         c=backend.parse(obj["c"]),
         s=backend.parse(obj["s"]),
         reflect=bool(obj["reflect"]),
     )
+    try:
+        frames.check_params(fp.zoom, fp.c, fp.s, backend)
+    except frames.InvalidFrame as exc:
+        raise TraceFormatError(f"invalid frame: {exc}") from exc
+    return fp
+
+
+def _int(value, what: str, optional: bool = False) -> Optional[int]:
+    """``value`` as an int (None passes when ``optional``), else ScenarioError."""
+    if value is None and optional:
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _eps_pair(eps) -> tuple[Optional[float], Optional[float]]:
+    """(abs, rel) of an ``eps`` object; ValueError unless each is absent or a number."""
+    if eps is None:
+        return None, None
+    if not isinstance(eps, dict):
+        raise ValueError(f"eps must be a JSON object, got {eps!r}")
+    for key in ("abs", "rel"):
+        if not isinstance(eps.get(key), (int, float, type(None))):
+            raise ValueError(f"eps.{key} must be a number, got {eps[key]!r}")
+    return eps.get("abs"), eps.get("rel")
+
+
+def _obj(data: dict, key: str) -> dict:
+    """The JSON object under ``key`` ({} when absent or null), else ScenarioError."""
+    value = data.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ScenarioError(f"'{key}' must be a JSON object, got {value!r}")
+    return value
 
 
 @dataclass
@@ -82,20 +119,25 @@ class Scenario:
     def from_dict(cls, data: dict) -> "Scenario":
         if not isinstance(data, dict):
             raise ScenarioError("scenario must be a JSON object")
-        try:
-            n_robots = int(data["nG"])
-        except KeyError:
+        if "nG" not in data:
             raise ScenarioError("scenario is missing 'nG'")
-        eps = data.get("eps") or {}
+        try:
+            eps_abs, eps_rel = _eps_pair(data.get("eps"))
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
+        initial = _obj(data, "initial")
+        points = initial.get("points")
+        if points is not None and not isinstance(points, list):
+            raise ScenarioError(f"initial.points must be a list, got {points!r}")
         return cls(
-            n_robots=n_robots,
+            n_robots=_int(data["nG"], "nG"),
             backend_name=data.get("backend", "exact"),
-            eps_abs=eps.get("abs"),
-            eps_rel=eps.get("rel"),
-            initial=(data.get("initial") or {}).get("points"),
-            generator=(data.get("initial") or {}).get("generator"),
-            demon=data.get("demon", {"kind": "round_robin", "seed": 0}),
-            horizon=data.get("horizon"),
+            eps_abs=eps_abs,
+            eps_rel=eps_rel,
+            initial=points,
+            generator=_obj(initial, "generator") if "generator" in initial else None,
+            demon=_obj(data, "demon") if "demon" in data else {"kind": "round_robin", "seed": 0},
+            horizon=_int(data.get("horizon"), "horizon", optional=True),
             allow_forbidden=bool(data.get("allow_forbidden", False)),
         )
 
@@ -158,14 +200,18 @@ class Scenario:
                 )
         else:
             gen = self.generator or {}
-            rng = random.Random(int(gen.get("seed", 0)))
-            conf = verify.gen_initial(
-                self.n_robots,
-                rng,
-                backend,
-                bbox=int(gen.get("bbox", 10)),
-                pool_size=gen.get("pool"),
-            )
+            rng = random.Random(_int(gen.get("seed", 0), "generator seed"))
+            try:
+                conf = verify.gen_initial(
+                    self.n_robots,
+                    rng,
+                    backend,
+                    bbox=_int(gen.get("bbox", 10), "generator bbox"),
+                    pool_size=_int(gen.get("pool"), "generator pool", optional=True),
+                )
+            except (ValueError, IndexError, RuntimeError) as exc:
+                # e.g. a negative bbox, an empty pool or more pool points than the box holds
+                raise ScenarioError(f"cannot generate the initial configuration: {exc}") from exc
 
         demon = dict(self.demon)
         kind = demon.get("kind", "round_robin")
@@ -173,25 +219,27 @@ class Scenario:
         if kind not in valid:
             raise ScenarioError(f"unknown demon kind {kind!r} (expected one of {valid})")
         policy = verify.DEFAULT_POLICY
-        if "zoom_range" in demon or "reflection_prob" in demon:
-            lo, hi = demon.get("zoom_range", ["1/10", "10"])
-            policy = verify.FramePolicy(
-                zoom_lo=Fraction(str(lo)),
-                zoom_hi=Fraction(str(hi)),
-                reflection_prob=float(demon.get("reflection_prob", 0.5)),
-            )
+        seed = _int(demon.get("seed", 0), "demon seed")
+        k = _int(demon.get("k"), "demon k", optional=True)
         try:
+            if "zoom_range" in demon or "reflection_prob" in demon:
+                lo, hi = demon.get("zoom_range", ["1/10", "10"])
+                policy = verify.FramePolicy(
+                    zoom_lo=Fraction(str(lo)),
+                    zoom_hi=Fraction(str(hi)),
+                    reflection_prob=float(demon.get("reflection_prob", 0.5)),
+                )
             strategy = verify.make_strategy(
                 kind,
                 self.n_robots,
                 backend,
-                seed=int(demon.get("seed", 0)),
-                k=demon.get("k"),
+                seed=seed,
+                k=k,
                 policy=policy,
                 script=demon.get("script"),
             )
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise ScenarioError(f"bad demon: {exc}") from exc
         horizon = self.horizon
         if horizon is None:
             horizon = verify.horizon_for(strategy.k, self.n_robots)
@@ -289,19 +337,18 @@ def read_trace(path: str) -> LoadedTrace:
     if not isinstance(header, dict) or header.get("type") != "header":
         raise TraceFormatError("first record must be the header")
     try:
-        backend = get_backend(
-            header["backend"],
-            (header.get("eps") or {}).get("abs"),
-            (header.get("eps") or {}).get("rel"),
-        )
+        backend = get_backend(header["backend"], *_eps_pair(header.get("eps")))
         initial = tuple(_point_in(pair, backend) for pair in header["initial"])
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
+        k = None if header.get("k") is None else int(header["k"])
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise TraceFormatError(f"bad header: {exc}") from exc
 
     steps: list[model.TraceStep] = []
     stopped_early = False
     gathered_round = None
     for rec in records[1:]:
+        if not isinstance(rec, dict):
+            raise TraceFormatError(f"record is not a JSON object: {rec!r}")
         kind = rec.get("type")
         if kind == "round":
             try:
@@ -323,7 +370,7 @@ def read_trace(path: str) -> LoadedTrace:
     return LoadedTrace(
         trace=Trace(initial, steps, stopped_early),
         backend=backend,
-        k=header.get("k"),
+        k=k,
         strategy_kind=header.get("strategy"),
         seed=header.get("seed"),
         horizon=header.get("horizon"),

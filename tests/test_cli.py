@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +102,78 @@ def test_check_corrupted_trace_exit_three(tmp_path, capsys):
     assert "chaining" in capsys.readouterr().out
 
 
+def _set_frame(key, value):
+    def edit(records):
+        records[1]["steps"][0][key] = value
+
+    return edit
+
+
+def _set_unit_pair(records):
+    records[1]["steps"][0].update(c="1", s="1")
+
+
+def _set_header_initial(records):
+    records[0]["initial"] = 5
+
+
+def _set_header_eps(records):
+    records[0]["eps"] = 3
+
+
+def _list_round(records):
+    records[1] = [1, 2]
+
+
+@pytest.mark.parametrize(
+    "kind, edit",
+    [
+        ("scenario", {"nG": "abc"}),
+        ("scenario", {"demon": "x"}),
+        ("scenario", {"eps": 3}),
+        ("scenario", {"initial": {"generator": {"seed": "zz"}}}),
+        ("scenario", {"initial": {"generator": {"pool": 0}}}),
+        ("trace", _list_round),
+        ("trace", _set_header_initial),
+        ("trace", _set_header_eps),
+        ("trace", _set_frame("zoom", "0")),
+        ("trace", _set_unit_pair),
+    ],
+    ids=[
+        "nG-not-int",
+        "demon-not-object",
+        "eps-not-object",
+        "generator-seed-not-int",
+        "generator-pool-empty",
+        "round-record-is-list",
+        "header-initial-not-list",
+        "header-eps-not-object",
+        "frame-zoom-zero",
+        "frame-not-unit-pair",
+    ],
+)
+def test_malformed_input_exit_one_without_traceback(tmp_path, capsys, kind, edit):
+    if kind == "scenario":
+        scenario = _write_scenario(tmp_path, **edit)
+        argv = ["run", "--scenario", scenario, "--out", str(tmp_path / "t.jsonl")]
+    else:
+        out = str(tmp_path / "trace.jsonl")
+        assert cli.main(["run", "--scenario", _write_scenario(tmp_path), "--out", out]) == 0
+        records = [json.loads(line) for line in open(out) if line.strip()]
+        edit(records)
+        (tmp_path / "bad.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        argv = ["check", "--trace", str(tmp_path / "bad.jsonl")]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_run_unwritable_out_exit_one(tmp_path, capsys):
+    out = str(tmp_path / "missing-dir" / "t.jsonl")
+    assert cli.main(["run", "--scenario", _write_scenario(tmp_path), "--out", out]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: cannot write trace")
+
+
 def test_check_empty_file_exit_one(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -185,3 +259,19 @@ def test_render_bad_trace_exit_one(tmp_path):
         cli.main(["render", "--trace", str(bad), "--out", str(tmp_path / "x.svg")])
         == cli.EXIT_INPUT
     )
+
+
+# sha256 of the trace each bundled scenario writes on the exact backend. A
+# change that alters any of these bytes changes replay, not just speed.
+BUNDLED_TRACE_SHA256 = {
+    "cocircular_demo": "d339ca3826c65f5b5fea15cb3c70e6cf7a8c9c111f4236a32c3883ec881ab662",
+    "majority_demo": "2468970fdb4cbb71b3788bfeb29459a97566cf2e3b00bfe8257de758cbe7912d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_TRACE_SHA256))
+def test_bundled_scenario_trace_is_byte_identical(tmp_path, name):
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"
+    out = tmp_path / f"{name}.jsonl"
+    assert cli.main(["run", "--scenario", str(scenario), "--out", str(out)]) == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BUNDLED_TRACE_SHA256[name]

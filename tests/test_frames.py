@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import exact_point_lists, exact_points, exact_similarities, rational
 from robogather import frames, gather2d, geometry, model
@@ -96,6 +97,21 @@ def test_map_multiset_preserves_cardinality(f, pts):
 
 
 # --- equivariance with the geometry kernel -----------------------------------
+
+
+@st.composite
+def _configs_with_towers(draw):
+    pool = draw(st.lists(exact_points, min_size=1, max_size=5))
+    return tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12)))
+
+
+@given(exact_similarities(), _configs_with_towers())
+def test_mapped_towers_equal_spectrum_of_mapped_robots(f, conf):
+    # model.round relies on this identity on the exact backend; the key order
+    # matters because pgm reads max_support and the SEC boundary in it
+    towers = map_multiset(f, model.spectrum_of(conf, EXACT))
+    robots = model.spectrum_of(tuple(apply(f, q) for q in conf), EXACT)
+    assert list(towers.items()) == list(robots.items())
 
 
 @given(exact_similarities(), exact_point_lists)

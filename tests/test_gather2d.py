@@ -42,7 +42,7 @@ def test_target_triangle_permutation_invariant(perm):
     assert gather2d.target_triangle(*(pts[i] for i in perm), EXACT) == P(1, 1)
 
 
-# --- target / sect / is_clean -------------------------------------------------
+# --- target / is_clean -------------------------------------------------
 
 
 def test_target_gathered_spectrum():
@@ -66,18 +66,12 @@ def test_target_empty_spectrum_raises():
         gather2d.target(Counter(), EXACT)
 
 
-def test_sect_examples():
-    assert gather2d.sect(spectrum(*(P(3, 3),) * 4), EXACT) == [P(3, 3)]
-    s = Counter({P(0, 0): 1, P(2, 0): 1})
-    assert sorted(gather2d.sect(s, EXACT)) == sorted([P(1, 0), P(0, 0), P(2, 0)])
-    sq = spectrum(P(0, 0), P(2, 0), P(0, 2), P(1, 1))
-    assert sorted(gather2d.sect(sq, EXACT)) == sorted([P(0, 0), P(2, 0), P(0, 2)])
-
-
 def test_is_clean_examples():
-    assert gather2d.is_clean(spectrum(*(P(1, 1),) * 3), EXACT)
-    assert gather2d.is_clean(spectrum(P(0, 0), P(2, 0), P(1, 0)), EXACT)
-    assert not gather2d.is_clean(spectrum(P(0, 0), P(2, 0), P(F(1, 2), 0)), EXACT)
+    assert gather2d.summarize((P(1, 1),) * 3, EXACT).clean
+    assert gather2d.summarize((P(0, 0), P(2, 0), P(1, 0)), EXACT).clean
+    assert not gather2d.summarize((P(0, 0), P(2, 0), P(F(1, 2), 0)), EXACT).clean
+    # a majority spectrum is still graded for cleanliness
+    assert not gather2d.summarize((P(0, 0), P(0, 0), P(2, 0), P(F(1, 2), 0)), EXACT).clean
 
 
 # --- pgm --------------------------------------------------------------------------
@@ -217,24 +211,24 @@ def test_classify_invariant_under_similarity(f):
 
 def test_measure_majority():
     conf = (P(0, 0), P(0, 0), P(0, 0), P(1, 1), P(2, 2))
-    assert gather2d.measure(conf, EXACT) == Measure(0, 2)
+    assert gather2d.summarize(conf, EXACT).measure == Measure(0, 2)
 
 
 def test_measure_clean_diameter():
     conf = (P(0, 0), P(0, 0), P(2, 0), P(2, 0), P(1, 0))
-    assert gather2d.measure(conf, EXACT) == Measure(1, 4)
+    assert gather2d.summarize(conf, EXACT).measure == Measure(1, 4)
 
 
 def test_measure_gathered_is_minimum():
     conf = (P(5, 5),) * 4
-    assert gather2d.measure(conf, EXACT) == Measure(0, 0)
+    assert gather2d.summarize(conf, EXACT).measure == Measure(0, 0)
 
 
 @given(st.permutations(range(5)))
 def test_measure_invariant_under_id_permutation(perm):
     conf = (P(0, 0), P(0, 0), P(2, 0), P(2, 0), P(1, 0))
     permuted = tuple(conf[i] for i in perm)
-    assert gather2d.measure(conf, EXACT) == gather2d.measure(permuted, EXACT)
+    assert gather2d.summarize(conf, EXACT) == gather2d.summarize(permuted, EXACT)
     assert gather2d.classify_phase(
         model.spectrum_of(conf, EXACT), EXACT
     ) is gather2d.classify_phase(model.spectrum_of(permuted, EXACT), EXACT)
@@ -243,7 +237,21 @@ def test_measure_invariant_under_id_permutation(perm):
 def test_measure_dirty_counts_stragglers_only():
     conf = (P(0, 0), P(2, 0), P(F(1, 2), 0))
     # boundary robots are on the SEC; only the straggler counts
-    assert gather2d.measure(conf, EXACT) == Measure(2, 1)
+    assert gather2d.summarize(conf, EXACT).measure == Measure(2, 1)
+
+
+_GRID = [P(x, y) for x in (0, 1, 2, 4) for y in (0, 1, 3)] + [P(F(1, 2), 0), P(1, F(3, 2))]
+
+
+@given(st.lists(st.sampled_from(_GRID), min_size=3, max_size=8))
+def test_summarize_agrees_with_standalone_predicates(pts):
+    conf = tuple(pts)
+    summary = gather2d.summarize(conf, EXACT)
+    s = model.spectrum_of(conf, EXACT)
+    assert summary.phase is gather2d.classify_phase(s, EXACT)
+    assert summary.forbidden == gather2d.forbidden(conf, EXACT)
+    assert summary.gathered_pt == gather2d.gathering_point(conf, EXACT)
+    assert summary.clean == (summary.phase is Phase.GATHERED or gather2d._analyze(s, EXACT).clean)
 
 
 def test_lt_measure():
