@@ -100,7 +100,7 @@ def cmd_fuzz(args) -> int:
         args.runs,
         backend,
         ng_range=(args.ng_min, args.ng_max),
-        strategy_kinds=kinds or verify.STRATEGY_KINDS[:4],
+        strategy_kinds=kinds or verify.FUZZ_KINDS,
         seed=args.seed,
         horizon=args.horizon,
     )
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--ng-max", type=int, default=8)
     p_fuzz.add_argument(
         "--strategies",
-        default="round_robin,all_active,random_kfair,single_mover",
+        default=",".join(verify.FUZZ_KINDS),
         help="comma-separated strategy kinds",
     )
     p_fuzz.add_argument("--horizon", type=int, help="fixed round budget (default: k*7*(nG+1))")

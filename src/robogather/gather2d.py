@@ -113,7 +113,7 @@ class _Analysis:
 def _analyze(s: Spectrum, backend: Backend) -> _Analysis:
     if not s:
         raise EmptySpectrum("cannot analyze an empty spectrum")
-    sup = model.support(s)
+    sup = list(s)
     circle = geometry.sec(sup, backend)
     boundary = [p for p in sup if geometry.on_circle(circle, p, backend)]
     if len(boundary) == 1:
@@ -339,7 +339,7 @@ def summarize(conf: Configuration, backend: Backend) -> RoundSummary:
     if phase is Phase.MAJORITY:
         ana = _analyze(s, backend)
         top = model.max_support(s)[0]
-        residual = model.total(s) - s[top]
+        residual = sum(s.values()) - s[top]
     elif ana.clean:
         residual = sum(m for p, m in s.items() if not backend.points_eq(p, ana.tgt))
     else:

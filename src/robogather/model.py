@@ -72,14 +72,6 @@ def spectrum_of(conf: Configuration, backend: Backend) -> Spectrum:
     return spec
 
 
-def support(s: Spectrum) -> list[Point]:
-    return list(s)
-
-
-def total(s: Spectrum) -> int:
-    return sum(s.values())
-
-
 def max_support(s: Spectrum) -> list[Point]:
     """Locations of maximal multiplicity (the highest towers)."""
     if not s:
@@ -93,29 +85,22 @@ def round(r: Robogram, da: DemonicAction, conf: Configuration, backend: Backend)
     frame), Computes (the robogram on its local spectrum) and Moves (the
     destination mapped back to the global frame). Inactive robots stay put.
 
-    A frame is a bijection, so on the exact backend a robot's local spectrum
-    is the image of the global one: the global spectrum is built once per
-    round and each robot maps its towers (``frames.map_multiset``) instead of
-    all nG robots. The result is the same Counter, key order included,
-    because ``apply`` is injective and the towers keep their first-seen order.
-    On floats the tolerance ``eps_abs`` is absolute while a frame rescales
-    the gaps between robots, so towers merged globally may not be the towers
-    merged in a robot's frame; there every robot still maps the whole
-    configuration and clusters it in its own frame.
+    A frame is a bijection, so a robot's local spectrum is the image of the
+    global one: the global spectrum is built once per round and each robot
+    maps its towers (``frames.map_multiset``). On floats this also means the
+    tolerance merges robots once, in the global frame, so what a robot sees
+    does not depend on the zoom of its frame.
     """
     if len(da.steps) != len(conf):
         raise ValueError(f"action for {len(da.steps)} robots applied to {len(conf)}")
-    global_spec = spectrum_of(conf, backend) if backend.is_exact else None
+    global_spec = spectrum_of(conf, backend)
     out: list[Point] = []
     for loc, fp in zip(conf, da.steps):
         if fp is None:
             out.append(loc)
             continue
         f = frames.make_frame(loc, fp.zoom, fp.c, fp.s, fp.reflect, backend)
-        if global_spec is not None:
-            local_spec = frames.map_multiset(f, global_spec)
-        else:
-            local_spec = spectrum_of(tuple(frames.apply(f, q) for q in conf), backend)
+        local_spec = frames.map_multiset(f, global_spec)
         out.append(frames.apply(frames.inverse(f), r.pgm(local_spec)))
     return tuple(out)
 

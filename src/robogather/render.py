@@ -20,7 +20,7 @@ def _bounds(trace: Trace, backend: Backend) -> tuple[float, float, float]:
     ys: list[float] = []
     radii: list[float] = []
     for conf in trace.configs():
-        sup = model.support(model.spectrum_of(conf, backend))
+        sup = list(model.spectrum_of(conf, backend))
         for p in sup:
             xs.append(float(p.x))
             ys.append(float(p.y))
@@ -53,7 +53,7 @@ def _panel(
 
     s = model.spectrum_of(conf, backend)
     summary = gather2d.summarize(conf, backend)
-    sup = model.support(s)
+    sup = list(s)
     circle = geometry.sec(sup, backend)
     r = math.sqrt(max(0.0, float(circle.radius_sq))) * scale
 

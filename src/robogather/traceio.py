@@ -312,10 +312,7 @@ class LoadedTrace:
     trace: Trace
     backend: Backend
     k: Optional[int]
-    strategy_kind: Optional[str]
     seed: Optional[int]
-    horizon: Optional[int]
-    gathered_round: Optional[int]
 
 
 def read_trace(path: str) -> LoadedTrace:
@@ -345,7 +342,6 @@ def read_trace(path: str) -> LoadedTrace:
 
     steps: list[model.TraceStep] = []
     stopped_early = False
-    gathered_round = None
     for rec in records[1:]:
         if not isinstance(rec, dict):
             raise TraceFormatError(f"record is not a JSON object: {rec!r}")
@@ -364,17 +360,13 @@ def read_trace(path: str) -> LoadedTrace:
             steps.append(model.TraceStep(index, action, config))
         elif kind == "end":
             stopped_early = bool(rec.get("stopped_early", False))
-            gathered_round = rec.get("gathered_round")
         else:
             raise TraceFormatError(f"unknown record type {kind!r}")
     return LoadedTrace(
         trace=Trace(initial, steps, stopped_early),
         backend=backend,
         k=k,
-        strategy_kind=header.get("strategy"),
         seed=header.get("seed"),
-        horizon=header.get("horizon"),
-        gathered_round=gathered_round,
     )
 
 

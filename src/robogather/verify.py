@@ -18,10 +18,12 @@ from typing import Iterable, Optional, Sequence
 
 from . import frames, gather2d, geometry, model
 from .gather2d import EXPECTED_ARCS, Phase
-from .model import Configuration, DemonicAction, FrameParams, Robogram, Spectrum, Trace
+from .model import Configuration, DemonicAction, FrameParams, Spectrum, Trace
 from .scalars import FLOAT64, Backend, Point
 
-STRATEGY_KINDS = ("round_robin", "all_active", "random_kfair", "single_mover", "adversarial")
+# The strategies a fuzz campaign draws from unless told otherwise.
+FUZZ_KINDS = ("round_robin", "all_active", "random_kfair", "single_mover")
+STRATEGY_KINDS = FUZZ_KINDS + ("adversarial",)
 
 # Deliberately unfair scripted strategy, kept for negative controls only.
 UNFAIR_KINDS = ("unfair_skip0",)
@@ -36,14 +38,13 @@ def horizon_for(k: int, n_robots: int) -> int:
 
 @dataclass(frozen=True)
 class FramePolicy:
-    """How strategies sample frames: zoom range, rotation granularity and
-    reflection probability. Rotations are rational unit pairs on the exact
-    backend and angle-derived on the floating one."""
+    """How strategies sample frames: zoom range and reflection probability.
+    Rotations are rational unit pairs on the exact backend (half-angle
+    parameters p/q with |p|, q <= 6) and angle-derived on the floating one."""
 
     zoom_lo: Fraction = Fraction(1, 10)
     zoom_hi: Fraction = Fraction(10)
     reflection_prob: float = 0.5
-    rotation_steps: int = 6  # granularity of rational rotation sampling
 
     def sample(self, rng: random.Random, backend: Backend) -> FrameParams:
         if backend.is_exact:
@@ -52,9 +53,7 @@ class FramePolicy:
             zoom = self.zoom_lo + span * Fraction(rng.randint(0, den), den)
             if zoom <= 0:  # zoom_lo may be 0 through configuration; keep valid
                 zoom = self.zoom_hi / den
-            t = Fraction(rng.randint(-self.rotation_steps, self.rotation_steps), rng.randint(1, self.rotation_steps))
-            c = (1 - t * t) / (1 + t * t)
-            s = (2 * t) / (1 + t * t)
+            c, s = _unit_circle_point(Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
         else:
             zoom = math.exp(rng.uniform(math.log(float(self.zoom_lo)), math.log(float(self.zoom_hi))))
             theta = rng.uniform(0.0, 2.0 * math.pi)
@@ -166,12 +165,12 @@ class SingleMover(Strategy, _DeadlineMixin):
 
 
 class Scripted(Strategy):
-    """Follows an explicit cyclic script of activation sets."""
+    """Follows an explicit cyclic script of activation sets; ``kind`` names
+    the strategy it was made for."""
 
-    kind = "adversarial"
-
-    def __init__(self, n_robots, backend, seed, script: Sequence[Iterable[int]], k: int, policy=DEFAULT_POLICY):
+    def __init__(self, kind: str, n_robots, backend, seed, script: Sequence[Iterable[int]], k: int, policy=DEFAULT_POLICY):
         super().__init__(n_robots, backend, seed, k=k, policy=policy)
+        self.kind = kind
         self.script = [set(ids) for ids in script]
         if not self.script:
             raise ValueError("empty adversarial script")
@@ -200,11 +199,11 @@ def make_strategy(
     if kind == "adversarial":
         if script is None:
             raise ValueError("adversarial strategy requires a script")
-        return Scripted(n_robots, backend, seed, script, k or n_robots, policy)
+        return Scripted(kind, n_robots, backend, seed, script, k or n_robots, policy)
     if kind == "unfair_skip0":
         # Never activates robot 0; claims round-robin fairness. Negative control.
         script = [[1 + (i % (n_robots - 1))] for i in range(n_robots - 1)]
-        return Scripted(n_robots, backend, seed, script, n_robots, policy)
+        return Scripted(kind, n_robots, backend, seed, script, n_robots, policy)
     raise ValueError(f"unknown strategy kind {kind!r}")
 
 
@@ -272,24 +271,22 @@ def gen_initial(
     backend: Backend,
     bbox: int = 10,
     pool_size: int | None = None,
-    min_sep_sq: float = 1e-2,
-    structured_prob: float = 0.4,
 ) -> Configuration:
     """Random non-bivalent initial configuration inside [-bbox, bbox]².
 
     Locations are drawn from a small pool so multiplicity points occur with
     positive probability (a pool of one yields a gathered start, which is
-    allowed). With probability ``structured_prob`` the pool is cocircular
-    (or an equilateral triple on the floating backend) so the corpus also
-    reaches the general and triangle phases. Bivalent draws are rejected
-    and resampled. On the floating backend pool points keep a minimum
-    separation to stay clear of the tolerance regime.
+    allowed). Unless ``pool_size`` is given, the pool is cocircular (or an
+    equilateral triple on the floating backend) with probability 0.4 so the
+    corpus also reaches the general and triangle phases. Bivalent draws are
+    rejected and resampled. On the floating backend pool points stay more
+    than 0.1 apart, clear of the tolerance regime.
     """
     if n_robots < 3:
         raise ValueError("at least 3 robots are required")
     while True:
         pool: list[Point] = []
-        if pool_size is None and rng.random() < structured_prob:
+        if pool_size is None and rng.random() < 0.4:
             if not backend.is_exact and rng.random() < 0.35:
                 pool = _equilateral_pool(rng, bbox)
             else:
@@ -306,9 +303,7 @@ def gen_initial(
                     ok = all(p != q for q in pool)
                 else:
                     p = Point(rng.uniform(-bbox, bbox), rng.uniform(-bbox, bbox))
-                    ok = all(
-                        (p.x - q.x) ** 2 + (p.y - q.y) ** 2 > min_sep_sq for q in pool
-                    )
+                    ok = all((p.x - q.x) ** 2 + (p.y - q.y) ** 2 > 1e-2 for q in pool)
                 if ok:
                     pool.append(p)
         conf = tuple(rng.choice(pool) for _ in range(n_robots))
@@ -453,7 +448,6 @@ def first_gathered_round(trace: Trace, backend: Backend) -> Optional[int]:
 def check_trace(
     trace: Trace,
     backend: Backend,
-    robogram: Robogram | None = None,
     declared_k: int | None = None,
     run_seed: int | None = None,
     report: CheckReport | None = None,
@@ -464,7 +458,7 @@ def check_trace(
     for the chaining check), so a corrupted trace cannot pass.
     """
     rep = report if report is not None else CheckReport()
-    r = robogram if robogram is not None else gather2d.robogram(backend)
+    r = gather2d.robogram(backend)
     prev = trace.initial
     prev_sum = gather2d.summarize(prev, backend)
     gathered_pt = prev_sum.gathered_pt
@@ -561,21 +555,18 @@ def check_target_morph(s: Spectrum, f, backend: Backend) -> bool:
     return backend.points_eq(lhs, rhs)
 
 
-def stress_degenerate_triangles(
-    n_samples: int,
-    seed: int = 0,
-    eps_exponents: Sequence[int] = (-6, -8, -9, -10, -12, -14),
-) -> dict[int, dict[str, int]]:
+def stress_degenerate_triangles(n_samples: int, seed: int = 0) -> dict[int, dict[str, int]]:
     """Characterize (never assert) float classification near the tolerance.
 
-    For each perturbation size 10^e, nudges one vertex of an exactly
-    isosceles triangle and of a float equilateral triangle, and tallies how
-    the classifier reads the result. Regular fuzzing stays clear of this
-    regime by a separation margin; this map documents what happens inside it.
+    For each perturbation size 10^e, e in {-6, -8, -9, -10, -12, -14},
+    nudges one vertex of an exactly isosceles triangle and of a float
+    equilateral triangle, and tallies how the classifier reads the result.
+    Regular fuzzing stays clear of this regime by a separation margin; this
+    map documents what happens inside it.
     """
     rng = random.Random(seed)
     out: dict[int, dict[str, int]] = {}
-    for e in eps_exponents:
+    for e in (-6, -8, -9, -10, -12, -14):
         eps = 10.0**e
         tally: dict[str, int] = {}
         for _ in range(n_samples):
@@ -641,23 +632,21 @@ def run_one(
     run_seed: int,
     backend: Backend,
     ng_range: tuple[int, int] = (3, 8),
-    strategy_kinds: Sequence[str] = ("round_robin", "all_active", "random_kfair", "single_mover"),
+    strategy_kinds: Sequence[str] = FUZZ_KINDS,
     horizon: int | None = None,
-    policy: FramePolicy = DEFAULT_POLICY,
-    bbox: int = 10,
 ) -> tuple[RunSpec, Trace, CheckReport]:
     """One seeded fuzz run: generate, execute, check. Deterministic in the seed."""
     rng = random.Random(run_seed)
     n_robots = rng.randint(*ng_range)
     kind = rng.choice(list(strategy_kinds))
     strategy_seed = rng.randrange(2**62)
-    strat = make_strategy(kind, n_robots, backend, seed=strategy_seed, policy=policy)
-    conf = gen_initial(n_robots, rng, backend, bbox=bbox)
+    strat = make_strategy(kind, n_robots, backend, seed=strategy_seed)
+    conf = gen_initial(n_robots, rng, backend)
     h = horizon if horizon is not None else horizon_for(strat.k, n_robots)
     extra = strat.k  # keep checking persistence after gathering
     r = gather2d.robogram(backend)
     trace = model.execute(r, strat, conf, h + extra, backend, stop=_gathered_stable_stop(backend, extra))
-    rep = check_trace(trace, backend, r, declared_k=strat.k, run_seed=run_seed)
+    rep = check_trace(trace, backend, declared_k=strat.k, run_seed=run_seed)
 
     gathered_round = first_gathered_round(trace, backend)
     gathered_in_time = gathered_round is not None and gathered_round <= h
@@ -682,16 +671,13 @@ def fuzz(
     n_runs: int,
     backend: Backend,
     ng_range: tuple[int, int] = (3, 8),
-    strategy_kinds: Sequence[str] = ("round_robin", "all_active", "random_kfair", "single_mover"),
+    strategy_kinds: Sequence[str] = FUZZ_KINDS,
     seed: int = 0,
     horizon: int | None = None,
-    policy: FramePolicy = DEFAULT_POLICY,
-    bbox: int = 10,
-    keep_counterexamples: int = 3,
 ) -> tuple[CheckReport, list[Counterexample]]:
     """Run ``n_runs`` independent seeded simulations and grade them all.
 
-    Returns the aggregate report and the first few failing runs (if any)
+    Returns the aggregate report and the first three failing runs (if any)
     with everything needed to replay them.
     """
     master = random.Random(seed)
@@ -699,10 +685,8 @@ def fuzz(
     counterexamples: list[Counterexample] = []
     for _ in range(n_runs):
         run_seed = master.randrange(2**62)
-        spec, trace, rep = run_one(
-            run_seed, backend, ng_range, strategy_kinds, horizon, policy, bbox
-        )
-        if (not rep.ok) and len(counterexamples) < keep_counterexamples:
+        spec, trace, rep = run_one(run_seed, backend, ng_range, strategy_kinds, horizon)
+        if (not rep.ok) and len(counterexamples) < 3:
             counterexamples.append(Counterexample(spec, trace))
         report.merge(rep)
     return report, counterexamples

@@ -32,6 +32,14 @@ def test_run_gathers_exit_zero(tmp_path, capsys):
     assert lines[-1]["gathered_round"] == 1
 
 
+def test_run_header_names_unfair_strategy(tmp_path):
+    scenario = _write_scenario(tmp_path, demon={"kind": "unfair_skip0", "seed": 1})
+    out = str(tmp_path / "trace.jsonl")
+    assert cli.main(["run", "--scenario", scenario, "--out", out]) == cli.EXIT_OK
+    header = json.loads(open(out).readline())
+    assert header["strategy"] == "unfair_skip0"
+
+
 def test_run_gathered_start_trace_length_one(tmp_path):
     scenario = _write_scenario(
         tmp_path, initial={"points": [["1", "1"], ["1", "1"], ["1", "1"]]}

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import exact_points
-from robogather import gather2d, model
+from robogather import gather2d, model, verify
 from robogather.model import DemonicAction, FrameParams, Robogram
 from robogather.scalars import EXACT, FLOAT64, Point
 
@@ -54,7 +54,6 @@ def test_max_support():
     s = Counter({P(0, 0): 3, P(1, 1): 1, P(2, 2): 3})
     assert sorted(model.max_support(s)) == [P(0, 0), P(2, 2)]
     assert model.max_support(Counter()) == []
-    assert model.total(s) == 7
 
 
 # --- round -----------------------------------------------------------------------
@@ -107,6 +106,17 @@ def test_round_anonymity(perm):
     da_p = DemonicAction(tuple(frames[perm[i]] for i in range(4)))
     permuted = model.round(r, da_p, conf_p, EXACT)
     assert permuted == tuple(base[perm[i]] for i in range(4))
+
+
+@pytest.mark.parametrize("zoom", [1.0, 0.1, 10.0])
+def test_round_float_tolerance_band_independent_of_zoom(zoom):
+    # robots 0 and 1 are 2e-9 apart, two towers under eps_abs = 1e-9; a frame
+    # zoomed by 1/10 puts them 2e-10 apart, which the tolerance would merge
+    conf = (Point(0.0, 0.0), Point(2e-9, 0.0), Point(5.0, 0.0), Point(5.0, 0.0))
+    da = DemonicAction((FrameParams(zoom, 1.0, 0.0, False), None, None, None))
+    after = model.round(gather2d.robogram(FLOAT64), da, conf, FLOAT64)
+    assert after[0] == Point(5.0, 0.0)
+    assert verify.check_equivalence(conf, da, FLOAT64)
 
 
 def test_pgm_compatibility_equal_spectra_equal_outputs():

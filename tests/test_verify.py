@@ -21,7 +21,7 @@ def all_active(n):
 # --- strategies -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", verify.STRATEGY_KINDS[:4])
+@pytest.mark.parametrize("kind", verify.FUZZ_KINDS)
 @pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "float"])
 def test_strategies_are_k_fair_by_construction(kind, backend):
     n = 5
