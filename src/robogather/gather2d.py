@@ -160,7 +160,7 @@ def pgm(s: Spectrum, backend: Backend) -> Point:
 
 def robogram(backend: Backend) -> Robogram:
     """The gathering protocol packaged for the execution framework."""
-    return Robogram(name="gather2d", pgm=lambda s: pgm(s, backend))
+    return Robogram(pgm=lambda s: pgm(s, backend))
 
 
 def round_global(activated: Iterable[int], conf: Configuration, backend: Backend) -> Configuration:

@@ -53,7 +53,6 @@ class Robogram:
     gives compatibility: equal spectra yield equal destinations.
     """
 
-    name: str
     pgm: Callable[[Spectrum], Point]
 
 

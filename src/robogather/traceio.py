@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Optional
 
 from . import frames, gather2d, model, verify
@@ -179,6 +178,8 @@ class Scenario:
         """Validate and materialize the scenario."""
         if self.n_robots < 3:
             raise ScenarioError(f"nG must be at least 3, got {self.n_robots}")
+        if self.horizon is not None and self.horizon < 0:
+            raise ScenarioError(f"horizon must be at least 0, got {self.horizon}")
         try:
             backend = get_backend(self.backend_name, self.eps_abs, self.eps_rel)
         except ValueError as exc:
@@ -214,31 +215,22 @@ class Scenario:
                 raise ScenarioError(f"cannot generate the initial configuration: {exc}") from exc
 
         demon = dict(self.demon)
+        unknown = sorted(set(demon) - {"kind", "seed", "k", "script"})
+        if unknown:
+            raise ScenarioError(f"unknown demon key(s) {unknown} (expected kind, seed, k, script)")
         kind = demon.get("kind", "round_robin")
         valid = verify.STRATEGY_KINDS + verify.UNFAIR_KINDS
         if kind not in valid:
             raise ScenarioError(f"unknown demon kind {kind!r} (expected one of {valid})")
-        policy = verify.DEFAULT_POLICY
         seed = _int(demon.get("seed", 0), "demon seed")
         k = _int(demon.get("k"), "demon k", optional=True)
+        if k is not None and k < 1:
+            raise ScenarioError(f"demon k must be at least 1, got {k}")
         try:
-            if "zoom_range" in demon or "reflection_prob" in demon:
-                lo, hi = demon.get("zoom_range", ["1/10", "10"])
-                policy = verify.FramePolicy(
-                    zoom_lo=Fraction(str(lo)),
-                    zoom_hi=Fraction(str(hi)),
-                    reflection_prob=float(demon.get("reflection_prob", 0.5)),
-                )
             strategy = verify.make_strategy(
-                kind,
-                self.n_robots,
-                backend,
-                seed=seed,
-                k=k,
-                policy=policy,
-                script=demon.get("script"),
+                kind, self.n_robots, backend, seed=seed, k=k, script=demon.get("script")
             )
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
+        except (ValueError, TypeError) as exc:
             raise ScenarioError(f"bad demon: {exc}") from exc
         horizon = self.horizon
         if horizon is None:

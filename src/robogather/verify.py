@@ -36,29 +36,24 @@ def horizon_for(k: int, n_robots: int) -> int:
     return k * 7 * (n_robots + 1)
 
 
-@dataclass(frozen=True)
+_ZOOM_LO, _ZOOM_HI = Fraction(1, 10), Fraction(10)
+
+
 class FramePolicy:
-    """How strategies sample frames: zoom range and reflection probability.
+    """The demon's frame distribution: zoom in [1/10, 10], a uniform
+    rotation, reflection with probability 1/2 (robots share no chirality).
     Rotations are rational unit pairs on the exact backend (half-angle
     parameters p/q with |p|, q <= 6) and angle-derived on the floating one."""
 
-    zoom_lo: Fraction = Fraction(1, 10)
-    zoom_hi: Fraction = Fraction(10)
-    reflection_prob: float = 0.5
-
     def sample(self, rng: random.Random, backend: Backend) -> FrameParams:
         if backend.is_exact:
-            span = self.zoom_hi - self.zoom_lo
-            den = 12
-            zoom = self.zoom_lo + span * Fraction(rng.randint(0, den), den)
-            if zoom <= 0:  # zoom_lo may be 0 through configuration; keep valid
-                zoom = self.zoom_hi / den
+            zoom = _ZOOM_LO + (_ZOOM_HI - _ZOOM_LO) * Fraction(rng.randint(0, 12), 12)
             c, s = _unit_circle_point(Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
         else:
-            zoom = math.exp(rng.uniform(math.log(float(self.zoom_lo)), math.log(float(self.zoom_hi))))
+            zoom = math.exp(rng.uniform(math.log(float(_ZOOM_LO)), math.log(float(_ZOOM_HI))))
             theta = rng.uniform(0.0, 2.0 * math.pi)
             c, s = math.cos(theta), math.sin(theta)
-        return FrameParams(zoom, c, s, rng.random() < self.reflection_prob)
+        return FrameParams(zoom, c, s, rng.random() < 0.5)
 
 
 DEFAULT_POLICY = FramePolicy()
@@ -66,117 +61,59 @@ DEFAULT_POLICY = FramePolicy()
 
 class Strategy:
     """A seeded demon: callable (round index, configuration) -> DemonicAction,
-    with a declared fairness bound ``k``."""
+    with a declared fairness bound ``k``.
 
-    kind: str = "abstract"
+    With a ``script`` it cycles through the script's activation sets.
+    Without one it is a deadline demon: a robot idle for k-1 rounds is due
+    and is activated, which makes the schedule k-fair. ``random_kfair`` adds
+    each robot with probability 1/2; ``single_mover`` (a stall-maximizing
+    adversary) activates the due robots, or else one robot already at its
+    destination.
+    """
 
-    def __init__(self, n_robots: int, backend: Backend, seed: int, k: int, policy: FramePolicy = DEFAULT_POLICY):
+    def __init__(
+        self,
+        kind: str,
+        n_robots: int,
+        backend: Backend,
+        seed: int,
+        k: int,
+        script: Sequence[Iterable[int]] | None = None,
+    ):
+        self.kind = kind
         self.n_robots = n_robots
         self.backend = backend
         self.rng = random.Random(seed)
         self.k = k
-        self.policy = policy
-
-    def active_set(self, index: int, conf: Configuration) -> set[int]:
-        raise NotImplementedError
+        self.script = None if script is None else [set(ids) for ids in script]
+        if script is None and kind not in ("random_kfair", "single_mover"):
+            raise ValueError(f"{kind} strategy requires a script")
+        if self.script is not None and (
+            not self.script
+            or any(type(i) is not int or not 0 <= i < n_robots for ids in self.script for i in ids)
+        ):
+            raise ValueError(f"script must be a non-empty list of lists of robot ids in [0, {n_robots})")
+        self._ages = [0] * n_robots
 
     def __call__(self, index: int, conf: Configuration) -> DemonicAction:
-        active = self.active_set(index, conf)
+        if self.script is not None:
+            active = self.script[index % len(self.script)]
+        else:
+            due = {i for i, a in enumerate(self._ages) if a >= self.k - 1}
+            if self.kind == "random_kfair":
+                active = {i for i in range(self.n_robots) if self.rng.random() < 0.5} | due
+            elif due:
+                active = due
+            else:
+                dests = gather2d.round_global(range(self.n_robots), conf, self.backend)
+                stayers = [i for i in range(self.n_robots) if self.backend.points_eq(conf[i], dests[i])]
+                active = {self.rng.choice(stayers) if stayers else self.rng.randrange(self.n_robots)}
+            self._ages = [0 if i in active else a + 1 for i, a in enumerate(self._ages)]
         steps = tuple(
-            self.policy.sample(self.rng, self.backend) if i in active else None
+            DEFAULT_POLICY.sample(self.rng, self.backend) if i in active else None
             for i in range(self.n_robots)
         )
         return DemonicAction(steps)
-
-
-class RoundRobin(Strategy):
-    kind = "round_robin"
-
-    def __init__(self, n_robots, backend, seed, policy=DEFAULT_POLICY):
-        super().__init__(n_robots, backend, seed, k=n_robots, policy=policy)
-
-    def active_set(self, index, conf):
-        return {index % self.n_robots}
-
-
-class AllActive(Strategy):
-    kind = "all_active"
-
-    def __init__(self, n_robots, backend, seed, policy=DEFAULT_POLICY):
-        super().__init__(n_robots, backend, seed, k=1, policy=policy)
-
-    def active_set(self, index, conf):
-        return set(range(self.n_robots))
-
-
-class _DeadlineMixin:
-    """Tracks rounds-since-activation; robots at age k-1 are due and must be
-    activated now, which makes any schedule built on top k-fair."""
-
-    def _init_ages(self):
-        self._ages = [0] * self.n_robots
-
-    def _due(self) -> set[int]:
-        return {i for i, a in enumerate(self._ages) if a >= self.k - 1}
-
-    def _tick(self, active: set[int]):
-        for i in range(self.n_robots):
-            self._ages[i] = 0 if i in active else self._ages[i] + 1
-
-
-class RandomKFair(Strategy, _DeadlineMixin):
-    kind = "random_kfair"
-
-    def __init__(self, n_robots, backend, seed, k=None, policy=DEFAULT_POLICY):
-        super().__init__(n_robots, backend, seed, k=k or 2 * n_robots, policy=policy)
-        self._init_ages()
-
-    def active_set(self, index, conf):
-        active = {i for i in range(self.n_robots) if self.rng.random() < 0.5}
-        active |= self._due()
-        self._tick(active)
-        return active
-
-
-class SingleMover(Strategy, _DeadlineMixin):
-    """Stall-maximizing adversary: activates robots that are already at their
-    destination whenever it may, releasing a mover only when the fairness
-    deadline forces its hand."""
-
-    kind = "single_mover"
-
-    def __init__(self, n_robots, backend, seed, k=None, policy=DEFAULT_POLICY):
-        super().__init__(n_robots, backend, seed, k=k or 2 * n_robots, policy=policy)
-        self._init_ages()
-
-    def active_set(self, index, conf):
-        due = self._due()
-        if due:
-            active = due
-        else:
-            dests = gather2d.round_global(range(self.n_robots), conf, self.backend)
-            stayers = [
-                i for i in range(self.n_robots) if self.backend.points_eq(conf[i], dests[i])
-            ]
-            pick = self.rng.choice(stayers) if stayers else self.rng.randrange(self.n_robots)
-            active = {pick}
-        self._tick(active)
-        return active
-
-
-class Scripted(Strategy):
-    """Follows an explicit cyclic script of activation sets; ``kind`` names
-    the strategy it was made for."""
-
-    def __init__(self, kind: str, n_robots, backend, seed, script: Sequence[Iterable[int]], k: int, policy=DEFAULT_POLICY):
-        super().__init__(n_robots, backend, seed, k=k, policy=policy)
-        self.kind = kind
-        self.script = [set(ids) for ids in script]
-        if not self.script:
-            raise ValueError("empty adversarial script")
-
-    def active_set(self, index, conf):
-        return self.script[index % len(self.script)]
 
 
 def make_strategy(
@@ -185,26 +122,21 @@ def make_strategy(
     backend: Backend,
     seed: int,
     k: int | None = None,
-    policy: FramePolicy = DEFAULT_POLICY,
     script: Sequence[Iterable[int]] | None = None,
 ) -> Strategy:
-    if kind == "round_robin":
-        return RoundRobin(n_robots, backend, seed, policy)
-    if kind == "all_active":
-        return AllActive(n_robots, backend, seed, policy)
-    if kind == "random_kfair":
-        return RandomKFair(n_robots, backend, seed, k, policy)
-    if kind == "single_mover":
-        return SingleMover(n_robots, backend, seed, k, policy)
-    if kind == "adversarial":
-        if script is None:
-            raise ValueError("adversarial strategy requires a script")
-        return Scripted(kind, n_robots, backend, seed, script, k or n_robots, policy)
-    if kind == "unfair_skip0":
+    n = n_robots
+    k_and_script = {
+        "round_robin": (n, [[i] for i in range(n)]),
+        "all_active": (1, [range(n)]),
+        "random_kfair": (k or 2 * n, None),
+        "single_mover": (k or 2 * n, None),
+        "adversarial": (k or n, script),
         # Never activates robot 0; claims round-robin fairness. Negative control.
-        script = [[1 + (i % (n_robots - 1))] for i in range(n_robots - 1)]
-        return Scripted(kind, n_robots, backend, seed, script, n_robots, policy)
-    raise ValueError(f"unknown strategy kind {kind!r}")
+        "unfair_skip0": (n, [[1 + i % (n - 1)] for i in range(n - 1)]),
+    }
+    if kind not in k_and_script:
+        raise ValueError(f"unknown strategy kind {kind!r}")
+    return Strategy(kind, n, backend, seed, *k_and_script[kind])
 
 
 def _unit_circle_point(t: Fraction) -> tuple[Fraction, Fraction]:

@@ -141,6 +141,12 @@ def _list_round(records):
         ("scenario", {"eps": 3}),
         ("scenario", {"initial": {"generator": {"seed": "zz"}}}),
         ("scenario", {"initial": {"generator": {"pool": 0}}}),
+        ("scenario", {"demon": {"kind": "all_active", "zoom_range": ["0", "0"]}}),
+        ("scenario", {"demon": {"kind": "all_active", "sed": 5}}),
+        ("scenario", {"demon": {"kind": "adversarial", "script": [[7]]}}),
+        ("scenario", {"demon": {"kind": "adversarial", "script": ["12"]}}),
+        ("scenario", {"demon": {"kind": "random_kfair", "k": -4}, "horizon": None}),
+        ("scenario", {"horizon": -3}),
         ("trace", _list_round),
         ("trace", _set_header_initial),
         ("trace", _set_header_eps),
@@ -153,6 +159,12 @@ def _list_round(records):
         "eps-not-object",
         "generator-seed-not-int",
         "generator-pool-empty",
+        "demon-zoom-range",
+        "demon-unknown-key",
+        "script-id-out-of-range",
+        "script-entry-not-list",
+        "demon-k-negative",
+        "horizon-negative",
         "round-record-is-list",
         "header-initial-not-list",
         "header-eps-not-object",

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -64,6 +65,57 @@ def test_adversarial_requires_script():
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError):
         verify.make_strategy("nope", 3, EXACT, seed=0)
+
+
+# sha256 of the first 3·k actions of each demon at seed 11 from gen_initial(5,
+# Random(0)), the configuration advancing by model.round. They pin the RNG draw
+# order and the frames, on which bit-exact trace replay depends.
+ACTION_STREAM_SHA256 = {
+    ("round_robin", "exact"): "49d9b02213c5d433714e0962d357a497f14f8268411e74a13a0698904b603cb5",
+    ("round_robin", "float"): "80ffa3c6937eeaef76f26246e25a487f3323be181b87c688b060dc824c9bbc0a",
+    ("all_active", "exact"): "2a799a208d8459b0a34be2e5e8da322c06395f4a1587e34ebc1eb66f23390836",
+    ("all_active", "float"): "b5c8d597c9ce23a2922e75944ebf8dd533ca65039c20613a040ed5fc23a34a4e",
+    ("random_kfair", "exact"): "8215e227d70d942aa38133f6ae570837cc1649a33c644d0f647c90974552e20e",
+    ("random_kfair", "float"): "81dcfa0f7c3a7010611055c0069a954cebe7eba12a564ba7c8d3674ed0e9b586",
+    ("single_mover", "exact"): "084828640f06584de4200cd8d1fb050b35b57abd55e38032d2ce4a469361aaf8",
+    ("single_mover", "float"): "53807671be7523dc6f354ccad7cf521a378b8d4c10f4d34309fb0b10b5eab66c",
+    ("adversarial", "exact"): "debb94cc06e293b2ff9f1f0f4c421a94f0f3854f07d39b9751c5d800a82ea10d",
+    ("adversarial", "float"): "fcd975a3d20b860a7ac7e477ced7fad79397496a327e518aabfa4c935acadd6c",
+    ("unfair_skip0", "exact"): "ae196df69e9830c16e84ce66f3f56deae24cbc8936867830236ef851596ea1c3",
+    ("unfair_skip0", "float"): "f0f891b4b0937c49e822e047c5d0aaffd71e1c3aa2ccb34ac28751aab62e1856",
+}
+
+
+@pytest.mark.parametrize("kind", verify.STRATEGY_KINDS + verify.UNFAIR_KINDS)
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "float"])
+def test_strategy_action_stream_is_pinned(kind, backend):
+    n = 5
+    script = [[0, 1], [2], [3, 4]] if kind == "adversarial" else None
+    strat = verify.make_strategy(kind, n, backend, seed=11, script=script)
+    cur = verify.gen_initial(n, random.Random(0), backend)
+    r = gather2d.robogram(backend)
+    h = hashlib.sha256()
+    for i in range(3 * strat.k):
+        da = strat(i, cur)
+        for j, fp in enumerate(da.steps):
+            if fp is not None:
+                h.update(f"{j}:{fp.zoom}:{fp.c}:{fp.s}:{fp.reflect};".encode())
+        h.update(b"\n")
+        cur = model.round(r, da, cur, backend)
+    name = "exact" if backend.is_exact else "float"
+    assert h.hexdigest() == ACTION_STREAM_SHA256[kind, name]
+
+
+def test_single_mover_activates_one_robot_at_its_destination():
+    # a majority tower: robots 0-2 already stand on the common destination
+    conf = (P(0, 0), P(0, 0), P(0, 0), P(1, 0), P(2, 3))
+    dests = gather2d.round_global(range(5), conf, EXACT)
+    stayers = {i for i in range(5) if conf[i] == dests[i]}
+    assert stayers == {0, 1, 2}
+    strat = verify.make_strategy("single_mover", 5, EXACT, seed=2)
+    for i in range(strat.k - 1):  # no robot is due before round k-1
+        active = strat(i, conf).activated()
+        assert len(active) == 1 and active[0] in stayers
 
 
 # --- gen_initial ----------------------------------------------------------------
