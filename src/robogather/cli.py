@@ -53,7 +53,7 @@ def cmd_run(args) -> int:
             backend,
             k=strategy.k,
             strategy_kind=strategy.kind,
-            seed=scenario.demon.get("seed"),
+            seed=strategy.seed,
             horizon=horizon,
         )
     except OSError as exc:
@@ -96,6 +96,8 @@ def cmd_fuzz(args) -> int:
             return _fail(f"unknown strategy {k!r} (expected one of {known})")
     if args.ng_min < 3 or args.ng_max < args.ng_min:
         return _fail("invalid nG range")
+    if args.horizon is not None and args.horizon < 0:
+        return _fail(f"--horizon must be at least 0, got {args.horizon}")
     report, counterexamples = verify.fuzz(
         args.runs,
         backend,

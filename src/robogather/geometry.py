@@ -6,6 +6,15 @@ rational arithmetic; every comparison the callers need is monotone in the
 squared radius. The SEC is computed with Welzl's move-to-front algorithm
 (expected linear time) behind a deterministic, seed-driven shuffle, and an
 exhaustive brute-force oracle is provided for cross-checking.
+
+On the exact backend Welzl runs on cleared denominators: the points are
+scaled by the lcm L of their coordinate denominators to integer pairs, a
+circle is an integer tuple (ux, uy, d, rn) with d ≠ 0, center (ux/d, uy/d)
+and squared radius rn/d² in scaled units, and every enclosure test is one
+integer comparison. Only the result is converted back to a ``Circle`` of
+``Fraction``s (``_sec_exact``). The brute-force oracle ``sec_bruteforce``
+deliberately stays on ``Fraction``s (``dist_sq``, ``encloses``,
+``circumcircle``), so it shares no arithmetic with the Welzl it checks.
 """
 from __future__ import annotations
 
@@ -178,6 +187,14 @@ def encloses(c: Circle, p: Point, backend: Backend) -> bool:
 
 def on_circle(c: Circle, p: Point, backend: Backend) -> bool:
     """Is ``p`` on the boundary of ``c``?"""
+    if backend.is_exact:
+        # dx² + dy² = r², multiplied out over the denominators of dx, dy and r²
+        (cx, cy), r2 = c
+        dxn = p.x.numerator * cx.denominator - cx.numerator * p.x.denominator
+        dyn = p.y.numerator * cy.denominator - cy.numerator * p.y.denominator
+        dxd2 = (p.x.denominator * cx.denominator) ** 2
+        dyd2 = (p.y.denominator * cy.denominator) ** 2
+        return (dxn * dxn * dyd2 + dyn * dyn * dxd2) * r2.denominator == r2.numerator * dxd2 * dyd2
     return backend.eq(dist_sq(c.center, p), c.radius_sq)
 
 
@@ -198,6 +215,8 @@ def sec(points: Sequence[Point], backend: Backend) -> Circle:
     at the origin. Welzl's move-to-front scheme: grow the circle point by
     point, rebuilding with one or two known boundary points on violation.
     """
+    if backend.is_exact:
+        return _sec_exact(points, backend)
     pts = sorted(set(points))
     if not pts:
         return Circle(backend.origin(), backend.scalar(0))
@@ -247,6 +266,80 @@ def _sec_two_points(pts: Sequence[Point], p: Point, q: Point, backend: Backend) 
     if right is None:
         return left
     return left if left.radius_sq <= right.radius_sq else right
+
+
+def _sec_exact(points: Sequence[Point], backend: Backend) -> Circle:
+    """``sec`` on the exact backend, over integers scaled by the lcm of the
+    coordinate denominators. Scaling by L > 0 keeps the sorted order of the
+    points, so the shuffle visits them as the ``Fraction`` code would; the
+    SEC is unique, so the result is the same ``Circle``.
+    """
+    scale = lcm(*[v.denominator for p in points for v in p])
+    pts = sorted(
+        {(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator)) for x, y in points}
+    )
+    if not pts:
+        return Circle(backend.origin(), backend.scalar(0))
+    random.Random(_SEC_SHUFFLE_SEED).shuffle(pts)
+    c: Optional[tuple[int, int, int, int]] = None
+    for i, p in enumerate(pts):
+        if c is None or not _int_encloses(c, p):
+            c = _int_sec_one_point(pts[: i + 1], p)
+    assert c is not None
+    ux, uy, d, rn = c
+    den = d * scale
+    return Circle(Point(Fraction(ux, den), Fraction(uy, den)), Fraction(rn, den * den))
+
+
+def _int_encloses(c: tuple[int, int, int, int], p: tuple[int, int]) -> bool:
+    ux, uy, d, rn = c
+    dx = p[0] * d - ux
+    dy = p[1] * d - uy
+    return dx * dx + dy * dy <= rn
+
+
+def _int_sec_one_point(pts: Sequence[tuple[int, int]], p: tuple[int, int]) -> tuple[int, int, int, int]:
+    c = (p[0], p[1], 1, 0)
+    for i, q in enumerate(pts):
+        if not _int_encloses(c, q):
+            if c[3] == 0:
+                dx, dy = p[0] - q[0], p[1] - q[1]
+                c = (p[0] + q[0], p[1] + q[1], 2, dx * dx + dy * dy)
+            else:
+                c = _int_sec_two_points(pts[: i + 1], p, q)
+    return c
+
+
+def _int_sec_two_points(
+    pts: Sequence[tuple[int, int]], p: tuple[int, int], q: tuple[int, int]
+) -> tuple[int, int, int, int]:
+    """Smallest circle through p and q enclosing ``pts``, grown one point at
+    a time (the two-point step of the textbook incremental form).
+
+    Welzl only calls this when that circle exists. Then the points outside
+    the circle with diameter pq all lie on one side of the line pq, and each
+    point found outside the current circle moves its center further to that
+    side, which keeps every earlier point inside. So the left/right
+    bookkeeping of ``_sec_two_points`` (needed there because floats can
+    misplace a point) has nothing to decide here.
+    """
+    px, py = p
+    ex, ey = q[0] - px, q[1] - py
+    e2 = ex * ex + ey * ey
+    c = (px + q[0], py + q[1], 2, e2)
+    for r in pts:
+        if _int_encloses(c, r):
+            continue
+        fx, fy = r[0] - px, r[1] - py
+        d = 2 * (ex * fy - ey * fx)
+        if d == 0:
+            raise GeometryError(f"collinear point {r} outside the circle on {p}, {q} (unreachable)")
+        # circumcenter of p, q, r relative to p is (vx, vy)/d
+        f2 = fx * fx + fy * fy
+        vx = fy * e2 - ey * f2
+        vy = ex * f2 - fx * e2
+        c = (px * d + vx, py * d + vy, d, vx * vx + vy * vy)
+    return c
 
 
 def on_sec(points: Sequence[Point], backend: Backend) -> list[Point]:

@@ -61,9 +61,24 @@ def spectrum_of(conf: Configuration, backend: Backend) -> Spectrum:
 
     On the floating backend, locations equal under the tolerance are merged
     into one tower (first-seen location is the representative).
+
+    On the exact backend robots are counted on the integer key (x.numerator,
+    x.denominator, y.numerator, y.denominator) of their normalized
+    coordinates, so only the first-seen point of each tower is hashed as a
+    ``Fraction`` pair; the result equals ``Counter(conf)``, key order
+    included.
     """
     if backend.is_exact:
-        return Counter(conf)
+        towers: dict = {}
+        for loc in conf:
+            x, y = loc
+            key = (x.numerator, x.denominator, y.numerator, y.denominator)
+            tower = towers.get(key)
+            if tower is None:
+                towers[key] = [loc, 1]
+            else:
+                tower[1] += 1
+        return Counter({loc: mult for loc, mult in towers.values()})
     spec: Spectrum = Counter()
     for loc in conf:
         rep = next((k for k in spec if backend.points_eq(k, loc)), None)

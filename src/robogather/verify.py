@@ -47,7 +47,8 @@ class FramePolicy:
 
     def sample(self, rng: random.Random, backend: Backend) -> FrameParams:
         if backend.is_exact:
-            zoom = _ZOOM_LO + (_ZOOM_HI - _ZOOM_LO) * Fraction(rng.randint(0, 12), 12)
+            # _ZOOM_LO + (_ZOOM_HI - _ZOOM_LO) · i/12, as one Fraction
+            zoom = Fraction(12 + 99 * rng.randint(0, 12), 120)
             c, s = _unit_circle_point(Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
         else:
             zoom = math.exp(rng.uniform(math.log(float(_ZOOM_LO)), math.log(float(_ZOOM_HI))))
@@ -83,6 +84,7 @@ class Strategy:
         self.kind = kind
         self.n_robots = n_robots
         self.backend = backend
+        self.seed = seed
         self.rng = random.Random(seed)
         self.k = k
         self.script = None if script is None else [set(ids) for ids in script]
@@ -136,13 +138,20 @@ def make_strategy(
     }
     if kind not in k_and_script:
         raise ValueError(f"unknown strategy kind {kind!r}")
-    return Strategy(kind, n, backend, seed, *k_and_script[kind])
+    kind_k, kind_script = k_and_script[kind]
+    if k is not None and k != kind_k:
+        raise ValueError(f"demon key 'k' is fixed at {kind_k} for {kind}, got {k}")
+    if script is not None and kind != "adversarial":
+        raise ValueError(f"demon key 'script' applies to adversarial only, not {kind}")
+    return Strategy(kind, n, backend, seed, kind_k, kind_script)
 
 
 def _unit_circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational point on the unit circle from the half-angle parameter."""
-    den = 1 + t * t
-    return (1 - t * t) / den, (2 * t) / den
+    """Rational point on the unit circle from the half-angle parameter:
+    ((1 − t²)/(1 + t²), 2t/(1 + t²)) with t = p/q."""
+    p, q = t.numerator, t.denominator
+    den = q * q + p * p
+    return Fraction(q * q - p * p, den), Fraction(2 * p * q, den)
 
 
 def _cocircular_pool(rng: random.Random, backend: Backend, bbox: int, size: int) -> list[Point]:

@@ -147,6 +147,9 @@ def _list_round(records):
         ("scenario", {"demon": {"kind": "adversarial", "script": ["12"]}}),
         ("scenario", {"demon": {"kind": "random_kfair", "k": -4}, "horizon": None}),
         ("scenario", {"horizon": -3}),
+        ("scenario", {"demon": {"kind": "round_robin", "k": 1}}),
+        ("scenario", {"demon": {"kind": "all_active", "script": [[0]]}}),
+        ("fuzz", ["--horizon", "-3"]),
         ("trace", _list_round),
         ("trace", _set_header_initial),
         ("trace", _set_header_eps),
@@ -165,6 +168,9 @@ def _list_round(records):
         "script-entry-not-list",
         "demon-k-negative",
         "horizon-negative",
+        "demon-k-not-the-kinds",
+        "demon-script-not-adversarial",
+        "fuzz-horizon-negative",
         "round-record-is-list",
         "header-initial-not-list",
         "header-eps-not-object",
@@ -176,6 +182,8 @@ def test_malformed_input_exit_one_without_traceback(tmp_path, capsys, kind, edit
     if kind == "scenario":
         scenario = _write_scenario(tmp_path, **edit)
         argv = ["run", "--scenario", scenario, "--out", str(tmp_path / "t.jsonl")]
+    elif kind == "fuzz":
+        argv = ["fuzz", "--runs", "2", "--out", str(tmp_path / "cex"), *edit]
     else:
         out = str(tmp_path / "trace.jsonl")
         assert cli.main(["run", "--scenario", _write_scenario(tmp_path), "--out", out]) == 0
@@ -186,6 +194,54 @@ def test_malformed_input_exit_one_without_traceback(tmp_path, capsys, kind, edit
     capsys.readouterr()
     assert cli.main(argv) == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "demon, key",
+    [
+        ({"kind": "round_robin", "k": 1, "script": [[0]]}, "'k'"),
+        ({"kind": "all_active", "k": 2}, "'k'"),
+        ({"kind": "unfair_skip0", "k": 1}, "'k'"),
+        ({"kind": "round_robin", "script": [[0], [1], [2]]}, "'script'"),
+        ({"kind": "random_kfair", "k": 4, "script": [[0]]}, "'script'"),
+    ],
+    ids=["round_robin-k", "all_active-k", "unfair_skip0-k", "round_robin-script", "random_kfair-script"],
+)
+def test_run_rejects_demon_key_the_kind_ignores(tmp_path, capsys, demon, key):
+    scenario = _write_scenario(tmp_path, demon=demon)
+    assert cli.main(["run", "--scenario", scenario, "--out", str(tmp_path / "t.jsonl")]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("kind, k", [("round_robin", 3), ("all_active", 1), ("unfair_skip0", 3)])
+def test_run_accepts_the_kinds_own_k(tmp_path, kind, k):
+    scenario = _write_scenario(tmp_path, demon={"kind": kind, "seed": 1, "k": k})
+    out = str(tmp_path / "trace.jsonl")
+    assert cli.main(["run", "--scenario", scenario, "--out", out]) == cli.EXIT_OK
+    assert json.loads(open(out).readline())["k"] == k
+
+
+def test_run_header_records_the_default_demon_seed(tmp_path):
+    scenario = _write_scenario(tmp_path, demon={"kind": "round_robin"})
+    out = str(tmp_path / "trace.jsonl")
+    assert cli.main(["run", "--scenario", scenario, "--out", out]) == cli.EXIT_OK
+    assert json.loads(open(out).readline())["seed"] == 0
+
+
+def test_round_robin_counterexample_replays(tmp_path, capsys):
+    # a zero horizon makes every run that does not start gathered a
+    # counterexample; its scenario carries k = nG, which round_robin accepts
+    outdir = tmp_path / "cex"
+    argv = ["fuzz", "--runs", "3", "--strategies", "round_robin", "--horizon", "0", "--out", str(outdir)]
+    assert cli.main(argv) == cli.EXIT_VIOLATION
+    scenario = outdir / "counterexample_0_scenario.json"
+    data = json.loads(scenario.read_text())
+    assert data["demon"]["kind"] == "round_robin" and data["demon"]["k"] == data["nG"]
+    out = str(tmp_path / "replay.jsonl")
+    assert cli.main(["run", "--scenario", str(scenario), "--out", out]) == cli.EXIT_HORIZON
+    header = json.loads(open(out).readline())
+    assert (header["strategy"], header["k"], header["horizon"]) == ("round_robin", data["nG"], 0)
 
 
 def test_run_unwritable_out_exit_one(tmp_path, capsys):

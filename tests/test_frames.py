@@ -167,3 +167,44 @@ def test_target_commutes_with_similarity(f, pts):
         return
     lhs = gather2d.target(frames.map_multiset(f, s), EXACT)
     assert lhs == apply(f, gather2d.target(s, EXACT))
+
+
+# --- the integer form against the textbook formula ----------------------------
+
+
+def _textbook(zoom, c, s, reflect, tx, ty, p):
+    """zoom · M · p + t in Fraction arithmetic, M = rotation (c, -s; s, c)
+    after the reflection y -> -y."""
+    x, y = p
+    if reflect:
+        y = -y
+    return Point(zoom * (c * x - s * y) + tx, zoom * (s * x + c * y) + ty)
+
+
+def _textbook_inverse(zoom, c, s, reflect, tx, ty, q):
+    """p with zoom · M · p + t = q: undo t, rotate by (c, s; -s, c), undo
+    the reflection, divide by zoom."""
+    x, y = q.x - tx, q.y - ty
+    x, y = c * x + s * y, -s * x + c * y
+    if reflect:
+        y = -y
+    return Point(x / zoom, y / zoom)
+
+
+@given(exact_similarities(), exact_points)
+def test_integer_frame_map_matches_textbook_formula(f, p):
+    assert f.ints is not None
+    params = (f.zoom, f.c, f.s, f.reflect, f.tx, f.ty)
+    assert apply(f, p) == _textbook(*params, p)
+    assert apply(inverse(f), p) == _textbook_inverse(*params, p)
+    assert map_multiset(f, Counter({p: 2})) == Counter({_textbook(*params, p): 2})
+
+
+@given(exact_similarities(), exact_points, exact_points)
+def test_integer_make_frame_matches_textbook_formula(f, loc, p):
+    g = make_frame(loc, f.zoom, f.c, f.s, f.reflect, EXACT)
+    lx, ly = _textbook(f.zoom, f.c, f.s, f.reflect, F(0), F(0), loc)
+    params = (f.zoom, f.c, f.s, f.reflect, -lx, -ly)
+    assert (g.tx, g.ty) == (-lx, -ly)
+    assert apply(g, p) == _textbook(*params, p)
+    assert apply(inverse(g), p) == _textbook_inverse(*params, p)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import circles_eq, exact_point_lists, exact_points, float_point_lists, rational
+from conftest import _unit_pair, circles_eq, exact_point_lists, exact_points, float_point_lists, rational
 from robogather import geometry as g
 from robogather.scalars import EXACT, FLOAT64, Point
 
@@ -283,3 +283,53 @@ def test_on_circle_examples():
     assert g.on_circle(c, P(3, 4), EXACT)
     assert not g.on_circle(c, P(0, 0), EXACT)
     assert g.on_circle(g.Circle(P(1, 0), F(1)), P(2, 0), EXACT)
+
+
+# --- integer Welzl on the tie cases random points rarely hit --------------------
+
+
+@st.composite
+def _cocircular_sets(draw):
+    """At least four distinct rational points on one circle, plus its center
+    and possibly repeats, in any order."""
+    cx, cy = draw(rational), draw(rational)
+    r = draw(st.fractions(min_value=F(1, 4), max_value=10, max_denominator=6))
+    params = draw(st.lists(st.fractions(-8, 8, max_denominator=4), min_size=4, max_size=8, unique=True))
+    pts = [P(cx + r * ux, cy + r * uy) for ux, uy in map(_unit_pair, params)]
+    pts.append(P(cx, cy))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=2))
+    return draw(st.permutations(pts))
+
+
+@st.composite
+def _collinear_sets(draw):
+    """Two to eight distinct rational points on one line, possibly repeated."""
+    ax, ay = draw(rational), draw(rational)
+    vx, vy = draw(rational), draw(rational)
+    if vx == vy == 0:
+        vx = F(1)
+    params = draw(st.lists(st.fractions(-6, 6, max_denominator=5), min_size=2, max_size=8, unique=True))
+    pts = [P(ax + t * vx, ay + t * vy) for t in params]
+    return pts + draw(st.lists(st.sampled_from(pts), max_size=2))
+
+
+@given(_cocircular_sets())
+def test_sec_matches_bruteforce_cocircular(pts):
+    c = g.sec(pts, EXACT)
+    assert c == g.sec_bruteforce(pts, EXACT)
+    for p in pts:
+        assert g.on_circle(c, p, EXACT) == (g.dist_sq(c.center, p) == c.radius_sq)
+
+
+@given(_collinear_sets())
+def test_sec_matches_bruteforce_collinear(pts):
+    c = g.sec(pts, EXACT)
+    assert c == g.sec_bruteforce(pts, EXACT)
+    assert len(g.on_sec(pts, EXACT)) == 2
+
+
+@given(rational, rational, st.fractions(min_value=0, max_value=50, max_denominator=9), exact_points)
+def test_on_circle_matches_fraction_formula(cx, cy, r2, p):
+    c = g.Circle(P(cx, cy), r2)
+    assert g.on_circle(c, p, EXACT) == (g.dist_sq(c.center, p) == r2)
+    assert g.on_circle(g.Circle(c.center, g.dist_sq(c.center, p)), p, EXACT)

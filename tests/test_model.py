@@ -224,3 +224,30 @@ def test_check_k_fair_all_active():
 def test_check_k_fair_short_stream_is_vacuous():
     actions = [some_active(3, {0})]
     assert model.check_k_fair(actions, 2)
+
+
+# values that pairwise share a numerator (1/2, 1/3, 1; 2/3, 2/5) or a
+# denominator (1/2, -1/2; 1/3, 2/3), so distinct points often differ in just
+# one of the four integers of their key
+_small_rationals = st.sampled_from([F(1, 2), F(1, 3), F(1), F(-1, 2), F(2, 3), F(2, 5)])
+
+
+@st.composite
+def _exact_configs(draw):
+    # a few base points, each robot at one of them, some through an unreduced
+    # Fraction (2/4 for 1/2) so equal values arrive as distinct objects
+    pool = draw(st.lists(st.builds(Point, _small_rationals, _small_rationals), min_size=1, max_size=6))
+    conf = []
+    for p in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10)):
+        k = draw(st.integers(1, 3))
+        conf.append(Point(F(p.x.numerator * k, p.x.denominator * k), p.y))
+    return tuple(conf)
+
+
+@given(_exact_configs())
+def test_exact_spectrum_equals_counter_with_key_order(conf):
+    spec = model.spectrum_of(conf, EXACT)
+    expected = Counter(conf)
+    assert list(spec.items()) == list(expected.items())
+    # each tower is keyed by the first robot seen there, as Counter(conf) is
+    assert all(a is b for a, b in zip(spec, expected))
