@@ -98,6 +98,8 @@ def cmd_fuzz(args) -> int:
         return _fail("invalid nG range")
     if args.horizon is not None and args.horizon < 0:
         return _fail(f"--horizon must be at least 0, got {args.horizon}")
+    if args.runs < 1:
+        return _fail(f"--runs must be at least 1, got {args.runs}")
     report, counterexamples = verify.fuzz(
         args.runs,
         backend,
@@ -130,6 +132,8 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if args.max_panels < 1:
+        return _fail(f"--max-panels must be at least 1, got {args.max_panels}")
     try:
         loaded = traceio.read_trace(args.trace)
     except traceio.TraceFormatError as exc:

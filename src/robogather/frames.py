@@ -11,7 +11,15 @@ On the exact backend a similarity also carries an integer form
 B/D = zoom·s and (TX/D, TY/D) is the translation. ``apply`` evaluates one
 integer expression per coordinate and builds one ``Fraction`` from it,
 instead of about ten ``Fraction`` operations per point; points keep their
-``Fraction`` coordinates, so callers see the same values.
+``Fraction`` coordinates, so callers see the same values. The form is
+derived once per frame: ``make_frame`` builds it alongside the translation
+and hands it to the ``Similarity``, and ``preimage`` maps a point back
+through it with one integer expression, so no inverse frame is built.
+
+A frame made for a robot sends that robot's own tower to the origin with no
+arithmetic (the identity that defines ``make_frame``), and a robot whose
+destination is its own origin stays exactly where it is (``model.round``),
+on both backends.
 """
 from __future__ import annotations
 
@@ -21,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING, Optional
 
-from .scalars import Backend, Point, Scalar
+from .scalars import EXACT, FLOAT64, Backend, Point, Scalar
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import Spectrum
@@ -41,6 +49,8 @@ class Similarity:
 
     ``ints`` is the integer form (A, B, TX, TY, D) when the parameters are
     ``Fraction``s, derived from them on construction, and None on floats.
+    ``robot`` is the location a frame from ``make_frame`` sends to the
+    origin, and None for a similarity built directly.
     """
 
     zoom: Scalar
@@ -52,22 +62,28 @@ class Similarity:
     ints: Optional[tuple[int, int, int, int, int]] = field(
         init=False, default=None, compare=False, repr=False
     )
+    robot: Optional[Point] = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if isinstance(self.zoom, Fraction):
-            object.__setattr__(self, "ints", _int_form(self.zoom, self.c, self.s, self.tx, self.ty))
+            form = _with_translation(*_linear_form(self.zoom, self.c, self.s), self.tx, self.ty)
+            object.__setattr__(self, "ints", form)
 
 
-def _int_form(zoom, c, s, tx, ty) -> tuple[int, int, int, int, int]:
+def _linear_form(zoom, c, s) -> tuple[int, int, int]:
+    """(A, B, D) with A/D = zoom·c and B/D = zoom·s."""
     zd, cd, sd = zoom.denominator, c.denominator, s.denominator
-    d = lcm(zd * lcm(cd, sd), tx.denominator, ty.denominator)
-    return (
-        zoom.numerator * c.numerator * (d // (zd * cd)),
-        zoom.numerator * s.numerator * (d // (zd * sd)),
-        tx.numerator * (d // tx.denominator),
-        ty.numerator * (d // ty.denominator),
-        d,
-    )
+    d = zd * lcm(cd, sd)
+    zn = zoom.numerator
+    return zn * c.numerator * (d // (zd * cd)), zn * s.numerator * (d // (zd * sd)), d
+
+
+def _with_translation(a: int, b: int, d: int, tx, ty) -> tuple[int, int, int, int, int]:
+    """The integer form of the linear part (A, B, D) and translation (tx, ty),
+    over the least common multiple of D and the translation's denominators."""
+    full = lcm(d, tx.denominator, ty.denominator)
+    k = full // d
+    return a * k, b * k, tx.numerator * (full // tx.denominator), ty.numerator * (full // ty.denominator), full
 
 
 def _image(a: int, b: int, tx: int, ty: int, d: int, reflect: bool, p: Point) -> Point:
@@ -125,17 +141,26 @@ def make_frame(
 ) -> Similarity:
     """Build the frame of a robot at ``robot_loc``: the unique similarity with
     the given linear part mapping the robot to the origin of its own frame.
+
+    On the exact backend the integer form is derived here, once, and handed
+    to the ``Similarity`` with the translation it was derived alongside.
     """
     check_params(zoom, c, s, backend)
     if backend.is_exact:
         # the translation is the image of the robot under the negated linear part
-        a, b, _, _, d = _int_form(zoom, c, s, 0, 0)
+        a, b, d = _linear_form(zoom, c, s)
         tx, ty = _image(-a, -b, 0, 0, d, reflect, robot_loc)
-        return Similarity(zoom, c, s, reflect, tx, ty)
-    lx, ly = _linear(zoom, c, s, reflect, robot_loc)
-    # Translation cancels the same linear expression, so f(robot_loc) is the
-    # exact origin (identical rounding).
-    return Similarity(zoom, c, s, reflect, -lx, -ly)
+        ints = _with_translation(a, b, d, tx, ty)
+    else:
+        lx, ly = _linear(zoom, c, s, reflect, robot_loc)
+        # Translation cancels the same linear expression, so f(robot_loc) is
+        # the exact origin (identical rounding).
+        tx, ty, ints = -lx, -ly, None
+    f = object.__new__(Similarity)
+    # a frozen dataclass blocks attribute assignment, not its __dict__;
+    # filling it directly skips the derivation in __post_init__
+    vars(f).update(zoom=zoom, c=c, s=s, reflect=reflect, tx=tx, ty=ty, ints=ints, robot=robot_loc)
+    return f
 
 
 def inverse(f: Similarity) -> Similarity:
@@ -143,34 +168,49 @@ def inverse(f: Similarity) -> Similarity:
 
     The linear part of a reflecting similarity is an involution, so the
     inverse keeps (c, s); a pure rotation inverts to (c, -s).
-
-    On the integer form, with N = A² + B², the inverse linear part is
-    (D/N)·(A, B; −B, A) for a rotation and (D/N)·(A, B; B, −A) for a
-    reflection, so the inverse translation −L⁻¹·t is
-    (−(A·TX + B·TY), ±(B·TX − A·TY)) / N.
     """
     zoom_inv = 1 / f.zoom
     if f.reflect:
         c, s = f.c, f.s
     else:
         c, s = f.c, -f.s
-    if f.ints is not None:
-        a, b, tx, ty, _ = f.ints
-        n = a * a + b * b
-        v = b * tx - a * ty
-        tx_inv, ty_inv = Fraction(-(a * tx + b * ty), n), Fraction(-v if f.reflect else v, n)
-        return Similarity(zoom_inv, c, s, f.reflect, tx_inv, ty_inv)
     lx, ly = _linear(zoom_inv, c, s, f.reflect, Point(f.tx, f.ty))
     return Similarity(zoom_inv, c, s, f.reflect, -lx, -ly)
 
 
+def preimage(f: Similarity, q: Point) -> Point:
+    """The point p with apply(f, p) == q.
+
+    On the integer form, with N = A² + B², X = D·qx − TX and Y = D·qy − TY,
+    the preimage is ((A·X + B·Y)/N, ±(A·Y − B·X)/N), negated in y when
+    reflecting: one integer expression per coordinate over the common
+    denominator N·qxd·qyd, and no inverse frame. On floats it is
+    apply(inverse(f), q).
+    """
+    if f.ints is None:
+        return apply(inverse(f), q)
+    a, b, tx, ty, d = f.ints
+    x, y = q
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    u = (d * xn - tx * xd) * yd
+    v = (d * yn - ty * yd) * xd
+    w = (a * a + b * b) * xd * yd
+    py = a * v - b * u
+    return Point(Fraction(a * u + b * v, w), Fraction(-py if f.reflect else py, w))
+
+
 def map_multiset(f: Similarity, s: "Spectrum") -> "Spectrum":
-    """Apply ``f`` pointwise to a multiset of points, keeping multiplicities."""
+    """Apply ``f`` pointwise to a multiset of points, keeping multiplicities
+    and key order. The tower at ``f.robot`` maps to the origin with no
+    arithmetic."""
+    robot = f.robot
     if f.ints is not None:
         # an exact similarity is injective, so the towers stay distinct and
         # each image is hashed once
-        return Counter({apply(f, p): mult for p, mult in s.items()})
+        origin = EXACT.origin()
+        return Counter({origin if p == robot else apply(f, p): mult for p, mult in s.items()})
+    origin = FLOAT64.origin()
     out: Counter = Counter()
     for p, mult in s.items():
-        out[apply(f, p)] += mult
+        out[origin if p == robot else apply(f, p)] += mult
     return out

@@ -13,8 +13,11 @@ circle is an integer tuple (ux, uy, d, rn) with d ≠ 0, center (ux/d, uy/d)
 and squared radius rn/d² in scaled units, and every enclosure test is one
 integer comparison. Only the result is converted back to a ``Circle`` of
 ``Fraction``s (``_sec_exact``). The brute-force oracle ``sec_bruteforce``
-deliberately stays on ``Fraction``s (``dist_sq``, ``encloses``,
-``circumcircle``), so it shares no arithmetic with the Welzl it checks.
+clears the denominators too, but with its own code: it never calls
+``_sec_exact`` or an ``_int_*`` helper, builds its circumcircles by Cramer's
+rule on absolute coordinates (Welzl's are relative to a boundary point), and
+is pinned against the ``Fraction`` circumcircle by the tests, so it shares
+no code path with the Welzl it checks.
 """
 from __future__ import annotations
 
@@ -362,13 +365,16 @@ def sec_bruteforce(points: Sequence[Point], backend: Backend, cap: int = 12) -> 
     each pair as a diameter, and each non-collinear triple; return the
     smallest one enclosing all input points.
 
-    Exhaustive, so capped at ``cap`` distinct points.
+    Exhaustive, so capped at ``cap`` distinct points. On the exact backend
+    the search runs on integers (``_bruteforce_scaled``).
     """
     pts = sorted(set(points))
     if len(pts) > cap:
         raise InputTooLarge(f"{len(pts)} distinct points exceed the cap of {cap}")
     if not pts:
         return Circle(backend.origin(), backend.scalar(0))
+    if backend.is_exact:
+        return _bruteforce_scaled(pts)
     candidates: list[Circle] = [Circle(p, backend.scalar(0)) for p in pts]
     for a, b in combinations(pts, 2):
         candidates.append(_diameter_circle(a, b))
@@ -382,3 +388,42 @@ def sec_bruteforce(points: Sequence[Point], backend: Backend, cap: int = 12) -> 
         if all(encloses(circ, p, backend) for p in pts):
             return circ
     raise GeometryError("no enclosing candidate found (unreachable)")
+
+
+def _bruteforce_scaled(points: Sequence[Point]) -> Circle:
+    """``sec_bruteforce`` on distinct exact points, scaled once by the lcm L
+    of their denominators to integer pairs. A candidate is (ux, uy, d, rn):
+    center (ux/d, uy/d), squared radius rn/d². The smallest enclosing
+    candidate is kept, radii compared by cross-multiplication
+    (rn/d² < rn'/d'² iff rn·d'² < rn'·d²); the SEC is unique, so the first
+    of equal radius is the same circle.
+    """
+    scale = lcm(*[v.denominator for p in points for v in p])
+    pts = [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+           for x, y in points]
+
+    def candidates():
+        for x, y in pts:
+            yield x, y, 1, 0
+        for (ax, ay), (bx, by) in combinations(pts, 2):
+            yield ax + bx, ay + by, 2, (ax - bx) ** 2 + (ay - by) ** 2
+        for (ax, ay), (bx, by), (cx, cy) in combinations(pts, 3):
+            d = 2 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+            if d == 0:
+                continue
+            n1, n2, n3 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+            ux = n1 * (by - cy) + n2 * (cy - ay) + n3 * (ay - by)
+            uy = n1 * (cx - bx) + n2 * (ax - cx) + n3 * (bx - ax)
+            yield ux, uy, d, (ux - ax * d) ** 2 + (uy - ay * d) ** 2
+
+    best = None
+    for ux, uy, d, rn in candidates():
+        if best is not None and rn * best[2] ** 2 >= best[3] * d * d:
+            continue
+        if all((x * d - ux) ** 2 + (y * d - uy) ** 2 <= rn for x, y in pts):
+            best = ux, uy, d, rn
+    if best is None:
+        raise GeometryError("no enclosing candidate found (unreachable)")
+    ux, uy, d, rn = best
+    den = d * scale
+    return Circle(Point(Fraction(ux, den), Fraction(uy, den)), Fraction(rn, den * den))

@@ -101,21 +101,28 @@ def round(r: Robogram, da: DemonicAction, conf: Configuration, backend: Backend)
 
     A frame is a bijection, so a robot's local spectrum is the image of the
     global one: the global spectrum is built once per round and each robot
-    maps its towers (``frames.map_multiset``). On floats this also means the
-    tolerance merges robots once, in the global frame, so what a robot sees
-    does not depend on the zoom of its frame.
+    maps its towers (``frames.map_multiset``), its own tower to the origin
+    with no arithmetic. On floats this also means the tolerance merges
+    robots once, in the global frame, so what a robot sees does not depend
+    on the zoom of its frame.
+
+    Each activation builds one frame, whose integer form (exact backend) is
+    derived once. A robot whose destination is its own origin stays exactly
+    where it is, on both backends; any other destination comes back through
+    ``frames.preimage``.
     """
     if len(da.steps) != len(conf):
         raise ValueError(f"action for {len(da.steps)} robots applied to {len(conf)}")
     global_spec = spectrum_of(conf, backend)
+    origin = backend.origin()
     out: list[Point] = []
     for loc, fp in zip(conf, da.steps):
         if fp is None:
             out.append(loc)
             continue
         f = frames.make_frame(loc, fp.zoom, fp.c, fp.s, fp.reflect, backend)
-        local_spec = frames.map_multiset(f, global_spec)
-        out.append(frames.apply(frames.inverse(f), r.pgm(local_spec)))
+        dest = r.pgm(frames.map_multiset(f, global_spec))
+        out.append(loc if dest == origin else frames.preimage(f, dest))
     return tuple(out)
 
 

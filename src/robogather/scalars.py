@@ -13,6 +13,7 @@ Two backends are provided:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -25,6 +26,10 @@ class Point(NamedTuple):
 
     x: Scalar
     y: Scalar
+
+
+# Points and Fractions are immutable, so every caller can share one origin
+_EXACT_ORIGIN = Point(Fraction(0), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,7 @@ class ExactBackend:
         return Point(self.scalar(x), self.scalar(y))
 
     def origin(self) -> Point:
-        return Point(Fraction(0), Fraction(0))
+        return _EXACT_ORIGIN
 
     def points_eq(self, p: Point, q: Point) -> bool:
         return p == q
@@ -115,7 +120,11 @@ FLOAT64 = FloatBackend()
 
 
 def get_backend(name: str, eps_abs: float | None = None, eps_rel: float | None = None) -> Backend:
-    """Look up a backend by name ("exact" or "floating"), with optional eps overrides."""
+    """Look up a backend by name ("exact" or "floating"), with optional eps
+    overrides; ValueError unless each given tolerance is finite and >= 0."""
+    for label, eps in (("eps.abs", eps_abs), ("eps.rel", eps_rel)):
+        if eps is not None and not (math.isfinite(eps) and eps >= 0):
+            raise ValueError(f"{label} must be finite and at least 0, got {eps!r}")
     if name == "exact":
         return EXACT
     if name == "floating":

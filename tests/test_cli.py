@@ -133,6 +133,10 @@ def _list_round(records):
     records[1] = [1, 2]
 
 
+def _set_header_eps_nan(records):
+    records[0].update(backend="floating", eps={"abs": float("nan"), "rel": 1e-9})
+
+
 @pytest.mark.parametrize(
     "kind, edit",
     [
@@ -149,10 +153,19 @@ def _list_round(records):
         ("scenario", {"horizon": -3}),
         ("scenario", {"demon": {"kind": "round_robin", "k": 1}}),
         ("scenario", {"demon": {"kind": "all_active", "script": [[0]]}}),
+        ("scenario", {"backend": "floating", "eps": {"abs": -1}}),
         ("fuzz", ["--horizon", "-3"]),
+        ("fuzz", ["--runs", "-3"]),
+        ("fuzz", ["--runs", "0"]),
+        ("fuzz", ["--backend", "floating", "--eps", "nan"]),
+        ("run", ["--eps", "-1"]),
+        ("run", ["--backend", "floating", "--eps", "-1"]),
+        ("run", ["--backend", "floating", "--eps", "inf"]),
+        ("render", ["--max-panels", "0"]),
         ("trace", _list_round),
         ("trace", _set_header_initial),
         ("trace", _set_header_eps),
+        ("trace", _set_header_eps_nan),
         ("trace", _set_frame("zoom", "0")),
         ("trace", _set_unit_pair),
     ],
@@ -170,10 +183,19 @@ def _list_round(records):
         "horizon-negative",
         "demon-k-not-the-kinds",
         "demon-script-not-adversarial",
+        "eps-abs-negative",
         "fuzz-horizon-negative",
+        "fuzz-runs-negative",
+        "fuzz-runs-zero",
+        "fuzz-eps-nan",
+        "run-eps-negative",
+        "run-floating-eps-negative",
+        "run-floating-eps-inf",
+        "render-max-panels-zero",
         "round-record-is-list",
         "header-initial-not-list",
         "header-eps-not-object",
+        "header-eps-nan",
         "frame-zoom-zero",
         "frame-not-unit-pair",
     ],
@@ -184,6 +206,12 @@ def test_malformed_input_exit_one_without_traceback(tmp_path, capsys, kind, edit
         argv = ["run", "--scenario", scenario, "--out", str(tmp_path / "t.jsonl")]
     elif kind == "fuzz":
         argv = ["fuzz", "--runs", "2", "--out", str(tmp_path / "cex"), *edit]
+    elif kind == "run":
+        argv = ["run", "--scenario", _write_scenario(tmp_path), "--out", str(tmp_path / "t.jsonl"), *edit]
+    elif kind == "render":
+        out = str(tmp_path / "trace.jsonl")
+        assert cli.main(["run", "--scenario", _write_scenario(tmp_path), "--out", out]) == 0
+        argv = ["render", "--trace", out, "--out", str(tmp_path / "t.svg"), *edit]
     else:
         out = str(tmp_path / "trace.jsonl")
         assert cli.main(["run", "--scenario", _write_scenario(tmp_path), "--out", out]) == 0
@@ -194,6 +222,17 @@ def test_malformed_input_exit_one_without_traceback(tmp_path, capsys, kind, edit
     capsys.readouterr()
     assert cli.main(argv) == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_check_header_eps_nan_names_the_tolerance(tmp_path, capsys):
+    out = str(tmp_path / "trace.jsonl")
+    assert cli.main(["run", "--scenario", _write_scenario(tmp_path), "--out", out]) == cli.EXIT_OK
+    records = [json.loads(line) for line in open(out) if line.strip()]
+    _set_header_eps_nan(records)
+    (tmp_path / "bad.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert cli.main(["check", "--trace", str(tmp_path / "bad.jsonl")]) == cli.EXIT_INPUT
+    assert "eps.abs must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import exact_point_lists, exact_points, exact_similarities, rational
 from robogather import frames, gather2d, geometry, model
-from robogather.frames import Similarity, apply, identity, inverse, make_frame, map_multiset
+from robogather.frames import Similarity, apply, identity, inverse, make_frame, map_multiset, preimage
 from robogather.scalars import EXACT, FLOAT64, Point
 
 P = EXACT.point
@@ -208,3 +209,56 @@ def test_integer_make_frame_matches_textbook_formula(f, loc, p):
     assert (g.tx, g.ty) == (-lx, -ly)
     assert apply(g, p) == _textbook(*params, p)
     assert apply(inverse(g), p) == _textbook_inverse(*params, p)
+
+
+# --- one integer form per frame: preimage and the robot's own tower -----------
+
+
+@pytest.mark.parametrize("reflect", [False, True])
+@given(exact_similarities(), exact_points)
+def test_preimage_inverts_the_integer_form(reflect, f, q):
+    f = dataclasses.replace(f, reflect=reflect)
+    p = preimage(f, q)
+    assert apply(f, p) == q
+    assert preimage(f, apply(f, q)) == q
+    assert p == _textbook_inverse(f.zoom, f.c, f.s, f.reflect, f.tx, f.ty, q)
+
+
+def test_preimage_examples_with_negative_coordinates():
+    # 3-4-5 rotation, zoom 2, mirrored and not, around a robot at (-3, -1/2)
+    for reflect in (False, True):
+        f = make_frame(P(-3, F(-1, 2)), F(2), F(3, 5), F(4, 5), reflect, EXACT)
+        assert preimage(f, P(0, 0)) == P(-3, F(-1, 2))
+        q = P(-7, F(-5, 3))
+        assert preimage(f, q) == _textbook_inverse(f.zoom, f.c, f.s, reflect, f.tx, f.ty, q)
+
+
+@given(exact_similarities(), exact_points)
+def test_make_frame_hands_over_the_derived_integer_form(f, loc):
+    g = make_frame(loc, f.zoom, f.c, f.s, f.reflect, EXACT)
+    rebuilt = Similarity(g.zoom, g.c, g.s, g.reflect, g.tx, g.ty)
+    assert g == rebuilt and g.ints == rebuilt.ints
+    assert g.robot == loc and rebuilt.robot is None
+
+
+@given(exact_similarities(), _configs_with_towers())
+def test_own_tower_maps_to_the_origin_in_key_order(f, conf):
+    spec = model.spectrum_of(conf, EXACT)
+    for loc in conf:
+        g = make_frame(loc, f.zoom, f.c, f.s, f.reflect, EXACT)
+        mapped = map_multiset(g, spec)
+        assert list(mapped.items()) == [(apply(g, p), m) for p, m in spec.items()]
+        assert mapped[EXACT.origin()] == spec[loc]
+
+
+def test_float_own_tower_maps_to_the_origin_and_images_still_merge():
+    import math
+
+    loc = Point(0.3, -1.7)
+    f = make_frame(loc, 2.5, math.cos(0.7), math.sin(0.7), True, FLOAT64)
+    mapped = map_multiset(f, Counter({loc: 2, Point(4.0, 1.0): 1}))
+    assert list(mapped) == [Point(0.0, 0.0), apply(f, Point(4.0, 1.0))]
+    # 1 and 1 + 2^-52 round to the same float once shifted by 10^6
+    shift = Similarity(1.0, 1.0, 0.0, False, 1e6, 0.0)
+    collide = Counter({Point(1.0, 0.0): 1, Point(1.0 + 2**-52, 0.0): 2})
+    assert map_multiset(shift, collide) == Counter({Point(1e6 + 1, 0.0): 3})

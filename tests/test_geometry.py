@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -311,6 +312,39 @@ def _collinear_sets(draw):
     params = draw(st.lists(st.fractions(-6, 6, max_denominator=5), min_size=2, max_size=8, unique=True))
     pts = [P(ax + t * vx, ay + t * vy) for t in params]
     return pts + draw(st.lists(st.sampled_from(pts), max_size=2))
+
+
+def _fraction_sec_search(pts):
+    """The exhaustive SEC search on Fractions: every point, every pair as a
+    diameter and every circumcircle (``geometry.circumcircle``), the smallest
+    enclosing one first."""
+    pts = sorted(set(pts))
+    if not pts:
+        return g.Circle(P(0, 0), F(0))
+    cands = [g.Circle(p, F(0)) for p in pts]
+    for a, b in combinations(pts, 2):
+        cands.append(g.Circle(P((a.x + b.x) / 2, (a.y + b.y) / 2), g.dist_sq(a, b) / 4))
+    for a, b, c in combinations(pts, 3):
+        try:
+            cands.append(g.circumcircle(a, b, c, EXACT))
+        except g.CollinearInput:
+            pass
+    cands.sort(key=lambda circ: circ.radius_sq)
+    return next(circ for circ in cands if all(g.dist_sq(circ.center, p) <= circ.radius_sq for p in pts))
+
+
+@given(st.one_of(exact_point_lists, _cocircular_sets(), _collinear_sets()))
+def test_integer_sec_oracle_matches_fraction_circumcircle_search(pts):
+    assert g.sec_bruteforce(pts, EXACT) == _fraction_sec_search(pts)
+
+
+@given(exact_points, exact_points, exact_points)
+def test_integer_sec_oracle_of_an_acute_triangle_is_its_circumcircle(a, b, c):
+    d_ab, d_bc, d_ca = g.dist_sq(a, b), g.dist_sq(b, c), g.dist_sq(c, a)
+    longest = max(d_ab, d_bc, d_ca)
+    if 2 * longest >= d_ab + d_bc + d_ca or len({a, b, c}) < 3:
+        return  # right, obtuse or degenerate: the SEC is a diameter circle
+    assert g.sec_bruteforce([a, b, c], EXACT) == g.circumcircle(a, b, c, EXACT)
 
 
 @given(_cocircular_sets())

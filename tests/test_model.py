@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction as F
 
@@ -106,6 +107,20 @@ def test_round_anonymity(perm):
     da_p = DemonicAction(tuple(frames[perm[i]] for i in range(4)))
     permuted = model.round(r, da_p, conf_p, EXACT)
     assert permuted == tuple(base[perm[i]] for i in range(4))
+
+
+def test_round_float_robot_sent_to_its_origin_stays_exactly():
+    # this frame sends the origin back to (0.30000000000000004, -1.7000000000000002)
+    # through the inverse frame; a robot whose destination is its own origin
+    # must keep its exact coordinates instead
+    loc = Point(0.3, -1.7)
+    fp = FrameParams(2.5, math.cos(0.7), math.sin(0.7), True)
+    stay = Robogram(pgm=lambda s: FLOAT64.origin())
+    conf = (loc, Point(4.0, 1.0), Point(-2.0, 3.0))
+    da = DemonicAction((fp, None, fp))
+    assert model.round(stay, da, conf, FLOAT64) == conf
+    gathered = (loc,) * 3
+    assert model.round(gather2d.robogram(FLOAT64), all_active(3, fp), gathered, FLOAT64) == gathered
 
 
 @pytest.mark.parametrize("zoom", [1.0, 0.1, 10.0])

@@ -59,3 +59,16 @@ def test_get_backend():
     assert custom.eps_abs == 1e-6 and custom.eps_rel == FLOAT64.eps_rel
     with pytest.raises(ValueError):
         get_backend("decimal")
+
+
+@pytest.mark.parametrize("eps", [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["exact", "floating"])
+def test_get_backend_rejects_a_tolerance_not_finite_and_non_negative(name, eps):
+    with pytest.raises(ValueError, match="eps.abs"):
+        get_backend(name, eps_abs=eps)
+    with pytest.raises(ValueError, match="eps.rel"):
+        get_backend(name, eps_rel=eps)
+
+
+def test_get_backend_accepts_a_zero_tolerance():
+    assert get_backend("floating", 0.0, 0).eps_abs == 0.0
