@@ -11,10 +11,12 @@ On the exact backend a similarity also carries an integer form
 B/D = zoom·s and (TX/D, TY/D) is the translation. ``apply`` evaluates one
 integer expression per coordinate and builds one ``Fraction`` from it,
 instead of about ten ``Fraction`` operations per point; points keep their
-``Fraction`` coordinates, so callers see the same values. The form is
-derived once per frame: ``make_frame`` builds it alongside the translation
-and hands it to the ``Similarity``, and ``preimage`` maps a point back
-through it with one integer expression, so no inverse frame is built.
+``Fraction`` coordinates, so callers see the same values. Only
+``make_frame`` derives the form, once, alongside the translation, and
+``preimage`` maps a point back through it with one integer expression, so
+no inverse frame is built. A ``Similarity`` built directly (an inverse, say)
+has no integer form, and ``apply`` evaluates it by the generic formula,
+which is exact on ``Fraction``s too.
 
 A frame made for a robot sends that robot's own tower to the origin with no
 arithmetic (the identity that defines ``make_frame``), and a robot whose
@@ -47,10 +49,9 @@ class Similarity:
     zoom > 0, c² + s² = 1; distances scale by zoom²:
     dist_sq(f p, f q) = zoom² · dist_sq(p, q).
 
-    ``ints`` is the integer form (A, B, TX, TY, D) when the parameters are
-    ``Fraction``s, derived from them on construction, and None on floats.
-    ``robot`` is the location a frame from ``make_frame`` sends to the
-    origin, and None for a similarity built directly.
+    ``ints`` is the integer form (A, B, TX, TY, D) of an exact frame from
+    ``make_frame``, and ``robot`` the location that frame sends to the
+    origin; both are None for a similarity built directly.
     """
 
     zoom: Scalar
@@ -59,31 +60,8 @@ class Similarity:
     reflect: bool
     tx: Scalar
     ty: Scalar
-    ints: Optional[tuple[int, int, int, int, int]] = field(
-        init=False, default=None, compare=False, repr=False
-    )
-    robot: Optional[Point] = field(init=False, default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if isinstance(self.zoom, Fraction):
-            form = _with_translation(*_linear_form(self.zoom, self.c, self.s), self.tx, self.ty)
-            object.__setattr__(self, "ints", form)
-
-
-def _linear_form(zoom, c, s) -> tuple[int, int, int]:
-    """(A, B, D) with A/D = zoom·c and B/D = zoom·s."""
-    zd, cd, sd = zoom.denominator, c.denominator, s.denominator
-    d = zd * lcm(cd, sd)
-    zn = zoom.numerator
-    return zn * c.numerator * (d // (zd * cd)), zn * s.numerator * (d // (zd * sd)), d
-
-
-def _with_translation(a: int, b: int, d: int, tx, ty) -> tuple[int, int, int, int, int]:
-    """The integer form of the linear part (A, B, D) and translation (tx, ty),
-    over the least common multiple of D and the translation's denominators."""
-    full = lcm(d, tx.denominator, ty.denominator)
-    k = full // d
-    return a * k, b * k, tx.numerator * (full // tx.denominator), ty.numerator * (full // ty.denominator), full
+    ints: Optional[tuple[int, int, int, int, int]] = field(default=None, compare=False, repr=False)
+    robot: Optional[Point] = field(default=None, compare=False, repr=False)
 
 
 def _image(a: int, b: int, tx: int, ty: int, d: int, reflect: bool, p: Point) -> Point:
@@ -112,12 +90,6 @@ def apply(f: Similarity, p: Point) -> Point:
     return Point(lx + f.tx, ly + f.ty)
 
 
-def identity(backend: Backend) -> Similarity:
-    one = backend.scalar(1)
-    zero = backend.scalar(0)
-    return Similarity(one, one, zero, False, zero, zero)
-
-
 def check_params(zoom: Scalar, c: Scalar, s: Scalar, backend: Backend) -> None:
     """Raise InvalidFrame unless zoom > 0 and c² + s² = 1."""
     if not zoom > 0:
@@ -142,25 +114,29 @@ def make_frame(
     """Build the frame of a robot at ``robot_loc``: the unique similarity with
     the given linear part mapping the robot to the origin of its own frame.
 
-    On the exact backend the integer form is derived here, once, and handed
-    to the ``Similarity`` with the translation it was derived alongside.
+    On the exact backend this derives the integer form, alongside the
+    translation.
     """
     check_params(zoom, c, s, backend)
     if backend.is_exact:
+        # (A, B, D) with A/D = zoom·c and B/D = zoom·s
+        zd, cd, sd = zoom.denominator, c.denominator, s.denominator
+        d = zd * lcm(cd, sd)
+        a = zoom.numerator * c.numerator * (d // (zd * cd))
+        b = zoom.numerator * s.numerator * (d // (zd * sd))
         # the translation is the image of the robot under the negated linear part
-        a, b, d = _linear_form(zoom, c, s)
         tx, ty = _image(-a, -b, 0, 0, d, reflect, robot_loc)
-        ints = _with_translation(a, b, d, tx, ty)
+        # the whole form over the lcm of D and the translation's denominators
+        full = lcm(d, tx.denominator, ty.denominator)
+        k = full // d
+        ints = (a * k, b * k, tx.numerator * (full // tx.denominator),
+                ty.numerator * (full // ty.denominator), full)
     else:
         lx, ly = _linear(zoom, c, s, reflect, robot_loc)
         # Translation cancels the same linear expression, so f(robot_loc) is
         # the exact origin (identical rounding).
         tx, ty, ints = -lx, -ly, None
-    f = object.__new__(Similarity)
-    # a frozen dataclass blocks attribute assignment, not its __dict__;
-    # filling it directly skips the derivation in __post_init__
-    vars(f).update(zoom=zoom, c=c, s=s, reflect=reflect, tx=tx, ty=ty, ints=ints, robot=robot_loc)
-    return f
+    return Similarity(zoom, c, s, reflect, tx, ty, ints, robot_loc)
 
 
 def inverse(f: Similarity) -> Similarity:

@@ -14,10 +14,12 @@ and squared radius rn/d² in scaled units, and every enclosure test is one
 integer comparison. Only the result is converted back to a ``Circle`` of
 ``Fraction``s (``_sec_exact``). The brute-force oracle ``sec_bruteforce``
 clears the denominators too, but with its own code: it never calls
-``_sec_exact`` or an ``_int_*`` helper, builds its circumcircles by Cramer's
-rule on absolute coordinates (Welzl's are relative to a boundary point), and
-is pinned against the ``Fraction`` circumcircle by the tests, so it shares
-no code path with the Welzl it checks.
+``_sec_exact`` or an ``_int_*`` helper and builds its circumcircles by
+Cramer's rule on absolute coordinates (Welzl's are relative to a boundary
+point), so it shares no code path with the Welzl it checks. The tests pin it
+against an exhaustive search over ``circumcircle``, which has one formula for
+both backends and on the exact one is plain ``Fraction`` arithmetic, sharing
+nothing with either integer kernel.
 """
 from __future__ import annotations
 
@@ -134,9 +136,9 @@ def _cross(o: Point, a: Point, b: Point) -> Scalar:
 
 
 def circumcircle(p1: Point, p2: Point, p3: Point, backend: Backend) -> Circle:
-    """The unique circle through three non-collinear points."""
-    if backend.is_exact:
-        return _circumcircle_rational(p1, p2, p3)
+    """The unique circle through three non-collinear points, by the textbook
+    formula. Exact on ``Fraction``s, where it is the reference the tests pin
+    the integer brute-force oracle against."""
     d = 2 * _cross(p1, p2, p3)
     if backend.is_zero(d):
         raise CollinearInput(f"collinear points {p1}, {p2}, {p3}")
@@ -147,40 +149,6 @@ def circumcircle(p1: Point, p2: Point, p3: Point, backend: Backend) -> Circle:
     uy = (n1 * (p3.x - p2.x) + n2 * (p1.x - p3.x) + n3 * (p2.x - p1.x)) / d
     center = Point(ux, uy)
     return Circle(center, dist_sq(center, p1))
-
-
-def _circumcircle_rational(p1: Point, p2: Point, p3: Point) -> Circle:
-    """Same circle, computed over cleared-denominator integers.
-
-    Scaling the points by the common denominator L scales the center by L
-    and the squared radius by L²; native int arithmetic with three Fraction
-    constructions at the end is several times faster than ~40 Fraction ops.
-    """
-    scale = lcm(
-        p1.x.denominator,
-        p1.y.denominator,
-        p2.x.denominator,
-        p2.y.denominator,
-        p3.x.denominator,
-        p3.y.denominator,
-    )
-    ax = p1.x.numerator * (scale // p1.x.denominator)
-    ay = p1.y.numerator * (scale // p1.y.denominator)
-    bx = p2.x.numerator * (scale // p2.x.denominator)
-    by = p2.y.numerator * (scale // p2.y.denominator)
-    cx = p3.x.numerator * (scale // p3.x.denominator)
-    cy = p3.y.numerator * (scale // p3.y.denominator)
-    d = 2 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if d == 0:
-        raise CollinearInput(f"collinear points {p1}, {p2}, {p3}")
-    n1 = ax * ax + ay * ay
-    n2 = bx * bx + by * by
-    n3 = cx * cx + cy * cy
-    ux = n1 * (by - cy) + n2 * (cy - ay) + n3 * (ay - by)
-    uy = n1 * (cx - bx) + n2 * (ax - cx) + n3 * (bx - ax)
-    center = Point(Fraction(ux, d * scale), Fraction(uy, d * scale))
-    r_num = (ux - ax * d) ** 2 + (uy - ay * d) ** 2
-    return Circle(center, Fraction(r_num, d * d * scale * scale))
 
 
 def encloses(c: Circle, p: Point, backend: Backend) -> bool:
@@ -343,21 +311,6 @@ def _int_sec_two_points(
         vy = ex * f2 - fx * e2
         c = (px * d + vx, py * d + vy, d, vx * vx + vy * vy)
     return c
-
-
-def on_sec(points: Sequence[Point], backend: Backend) -> list[Point]:
-    """Deduplicated sublist of the input lying on the boundary of its SEC.
-
-    Removing interior points does not change the SEC: sec(on_sec(l)) == sec(l).
-    """
-    c = sec(points, backend)
-    out: list[Point] = []
-    for p in points:
-        if any(backend.points_eq(p, q) for q in out):
-            continue
-        if on_circle(c, p, backend):
-            out.append(p)
-    return out
 
 
 def sec_bruteforce(points: Sequence[Point], backend: Backend, cap: int = 12) -> Circle:

@@ -68,13 +68,11 @@ def _frame_in(obj, backend: Backend) -> Optional[FrameParams]:
 
 
 def _int(value, what: str, optional: bool = False) -> Optional[int]:
-    """``value`` as an int (None passes when ``optional``), else ScenarioError."""
-    if value is None and optional:
-        return None
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{what} must be an integer, got {value!r}") from None
+    """``value`` if it is a JSON integer (None passes when ``optional``), else
+    ScenarioError: a bool, a float or a string is not silently converted."""
+    if (value is None and optional) or type(value) is int:
+        return value
+    raise ScenarioError(f"{what} must be an integer, got {value!r}")
 
 
 def _eps_pair(eps) -> tuple[Optional[float], Optional[float]]:
@@ -219,9 +217,6 @@ class Scenario:
         if unknown:
             raise ScenarioError(f"unknown demon key(s) {unknown} (expected kind, seed, k, script)")
         kind = demon.get("kind", "round_robin")
-        valid = verify.STRATEGY_KINDS + verify.UNFAIR_KINDS
-        if kind not in valid:
-            raise ScenarioError(f"unknown demon kind {kind!r} (expected one of {valid})")
         seed = _int(demon.get("seed", 0), "demon seed")
         k = _int(demon.get("k"), "demon k", optional=True)
         if k is not None and k < 1:
@@ -328,8 +323,10 @@ def read_trace(path: str) -> LoadedTrace:
     try:
         backend = get_backend(header["backend"], *_eps_pair(header.get("eps")))
         initial = tuple(_point_in(pair, backend) for pair in header["initial"])
-        k = None if header.get("k") is None else int(header["k"])
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+        k = _int(header.get("k"), "k", optional=True)
+        if k is not None and k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+    except (KeyError, ValueError, TypeError, ZeroDivisionError, ScenarioError) as exc:
         raise TraceFormatError(f"bad header: {exc}") from exc
 
     steps: list[model.TraceStep] = []
@@ -344,8 +341,8 @@ def read_trace(path: str) -> LoadedTrace:
                     tuple(_frame_in(obj, backend) for obj in rec["steps"])
                 )
                 config = tuple(_point_in(pair, backend) for pair in rec["locations"])
-                index = int(rec["index"])
-            except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+                index = _int(rec["index"], "round index")
+            except (KeyError, ValueError, TypeError, ZeroDivisionError, ScenarioError) as exc:
                 raise TraceFormatError(f"bad round record: {exc}") from exc
             if len(config) != len(initial) or len(action.steps) != len(initial):
                 raise TraceFormatError("round record size does not match nG")

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from . import frames, gather2d, geometry, model
+from . import gather2d, geometry, model
 from .gather2d import EXPECTED_ARCS, Phase
-from .model import Configuration, DemonicAction, FrameParams, Spectrum, Trace
+from .model import Configuration, DemonicAction, FrameParams, Trace
 from .scalars import FLOAT64, Backend, Point
 
 # The strategies a fuzz campaign draws from unless told otherwise.
@@ -137,7 +137,7 @@ def make_strategy(
         "unfair_skip0": (n, [[1 + i % (n - 1)] for i in range(n - 1)]),
     }
     if kind not in k_and_script:
-        raise ValueError(f"unknown strategy kind {kind!r}")
+        raise ValueError(f"unknown strategy kind {kind!r} (expected one of {tuple(k_and_script)})")
     kind_k, kind_script = k_and_script[kind]
     if k is not None and k != kind_k:
         raise ValueError(f"demon key 'k' is fixed at {kind_k} for {kind}, got {k}")
@@ -365,6 +365,8 @@ class CheckReport:
                     f"rounds to gather: min {min(rtg)}, max {max(rtg)}, "
                     f"mean {sum(rtg) / len(rtg):.1f}"
                 )
+            never = sorted(f"{a.value} -> {b.value}" for a, b in self.unobserved_arcs())
+            lines.append(f"audit: expected arcs never observed: {', '.join(never) or 'none'}")
         for a, b in sorted((x.value, y.value) for x, y in self.outside_expected_arcs()):
             lines.append(f"audit: observed arc outside the expected reachability graph: {a} -> {b}")
         for f in self.failures[:5]:
@@ -487,13 +489,6 @@ def check_equivalence(conf: Configuration, da: DemonicAction, backend: Backend) 
         gather2d.round_global(da.activated(), conf, backend),
         backend,
     )
-
-
-def check_target_morph(s: Spectrum, f, backend: Backend) -> bool:
-    """Does the target commute with a similarity applied to the spectrum?"""
-    lhs = gather2d.target(frames.map_multiset(f, s), backend)
-    rhs = frames.apply(f, gather2d.target(s, backend))
-    return backend.points_eq(lhs, rhs)
 
 
 def stress_degenerate_triangles(n_samples: int, seed: int = 0) -> dict[int, dict[str, int]]:

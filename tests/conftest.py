@@ -6,7 +6,7 @@ from fractions import Fraction
 import hypothesis
 from hypothesis import strategies as st
 
-from robogather import frames
+from robogather import frames, geometry
 from robogather.scalars import EXACT, FLOAT64, Point
 
 hypothesis.settings.register_profile(
@@ -36,12 +36,12 @@ zooms = st.fractions(min_value=Fraction(1, 10), max_value=10, max_denominator=10
 
 @st.composite
 def exact_similarities(draw):
+    """Exact frames as production builds them, through ``make_frame`` for a
+    drawn robot location, so they carry the integer form."""
     zoom = draw(zooms)
     c, s = _unit_pair(draw(rotation_params))
     reflect = draw(st.booleans())
-    tx = draw(rational)
-    ty = draw(rational)
-    return frames.Similarity(zoom, c, s, reflect, tx, ty)
+    return frames.make_frame(draw(exact_points), zoom, c, s, reflect, EXACT)
 
 
 # --- float-backend strategies ------------------------------------------------
@@ -54,6 +54,17 @@ float_point_lists = st.lists(float_points, max_size=10)
 
 
 # --- helpers ------------------------------------------------------------------
+
+
+def sec_boundary(points, backend) -> list:
+    """The input points on the boundary of their SEC, deduplicated, in input
+    order: built from ``geometry.sec`` and ``geometry.on_circle``."""
+    c = geometry.sec(points, backend)
+    out: list = []
+    for p in points:
+        if not any(backend.points_eq(p, q) for q in out) and geometry.on_circle(c, p, backend):
+            out.append(p)
+    return out
 
 
 def circles_eq(a, b, backend) -> bool:

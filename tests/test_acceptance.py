@@ -235,14 +235,9 @@ def test_target_morph_5k_pairs():
             s[_rational_point(rng)] = rng.randint(1, 3)
         zoom = F(rng.randint(1, 10), rng.randint(1, 10))
         c, sn = _rational_rotation(rng)
-        f = frames.Similarity(
-            zoom,
-            c,
-            sn,
-            rng.random() < 0.5,
-            F(rng.randint(-10, 10), rng.randint(1, 3)),
-            F(rng.randint(-10, 10), rng.randint(1, 3)),
-        )
+        reflect = rng.random() < 0.5
+        # built as production builds frames, so the integer form is exercised
+        f = frames.make_frame(_rational_point(rng), zoom, c, sn, reflect, EXACT)
         lhs = gather2d.target(frames.map_multiset(f, s), EXACT)
         rhs = frames.apply(f, gather2d.target(s, EXACT))
         assert lhs == rhs, (dict(s), f)

@@ -137,6 +137,17 @@ def _set_header_eps_nan(records):
     records[0].update(backend="floating", eps={"abs": float("nan"), "rel": 1e-9})
 
 
+def _set_header(key, value):
+    def edit(records):
+        records[0][key] = value
+
+    return edit
+
+
+def _set_round_index(records):
+    records[1]["index"] = 0.5
+
+
 @pytest.mark.parametrize(
     "kind, edit",
     [
@@ -154,6 +165,8 @@ def _set_header_eps_nan(records):
         ("scenario", {"demon": {"kind": "round_robin", "k": 1}}),
         ("scenario", {"demon": {"kind": "all_active", "script": [[0]]}}),
         ("scenario", {"backend": "floating", "eps": {"abs": -1}}),
+        ("scenario", {"horizon": 99.7}),
+        ("scenario", {"demon": {"kind": "all_active", "seed": True}}),
         ("fuzz", ["--horizon", "-3"]),
         ("fuzz", ["--runs", "-3"]),
         ("fuzz", ["--runs", "0"]),
@@ -168,6 +181,11 @@ def _set_header_eps_nan(records):
         ("trace", _set_header_eps_nan),
         ("trace", _set_frame("zoom", "0")),
         ("trace", _set_unit_pair),
+        ("trace", _set_header("k", 0)),
+        ("trace", _set_header("k", -1)),
+        ("trace", _set_header("k", 2.5)),
+        ("trace", _set_header("k", True)),
+        ("trace", _set_round_index),
     ],
     ids=[
         "nG-not-int",
@@ -184,6 +202,8 @@ def _set_header_eps_nan(records):
         "demon-k-not-the-kinds",
         "demon-script-not-adversarial",
         "eps-abs-negative",
+        "horizon-not-int",
+        "demon-seed-bool",
         "fuzz-horizon-negative",
         "fuzz-runs-negative",
         "fuzz-runs-zero",
@@ -198,6 +218,11 @@ def _set_header_eps_nan(records):
         "header-eps-nan",
         "frame-zoom-zero",
         "frame-not-unit-pair",
+        "header-k-zero",
+        "header-k-negative",
+        "header-k-not-int",
+        "header-k-bool",
+        "round-index-not-int",
     ],
 )
 def test_malformed_input_exit_one_without_traceback(tmp_path, capsys, kind, edit):
@@ -222,6 +247,14 @@ def test_malformed_input_exit_one_without_traceback(tmp_path, capsys, kind, edit
     capsys.readouterr()
     assert cli.main(argv) == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unknown_demon_kind_error_lists_the_kinds(tmp_path, capsys):
+    scenario = _write_scenario(tmp_path, demon={"kind": "bogus"})
+    assert cli.main(["run", "--scenario", scenario, "--out", str(tmp_path / "t.jsonl")]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'bogus'" in err
+    assert "'round_robin'" in err and "'unfair_skip0'" in err
 
 
 def test_check_header_eps_nan_names_the_tolerance(tmp_path, capsys):
@@ -303,6 +336,21 @@ def test_fuzz_reproducible_and_green(tmp_path, capsys):
     out2 = capsys.readouterr().out
     assert out1 == out2
     assert "runs: 8" in out1
+
+
+def test_fuzz_reports_never_observed_arcs_and_check_does_not(tmp_path, capsys):
+    assert cli.main(["fuzz", "--runs", "4", "--seed", "0"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    audit = [line for line in lines if line.startswith("audit: expected arcs never observed: ")]
+    assert len(audit) == 1
+    arcs = audit[0].split(": ", 2)[2].split(", ")
+    assert arcs == sorted(arcs) and all(" -> " in arc for arc in arcs)
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "cocircular_demo.json"
+    out = str(tmp_path / "trace.jsonl")
+    assert cli.main(["run", "--scenario", str(scenario), "--out", out]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["check", "--trace", out]) == cli.EXIT_OK
+    assert "never observed" not in capsys.readouterr().out
 
 
 def test_fuzz_unfair_strategy_exit_three(tmp_path, capsys):

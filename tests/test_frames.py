@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 from fractions import Fraction as F
 
@@ -6,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import exact_point_lists, exact_points, exact_similarities, rational
+from conftest import exact_point_lists, exact_points, exact_similarities, sec_boundary
 from robogather import frames, gather2d, geometry, model
-from robogather.frames import Similarity, apply, identity, inverse, make_frame, map_multiset, preimage
+from robogather.frames import Similarity, apply, inverse, make_frame, map_multiset, preimage
 from robogather.scalars import EXACT, FLOAT64, Point
 
 P = EXACT.point
+IDENT = Similarity(F(1), F(1), F(0), False, F(0), F(0))
 
 
 def test_make_frame_pure_translation():
@@ -42,8 +42,7 @@ def test_make_frame_validation():
 
 
 def test_apply_examples():
-    ident = identity(EXACT)
-    assert apply(ident, P(3, -2)) == P(3, -2)
+    assert apply(IDENT, P(3, -2)) == P(3, -2)
     zoom3 = Similarity(F(3), F(1), F(0), False, F(0), F(0))
     assert apply(zoom3, P(1, 1)) == P(3, 3)
     mirror = Similarity(F(1), F(1), F(0), True, F(0), F(0))
@@ -51,7 +50,7 @@ def test_apply_examples():
 
 
 def test_inverse_examples():
-    assert inverse(identity(EXACT)) == identity(EXACT)
+    assert inverse(IDENT) == IDENT
     zoom2 = Similarity(F(2), F(1), F(0), False, F(0), F(0))
     assert apply(inverse(zoom2), P(2, 0)) == P(1, 0)
     f = make_frame(P(5, 7), F(1), F(1), F(0), False, EXACT)
@@ -86,8 +85,7 @@ def test_map_multiset_examples():
     s = Counter({P(1, 0): 1, P(0, 1): 3})
     zoom2 = Similarity(F(2), F(1), F(0), False, F(0), F(0))
     assert map_multiset(zoom2, s) == Counter({P(2, 0): 1, P(0, 2): 3})
-    ident = identity(EXACT)
-    assert map_multiset(ident, s) == s
+    assert map_multiset(IDENT, s) == s
 
 
 @given(exact_similarities(), exact_point_lists)
@@ -127,8 +125,8 @@ def test_sec_commutes_with_similarity(f, pts):
 
 @given(exact_similarities(), exact_point_lists)
 def test_on_sec_commutes_with_similarity(f, pts):
-    mapped = geometry.on_sec([apply(f, p) for p in pts], EXACT)
-    base = geometry.on_sec(pts, EXACT)
+    mapped = sec_boundary([apply(f, p) for p in pts], EXACT)
+    base = sec_boundary(pts, EXACT)
     assert sorted(mapped) == sorted(apply(f, p) for p in base)
 
 
@@ -217,7 +215,7 @@ def test_integer_make_frame_matches_textbook_formula(f, loc, p):
 @pytest.mark.parametrize("reflect", [False, True])
 @given(exact_similarities(), exact_points)
 def test_preimage_inverts_the_integer_form(reflect, f, q):
-    f = dataclasses.replace(f, reflect=reflect)
+    f = make_frame(f.robot, f.zoom, f.c, f.s, reflect, EXACT)
     p = preimage(f, q)
     assert apply(f, p) == q
     assert preimage(f, apply(f, q)) == q
@@ -233,12 +231,15 @@ def test_preimage_examples_with_negative_coordinates():
         assert preimage(f, q) == _textbook_inverse(f.zoom, f.c, f.s, reflect, f.tx, f.ty, q)
 
 
-@given(exact_similarities(), exact_points)
-def test_make_frame_hands_over_the_derived_integer_form(f, loc):
+@given(exact_similarities(), exact_points, exact_points)
+def test_make_frame_hands_over_the_derived_integer_form(f, loc, p):
     g = make_frame(loc, f.zoom, f.c, f.s, f.reflect, EXACT)
+    assert g.ints is not None and g.robot == loc
+    # built directly, the same similarity has no integer form and maps by
+    # the generic formula; both must give the same point
     rebuilt = Similarity(g.zoom, g.c, g.s, g.reflect, g.tx, g.ty)
-    assert g == rebuilt and g.ints == rebuilt.ints
-    assert g.robot == loc and rebuilt.robot is None
+    assert rebuilt.ints is None and rebuilt.robot is None
+    assert g == rebuilt and apply(g, p) == apply(rebuilt, p)
 
 
 @given(exact_similarities(), _configs_with_towers())

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _unit_pair, circles_eq, exact_point_lists, exact_points, float_point_lists, rational
+from conftest import (
+    _unit_pair,
+    circles_eq,
+    exact_point_lists,
+    exact_points,
+    float_point_lists,
+    rational,
+    sec_boundary,
+)
 from robogather import geometry as g
 from robogather.scalars import EXACT, FLOAT64, Point
 
@@ -208,7 +216,7 @@ def test_sec_square_with_center():
     c = g.sec(pts, EXACT)
     assert c == g.sec_bruteforce(pts, EXACT)
     assert c == g.Circle(P(1, 1), F(2))
-    assert g.on_sec(pts, EXACT) == [P(0, 0), P(2, 0), P(0, 2)]
+    assert sec_boundary(pts, EXACT) == [P(0, 0), P(2, 0), P(0, 2)]
 
 
 def test_sec_bruteforce_examples():
@@ -261,18 +269,18 @@ def test_sec_permutation_and_duplication_invariant(pts, rnd):
 
 @given(exact_point_lists)
 def test_sec_of_boundary_points_is_fixpoint(pts):
-    boundary = g.on_sec(pts, EXACT)
+    boundary = sec_boundary(pts, EXACT)
     assert g.sec(boundary, EXACT) == g.sec(pts, EXACT)
 
 
 def test_on_sec_examples():
-    assert g.on_sec([P(0, 0), P(2, 0), P(1, 0)], EXACT) == [P(0, 0), P(2, 0)]
-    assert g.on_sec([P(5, -3)], EXACT) == [P(5, -3)]
+    assert sec_boundary([P(0, 0), P(2, 0), P(1, 0)], EXACT) == [P(0, 0), P(2, 0)]
+    assert sec_boundary([P(5, -3)], EXACT) == [P(5, -3)]
 
 
 @given(float_point_lists)
 def test_on_sec_fixpoint_float(pts):
-    boundary = g.on_sec(pts, FLOAT64)
+    boundary = sec_boundary(pts, FLOAT64)
     assert circles_eq(g.sec(boundary, FLOAT64), g.sec(pts, FLOAT64), FLOAT64)
 
 
@@ -359,7 +367,7 @@ def test_sec_matches_bruteforce_cocircular(pts):
 def test_sec_matches_bruteforce_collinear(pts):
     c = g.sec(pts, EXACT)
     assert c == g.sec_bruteforce(pts, EXACT)
-    assert len(g.on_sec(pts, EXACT)) == 2
+    assert len(sec_boundary(pts, EXACT)) == 2
 
 
 @given(rational, rational, st.fractions(min_value=0, max_value=50, max_denominator=9), exact_points)

@@ -1,11 +1,10 @@
 import hashlib
 import random
-from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from robogather import frames, gather2d, model, verify
+from robogather import gather2d, model, verify
 from robogather.gather2d import Phase
 from robogather.model import DemonicAction, FrameParams, Trace, TraceStep
 from robogather.scalars import EXACT, FLOAT64, Point
@@ -296,14 +295,6 @@ def test_check_equivalence_random_frames():
     for i in range(10):
         da = strat(i, conf)
         assert verify.check_equivalence(conf, da, EXACT)
-
-
-def test_check_target_morph():
-    s = Counter({P(0, 0): 1, P(2, 0): 2})
-    shift = frames.Similarity(F(1), F(1), F(0), False, F(3), F(-1))
-    assert verify.check_target_morph(s, shift, EXACT)
-    rot = frames.Similarity(F(2), F(3, 5), F(4, 5), True, F(1), F(2))
-    assert verify.check_target_morph(s, rot, EXACT)
 
 
 # --- fuzz ---------------------------------------------------------------------------
