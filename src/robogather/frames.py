@@ -12,11 +12,14 @@ B/D = zoom·s and (TX/D, TY/D) is the translation. ``apply`` evaluates one
 integer expression per coordinate and builds one ``Fraction`` from it,
 instead of about ten ``Fraction`` operations per point; points keep their
 ``Fraction`` coordinates, so callers see the same values. Only
-``make_frame`` derives the form, once, alongside the translation, and
-``preimage`` maps a point back through it with one integer expression, so
-no inverse frame is built. A ``Similarity`` built directly (an inverse, say)
-has no integer form, and ``apply`` evaluates it by the generic formula,
-which is exact on ``Fraction``s too.
+``make_frame`` derives the form, once, from the integer numerators and
+denominators of the zoom, the unit pair and the robot's location; it need
+not be in lowest terms, because every point that leaves ``apply`` or
+``preimage`` is a normalized ``Fraction``. ``preimage`` maps a point back
+through the form with one integer expression, so no inverse frame is
+built. A ``Similarity`` built directly (an inverse, say) has no integer
+form, and ``apply`` evaluates it by the generic formula, which is exact on
+``Fraction``s too.
 
 A frame made for a robot sends that robot's own tower to the origin with no
 arithmetic (the identity that defines ``make_frame``), and a robot whose
@@ -114,8 +117,9 @@ def make_frame(
     """Build the frame of a robot at ``robot_loc``: the unique similarity with
     the given linear part mapping the robot to the origin of its own frame.
 
-    On the exact backend this derives the integer form, alongside the
-    translation.
+    On the exact backend this derives the integer form with integer
+    arithmetic only, over D·xd·yd where xd and yd are the denominators of
+    the robot's coordinates.
     """
     check_params(zoom, c, s, backend)
     if backend.is_exact:
@@ -124,13 +128,16 @@ def make_frame(
         d = zd * lcm(cd, sd)
         a = zoom.numerator * c.numerator * (d // (zd * cd))
         b = zoom.numerator * s.numerator * (d // (zd * sd))
-        # the translation is the image of the robot under the negated linear part
-        tx, ty = _image(-a, -b, 0, 0, d, reflect, robot_loc)
-        # the whole form over the lcm of D and the translation's denominators
-        full = lcm(d, tx.denominator, ty.denominator)
-        k = full // d
-        ints = (a * k, b * k, tx.numerator * (full // tx.denominator),
-                ty.numerator * (full // ty.denominator), full)
+        # the translation is minus the linear part's image of the robot,
+        # (A·x − B·y, B·x + A·y)/D with y negated when reflecting
+        x, y = robot_loc
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        if reflect:
+            yn = -yn
+        u, v, w = xn * yd, yn * xd, xd * yd
+        txn, tyn, den = b * v - a * u, -(b * u + a * v), d * w
+        ints = (a * w, b * w, txn, tyn, den)
+        tx, ty = Fraction(txn, den), Fraction(tyn, den)
     else:
         lx, ly = _linear(zoom, c, s, reflect, robot_loc)
         # Translation cancels the same linear expression, so f(robot_loc) is

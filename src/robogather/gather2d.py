@@ -13,13 +13,19 @@ The module also provides the global-frame restatement of a round
 
 One analysis per configuration: ``summarize`` builds the spectrum once and
 runs ``_analyze`` (which computes the SEC) at most once, and reads the
-phase, measure, clean and forbidden flags and the gathering point from that
-spectrum and that analysis. ``pgm`` and ``round_global`` call the lean
-``_analyze`` alone and never pay for the phase or the measure.
+phase, measure, forbidden flag and gathering point from that spectrum and
+that analysis. A majority spectrum needs no SEC for any of them, so its
+``clean`` flag, which only the trace writer reads, is computed when read.
+``pgm`` calls the lean ``_analyze`` alone and never pays for the phase or
+the measure. The checker's global round (``round_global`` given the
+summary) reuses the summary's spectrum and analysis: the same
+``spectrum_of`` and ``_analyze`` it would run itself, so no result changes,
+and the local-frame ``model.round`` still builds its own, independent of
+``round_global``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
 
@@ -163,21 +169,32 @@ def robogram(backend: Backend) -> Robogram:
     return Robogram(pgm=lambda s: pgm(s, backend))
 
 
-def round_global(activated: Iterable[int], conf: Configuration, backend: Backend) -> Configuration:
+def round_global(
+    activated: Iterable[int],
+    conf: Configuration,
+    backend: Backend,
+    summary: Optional[RoundSummary] = None,
+) -> Configuration:
     """One round restated in the global frame, with no local frames at all.
 
     Activated robots: go to the unique highest tower if any; in a clean
     spectrum go to the target; in a dirty one, hold still when already on
     the SEC or at the target, otherwise go to the target. Must agree with
     model.round on the gathering robogram for every valid action.
+
+    ``summary``, when given, is ``summarize(conf, backend)``; its spectrum
+    and analysis are used instead of being built again.
     """
     act = set(activated)
-    s = model.spectrum_of(conf, backend)
+    s = model.spectrum_of(conf, backend) if summary is None else summary.spectrum
     if not s:
         return conf
     towers = model.max_support(s)
     majority = towers[0] if len(towers) == 1 else None
-    ana = None if majority is not None else _analyze(s, backend)
+    if summary is not None:
+        ana = summary.analysis  # None exactly when there is a majority tower
+    else:
+        ana = None if majority is not None else _analyze(s, backend)
     out: list[Point] = []
     for i, loc in enumerate(conf):
         if i not in act:
@@ -313,13 +330,25 @@ def allowed_transition(before: Phase, after: Phase) -> bool:
 
 @dataclass(frozen=True)
 class RoundSummary:
-    """Derived, per-configuration annotations recorded in traces."""
+    """Derived, per-configuration annotations recorded in traces, with the
+    spectrum and the analysis they were read from (None for the gathered and
+    majority phases)."""
 
     phase: Phase
     measure: Measure
-    clean: bool
     forbidden: bool
     gathered_pt: Optional[Point]
+    spectrum: Spectrum = field(compare=False, repr=False)
+    analysis: Optional[_Analysis] = field(compare=False, repr=False)
+    backend: Backend = field(compare=False, repr=False)
+
+    @property
+    def clean(self) -> bool:
+        """Every tower on the SEC or at the target. No check reads it for a
+        majority spectrum, so that SEC is computed only here, when read."""
+        if self.analysis is not None:
+            return self.analysis.clean
+        return self.phase is Phase.GATHERED or _analyze(self.spectrum, self.backend).clean
 
 
 def summarize(conf: Configuration, backend: Backend) -> RoundSummary:
@@ -335,9 +364,8 @@ def summarize(conf: Configuration, backend: Backend) -> RoundSummary:
     phase, ana = _classify(s, backend)
     if phase is Phase.GATHERED:
         # one tower means every robot is at the first one's location
-        return RoundSummary(phase, Measure(0, 0), True, False, next(iter(s)))
+        return RoundSummary(phase, Measure(0, 0), False, next(iter(s)), s, None, backend)
     if phase is Phase.MAJORITY:
-        ana = _analyze(s, backend)
         top = model.max_support(s)[0]
         residual = sum(s.values()) - s[top]
     elif ana.clean:
@@ -352,7 +380,9 @@ def summarize(conf: Configuration, backend: Backend) -> RoundSummary:
     return RoundSummary(
         phase=phase,
         measure=Measure(PHASE_WEIGHT[phase], residual),
-        clean=ana.clean,
         forbidden=_bivalent(s),
         gathered_pt=None,
+        spectrum=s,
+        analysis=ana,
+        backend=backend,
     )

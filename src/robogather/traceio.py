@@ -58,7 +58,7 @@ def _frame_in(obj, backend: Backend) -> Optional[FrameParams]:
         zoom=backend.parse(obj["zoom"]),
         c=backend.parse(obj["c"]),
         s=backend.parse(obj["s"]),
-        reflect=bool(obj["reflect"]),
+        reflect=_bool(obj["reflect"], "frame reflect"),
     )
     try:
         frames.check_params(fp.zoom, fp.c, fp.s, backend)
@@ -75,14 +75,23 @@ def _int(value, what: str, optional: bool = False) -> Optional[int]:
     raise ScenarioError(f"{what} must be an integer, got {value!r}")
 
 
+def _bool(value, what: str) -> bool:
+    """``value`` if it is a JSON boolean, else ScenarioError: a string such as
+    "false" or a number is not silently converted."""
+    if type(value) is bool:
+        return value
+    raise ScenarioError(f"{what} must be true or false, got {value!r}")
+
+
 def _eps_pair(eps) -> tuple[Optional[float], Optional[float]]:
-    """(abs, rel) of an ``eps`` object; ValueError unless each is absent or a number."""
+    """(abs, rel) of an ``eps`` object; ValueError unless each is absent or a
+    number (a JSON boolean is not a number)."""
     if eps is None:
         return None, None
     if not isinstance(eps, dict):
         raise ValueError(f"eps must be a JSON object, got {eps!r}")
     for key in ("abs", "rel"):
-        if not isinstance(eps.get(key), (int, float, type(None))):
+        if type(eps.get(key)) not in (int, float, type(None)):
             raise ValueError(f"eps.{key} must be a number, got {eps[key]!r}")
     return eps.get("abs"), eps.get("rel")
 
@@ -135,7 +144,7 @@ class Scenario:
             generator=_obj(initial, "generator") if "generator" in initial else None,
             demon=_obj(data, "demon") if "demon" in data else {"kind": "round_robin", "seed": 0},
             horizon=_int(data.get("horizon"), "horizon", optional=True),
-            allow_forbidden=bool(data.get("allow_forbidden", False)),
+            allow_forbidden=_bool(data.get("allow_forbidden", False), "allow_forbidden"),
         )
 
     def to_dict(self) -> dict:
@@ -348,7 +357,10 @@ def read_trace(path: str) -> LoadedTrace:
                 raise TraceFormatError("round record size does not match nG")
             steps.append(model.TraceStep(index, action, config))
         elif kind == "end":
-            stopped_early = bool(rec.get("stopped_early", False))
+            try:
+                stopped_early = _bool(rec.get("stopped_early", False), "stopped_early")
+            except ScenarioError as exc:
+                raise TraceFormatError(f"bad end record: {exc}") from exc
         else:
             raise TraceFormatError(f"unknown record type {kind!r}")
     return LoadedTrace(

@@ -39,6 +39,24 @@ def horizon_for(k: int, n_robots: int) -> int:
 _ZOOM_LO, _ZOOM_HI = Fraction(1, 10), Fraction(10)
 
 
+def _unit_circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational point on the unit circle from the half-angle parameter:
+    ((1 − t²)/(1 + t²), 2t/(1 + t²)) with t = p/q."""
+    p, q = t.numerator, t.denominator
+    den = q * q + p * p
+    return Fraction(q * q - p * p, den), Fraction(2 * p * q, den)
+
+
+# The exact frame distribution's support, built once: zoom
+# _ZOOM_LO + (_ZOOM_HI - _ZOOM_LO) · i/12 for i = 0..12, and the unit pair
+# of each half-angle parameter p/q keyed by the draws (p, q).
+_EXACT_ZOOMS = tuple(Fraction(12 + 99 * i, 120) for i in range(13))
+_EXACT_UNIT_PAIRS = {
+    (p, q): _unit_circle_point(Fraction(p, q)) for p in range(-6, 7) for q in range(1, 7)
+}
+_LOG_ZOOM_RANGE = (math.log(float(_ZOOM_LO)), math.log(float(_ZOOM_HI)))
+
+
 class FramePolicy:
     """The demon's frame distribution: zoom in [1/10, 10], a uniform
     rotation, reflection with probability 1/2 (robots share no chirality).
@@ -47,11 +65,10 @@ class FramePolicy:
 
     def sample(self, rng: random.Random, backend: Backend) -> FrameParams:
         if backend.is_exact:
-            # _ZOOM_LO + (_ZOOM_HI - _ZOOM_LO) · i/12, as one Fraction
-            zoom = Fraction(12 + 99 * rng.randint(0, 12), 120)
-            c, s = _unit_circle_point(Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+            zoom = _EXACT_ZOOMS[rng.randint(0, 12)]
+            c, s = _EXACT_UNIT_PAIRS[rng.randint(-6, 6), rng.randint(1, 6)]
         else:
-            zoom = math.exp(rng.uniform(math.log(float(_ZOOM_LO)), math.log(float(_ZOOM_HI))))
+            zoom = math.exp(rng.uniform(*_LOG_ZOOM_RANGE))
             theta = rng.uniform(0.0, 2.0 * math.pi)
             c, s = math.cos(theta), math.sin(theta)
         return FrameParams(zoom, c, s, rng.random() < 0.5)
@@ -144,14 +161,6 @@ def make_strategy(
     if script is not None and kind != "adversarial":
         raise ValueError(f"demon key 'script' applies to adversarial only, not {kind}")
     return Strategy(kind, n, backend, seed, kind_k, kind_script)
-
-
-def _unit_circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational point on the unit circle from the half-angle parameter:
-    ((1 − t²)/(1 + t²), 2t/(1 + t²)) with t = p/q."""
-    p, q = t.numerator, t.denominator
-    den = q * q + p * p
-    return Fraction(q * q - p * p, den), Fraction(2 * p * q, den)
 
 
 def _cocircular_pool(rng: random.Random, backend: Backend, bbox: int, size: int) -> list[Point]:
@@ -398,7 +407,9 @@ def check_trace(
     """Replay a trace and grade every round against the protocol invariants.
 
     All verdicts are recomputed from scratch (including the local-frame round
-    for the chaining check), so a corrupted trace cannot pass.
+    for the chaining check), so a corrupted trace cannot pass. Each
+    configuration is summarized once, and the global round reuses that
+    summary's spectrum and analysis.
     """
     rep = report if report is not None else CheckReport()
     r = gather2d.robogram(backend)
@@ -421,7 +432,7 @@ def check_trace(
             "recorded configuration does not match a recomputed round",
         )
 
-        glob = gather2d.round_global(step.action.activated(), prev, backend)
+        glob = gather2d.round_global(step.action.activated(), prev, backend, prev_sum)
         rec(
             "round_simplify",
             _configs_eq(glob, cur, backend),

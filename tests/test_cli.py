@@ -148,6 +148,18 @@ def _set_round_index(records):
     records[1]["index"] = 0.5
 
 
+def _set_end_stopped_early(records):
+    records[-1]["stopped_early"] = "no"
+
+
+# a bivalent start that a non-bool allow_forbidden must not let through
+_BIVALENT = {
+    "nG": 4,
+    "initial": {"points": [["0", "0"], ["0", "0"], ["1", "1"], ["1", "1"]]},
+    "demon": {"kind": "adversarial", "seed": 0, "k": 2, "script": [[0, 1], [2, 3]]},
+}
+
+
 @pytest.mark.parametrize(
     "kind, edit",
     [
@@ -167,6 +179,8 @@ def _set_round_index(records):
         ("scenario", {"backend": "floating", "eps": {"abs": -1}}),
         ("scenario", {"horizon": 99.7}),
         ("scenario", {"demon": {"kind": "all_active", "seed": True}}),
+        ("scenario", {"backend": "floating", "eps": {"abs": True, "rel": True}}),
+        ("scenario", {**_BIVALENT, "allow_forbidden": "false"}),
         ("fuzz", ["--horizon", "-3"]),
         ("fuzz", ["--runs", "-3"]),
         ("fuzz", ["--runs", "0"]),
@@ -186,6 +200,8 @@ def _set_round_index(records):
         ("trace", _set_header("k", 2.5)),
         ("trace", _set_header("k", True)),
         ("trace", _set_round_index),
+        ("trace", _set_frame("reflect", "no")),
+        ("trace", _set_end_stopped_early),
     ],
     ids=[
         "nG-not-int",
@@ -204,6 +220,8 @@ def _set_round_index(records):
         "eps-abs-negative",
         "horizon-not-int",
         "demon-seed-bool",
+        "eps-bool",
+        "allow-forbidden-string",
         "fuzz-horizon-negative",
         "fuzz-runs-negative",
         "fuzz-runs-zero",
@@ -223,6 +241,8 @@ def _set_round_index(records):
         "header-k-not-int",
         "header-k-bool",
         "round-index-not-int",
+        "frame-reflect-string",
+        "end-stopped-early-string",
     ],
 )
 def test_malformed_input_exit_one_without_traceback(tmp_path, capsys, kind, edit):

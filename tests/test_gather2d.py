@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import exact_points, exact_similarities
-from robogather import frames, gather2d, model
+from conftest import exact_points, exact_similarities, float_points
+from robogather import frames, gather2d, geometry, model
 from robogather.gather2d import Measure, Phase
 from robogather.model import DemonicAction, FrameParams
 from robogather.scalars import EXACT, FLOAT64, Point
@@ -311,6 +311,45 @@ def test_round_equals_round_global_exact(pair):
     local = model.round(r, da, conf, EXACT)
     glob = gather2d.round_global(da.activated(), conf, EXACT)
     assert local == glob
+
+
+@pytest.mark.parametrize(
+    "backend, points", [(EXACT, exact_points), (FLOAT64, float_points)], ids=["exact", "floating"]
+)
+@given(data=st.data())
+def test_round_global_given_the_summary_equals_from_scratch(backend, points, data):
+    pool = data.draw(st.lists(points, min_size=1, max_size=4))
+    conf = tuple(data.draw(st.lists(st.sampled_from(pool), min_size=3, max_size=7)))
+    activated = data.draw(st.sets(st.integers(min_value=0, max_value=len(conf) - 1)))
+    summary = gather2d.summarize(conf, backend)
+    assert gather2d.round_global(activated, conf, backend, summary) == gather2d.round_global(
+        activated, conf, backend
+    )
+
+
+@pytest.mark.parametrize(
+    "conf",
+    [
+        (P(0, 0), P(0, 0), P(2, 0), P(F(1, 2), 0)),  # dirty: (1/2, 0) is off the SEC
+        (P(0, 0), P(0, 0), P(2, 0), P(1, 0)),  # clean: (1, 0) is the SEC center
+    ],
+    ids=["dirty", "clean"],
+)
+def test_majority_summary_computes_no_sec_until_clean_is_read(monkeypatch, conf):
+    calls = []
+    sec = geometry.sec
+
+    def counting_sec(points, backend):
+        calls.append(len(points))
+        return sec(points, backend)
+
+    monkeypatch.setattr(geometry, "sec", counting_sec)
+    summary = gather2d.summarize(conf, EXACT)
+    assert summary.phase is Phase.MAJORITY
+    assert calls == []
+    clean = summary.clean
+    assert len(calls) == 1
+    assert clean == gather2d._analyze(model.spectrum_of(conf, EXACT), EXACT).clean
 
 
 # --- phase transition bookkeeping -----------------------------------------------------

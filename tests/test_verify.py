@@ -48,6 +48,18 @@ def test_strategy_frames_are_valid():
         assert F(1, 10) <= fp.zoom <= F(10)
 
 
+def test_exact_frame_sample_matches_the_closed_form_draw():
+    # the tables make the same draws, in the same order, as building each
+    # zoom and unit pair from the draws directly
+    for seed in range(1000):
+        rng, ref = random.Random(seed), random.Random(seed)
+        fp = verify.DEFAULT_POLICY.sample(rng, EXACT)
+        zoom = F(12 + 99 * ref.randint(0, 12), 120)
+        c, s = verify._unit_circle_point(F(ref.randint(-6, 6), ref.randint(1, 6)))
+        assert fp == FrameParams(zoom, c, s, ref.random() < 0.5)
+        assert rng.getstate() == ref.getstate()
+
+
 def test_unfair_strategy_never_activates_zero():
     strat = verify.make_strategy("unfair_skip0", 4, EXACT, seed=1)
     conf = (P(0, 0), P(1, 1), P(2, 2), P(3, 3))
