@@ -140,7 +140,7 @@ def cmd_render(args) -> int:
         return _fail(str(exc))
     from . import render
 
-    render.render_trace(loaded.trace, loaded.backend, args.out, max_panels=args.max_panels)
+    render.render_trace(loaded.trace, loaded.backend, args.out, args.max_panels)
     print(f"wrote {args.out}")
     return EXIT_OK
 

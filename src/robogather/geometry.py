@@ -3,23 +3,23 @@ smallest enclosing circle (SEC).
 
 Circles store their radius *squared* so the exact backend stays closed under
 rational arithmetic; every comparison the callers need is monotone in the
-squared radius. The SEC is computed with Welzl's move-to-front algorithm
-(expected linear time) behind a deterministic, seed-driven shuffle, and an
-exhaustive brute-force oracle is provided for cross-checking.
+squared radius. Constructions are exact and only yes/no predicates such as
+``on_circle`` use the float tolerance. The SEC is computed with Welzl's
+move-to-front algorithm (expected linear time) behind a deterministic,
+seed-driven shuffle, on integers on both backends: a float is a dyadic
+rational, so ``sec`` scales the points by the lcm L of the denominators of
+their exact values to integer pairs. A circle is then an integer tuple
+(ux, uy, d, rn) with d ≠ 0, center (ux/d, uy/d) and squared radius rn/d² in
+scaled units, and every enclosure test is one integer comparison. Only the
+result is converted back, to ``Fraction``s or to correctly rounded floats.
 
-On the exact backend Welzl runs on cleared denominators: the points are
-scaled by the lcm L of their coordinate denominators to integer pairs, a
-circle is an integer tuple (ux, uy, d, rn) with d ≠ 0, center (ux/d, uy/d)
-and squared radius rn/d² in scaled units, and every enclosure test is one
-integer comparison. Only the result is converted back to a ``Circle`` of
-``Fraction``s (``_sec_exact``). The brute-force oracle ``sec_bruteforce``
-clears the denominators too, but with its own code: it never calls
-``_sec_exact`` or an ``_int_*`` helper and builds its circumcircles by
-Cramer's rule on absolute coordinates (Welzl's are relative to a boundary
-point), so it shares no code path with the Welzl it checks. The tests pin it
-against an exhaustive search over ``circumcircle``, which has one formula for
-both backends and on the exact one is plain ``Fraction`` arithmetic, sharing
-nothing with either integer kernel.
+The brute-force oracle ``sec_bruteforce`` shares no code path with that
+Welzl: on floats it tests float candidates with the tolerant ``encloses``;
+on the exact backend it clears denominators with its own code and builds
+its circumcircles by Cramer's rule on absolute coordinates (Welzl's are
+relative to a boundary point). The tests pin it against an exhaustive
+search over ``circumcircle``, which on the exact backend is plain
+``Fraction`` arithmetic, sharing nothing with either integer kernel.
 """
 from __future__ import annotations
 
@@ -183,83 +183,28 @@ def sec(points: Sequence[Point], backend: Backend) -> Circle:
     """Smallest enclosing circle of a point list.
 
     Permutation- and duplication-invariant; ``sec([])`` is the zero circle
-    at the origin. Welzl's move-to-front scheme: grow the circle point by
-    point, rebuilding with one or two known boundary points on violation.
+    at the origin. Welzl's move-to-front scheme on lcm-scaled integers, on
+    both backends: ``as_integer_ratio`` reads a ``Fraction``'s and a float's
+    exact value alike. On floats the result is rounded once, by int true
+    division, which is correctly rounded.
     """
-    if backend.is_exact:
-        return _sec_exact(points, backend)
-    pts = sorted(set(points))
+    ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in points]
+    scale = lcm(*[d for r in ratios for _, d in r])
+    pts = sorted({(xn * (scale // xd), yn * (scale // yd)) for (xn, xd), (yn, yd) in ratios})
     if not pts:
         return Circle(backend.origin(), backend.scalar(0))
     random.Random(_SEC_SHUFFLE_SEED).shuffle(pts)
-    c: Optional[Circle] = None
+    c = (*pts[0], 1, 0)
     for i, p in enumerate(pts):
-        if c is None or not encloses(c, p, backend):
-            c = _sec_one_point(pts[: i + 1], p, backend)
-    assert c is not None
-    return c
-
-
-def _sec_one_point(pts: Sequence[Point], p: Point, backend: Backend) -> Circle:
-    c = Circle(p, backend.scalar(0))
-    for i, q in enumerate(pts):
-        if not encloses(c, q, backend):
-            if c.radius_sq == 0:
-                c = _diameter_circle(p, q)
-            else:
-                c = _sec_two_points(pts[: i + 1], p, q, backend)
-    return c
-
-
-def _sec_two_points(pts: Sequence[Point], p: Point, q: Point, backend: Backend) -> Circle:
-    circ = _diameter_circle(p, q)
-    left: Optional[Circle] = None
-    right: Optional[Circle] = None
-    for r in pts:
-        if encloses(circ, r, backend):
-            continue
-        cross = _cross(p, q, r)
-        try:
-            c = circumcircle(p, q, r, backend)
-        except CollinearInput:
-            continue
-        cc = _cross(p, q, c.center)
-        if cross > 0:
-            if left is None or cc > _cross(p, q, left.center):
-                left = c
-        elif cross < 0:
-            if right is None or cc < _cross(p, q, right.center):
-                right = c
-    if left is None and right is None:
-        return circ
-    if left is None:
-        return right  # type: ignore[return-value]
-    if right is None:
-        return left
-    return left if left.radius_sq <= right.radius_sq else right
-
-
-def _sec_exact(points: Sequence[Point], backend: Backend) -> Circle:
-    """``sec`` on the exact backend, over integers scaled by the lcm of the
-    coordinate denominators. Scaling by L > 0 keeps the sorted order of the
-    points, so the shuffle visits them as the ``Fraction`` code would; the
-    SEC is unique, so the result is the same ``Circle``.
-    """
-    scale = lcm(*[v.denominator for p in points for v in p])
-    pts = sorted(
-        {(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator)) for x, y in points}
-    )
-    if not pts:
-        return Circle(backend.origin(), backend.scalar(0))
-    random.Random(_SEC_SHUFFLE_SEED).shuffle(pts)
-    c: Optional[tuple[int, int, int, int]] = None
-    for i, p in enumerate(pts):
-        if c is None or not _int_encloses(c, p):
+        if not _int_encloses(c, p):
             c = _int_sec_one_point(pts[: i + 1], p)
-    assert c is not None
     ux, uy, d, rn = c
+    if d < 0:  # so that a zero center coordinate rounds to 0.0, not -0.0
+        ux, uy, d = -ux, -uy, -d
     den = d * scale
-    return Circle(Point(Fraction(ux, den), Fraction(uy, den)), Fraction(rn, den * den))
+    if backend.is_exact:
+        return Circle(Point(Fraction(ux, den), Fraction(uy, den)), Fraction(rn, den * den))
+    return Circle(Point(ux / den, uy / den), rn / (den * den))
 
 
 def _int_encloses(c: tuple[int, int, int, int], p: tuple[int, int]) -> bool:
@@ -290,9 +235,8 @@ def _int_sec_two_points(
     Welzl only calls this when that circle exists. Then the points outside
     the circle with diameter pq all lie on one side of the line pq, and each
     point found outside the current circle moves its center further to that
-    side, which keeps every earlier point inside. So the left/right
-    bookkeeping of ``_sec_two_points`` (needed there because floats can
-    misplace a point) has nothing to decide here.
+    side, which keeps every earlier point inside. Exact arithmetic never
+    misplaces a point, so no left/right bookkeeping is needed.
     """
     px, py = p
     ex, ey = q[0] - px, q[1] - py
@@ -313,17 +257,23 @@ def _int_sec_two_points(
     return c
 
 
-def sec_bruteforce(points: Sequence[Point], backend: Backend, cap: int = 12) -> Circle:
+# Distinct points ``sec_bruteforce`` accepts: it tries O(n³) candidates
+# against n points each
+_BRUTEFORCE_CAP = 12
+
+
+def sec_bruteforce(points: Sequence[Point], backend: Backend) -> Circle:
     """Independent SEC oracle: try every circle determined by one point,
     each pair as a diameter, and each non-collinear triple; return the
     smallest one enclosing all input points.
 
-    Exhaustive, so capped at ``cap`` distinct points. On the exact backend
-    the search runs on integers (``_bruteforce_scaled``).
+    Exhaustive, so capped at ``_BRUTEFORCE_CAP`` distinct points. On floats
+    the candidates are float circles tested with the tolerance; on the exact
+    backend the search runs on integers (``_bruteforce_scaled``).
     """
     pts = sorted(set(points))
-    if len(pts) > cap:
-        raise InputTooLarge(f"{len(pts)} distinct points exceed the cap of {cap}")
+    if len(pts) > _BRUTEFORCE_CAP:
+        raise InputTooLarge(f"{len(pts)} distinct points exceed the cap of {_BRUTEFORCE_CAP}")
     if not pts:
         return Circle(backend.origin(), backend.scalar(0))
     if backend.is_exact:

@@ -4,10 +4,10 @@ target, and the phase annotation. Pure string templating, no dependencies."""
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from . import gather2d, geometry, model
-from .model import Configuration, Trace
+from .geometry import Circle
+from .model import Trace
 from .scalars import Backend
 
 _PANEL = 240
@@ -15,16 +15,22 @@ _MARGIN = 26
 _COLS = 4
 
 
-def _bounds(trace: Trace, backend: Backend) -> tuple[float, float, float]:
+def _circle(summary: gather2d.RoundSummary, backend: Backend) -> Circle:
+    """The SEC of a summarized configuration: read from its analysis, which
+    gathered and majority summaries do not carry."""
+    if summary.analysis is not None:
+        return summary.analysis.circle
+    return geometry.sec(list(summary.spectrum), backend)
+
+
+def _bounds(views: list[tuple[gather2d.RoundSummary, Circle]]) -> tuple[float, float, float]:
     xs: list[float] = []
     ys: list[float] = []
     radii: list[float] = []
-    for conf in trace.configs():
-        sup = list(model.spectrum_of(conf, backend))
-        for p in sup:
+    for summary, circle in views:
+        for p in summary.spectrum:
             xs.append(float(p.x))
             ys.append(float(p.y))
-        circle = geometry.sec(sup, backend)
         radii.append(math.sqrt(max(0.0, float(circle.radius_sq))))
     cx = (min(xs) + max(xs)) / 2
     cy = (min(ys) + max(ys)) / 2
@@ -33,8 +39,8 @@ def _bounds(trace: Trace, backend: Backend) -> tuple[float, float, float]:
 
 
 def _panel(
-    conf: Configuration,
-    backend: Backend,
+    summary: gather2d.RoundSummary,
+    circle: Circle,
     label: str,
     ox: float,
     oy: float,
@@ -51,10 +57,7 @@ def _panel(
         # SVG y grows downward
         return oy + _PANEL - _MARGIN - (y - (cy - half)) * scale
 
-    s = model.spectrum_of(conf, backend)
-    summary = gather2d.summarize(conf, backend)
-    sup = list(s)
-    circle = geometry.sec(sup, backend)
+    s = summary.spectrum
     r = math.sqrt(max(0.0, float(circle.radius_sq))) * scale
 
     parts = [
@@ -66,8 +69,9 @@ def _panel(
             f'<circle cx="{sx(float(circle.center.x)):.2f}" cy="{sy(float(circle.center.y)):.2f}" '
             f'r="{r:.2f}" fill="none" stroke="#7aa" stroke-dasharray="4 3"/>'
         )
-    if summary.phase is not gather2d.Phase.GATHERED and len(sup) > 1:
-        tgt = gather2d.target(s, backend)
+    if summary.phase is not gather2d.Phase.GATHERED:
+        # robots in a majority configuration go to the highest tower
+        tgt = model.max_support(s)[0] if summary.analysis is None else summary.analysis.tgt
         tx, ty = sx(float(tgt.x)), sy(float(tgt.y))
         parts.append(
             f'<path d="M {tx - 5:.2f} {ty:.2f} H {tx + 5:.2f} M {tx:.2f} {ty - 5:.2f} '
@@ -87,16 +91,16 @@ def _panel(
     return "\n".join(parts)
 
 
-def render_trace(trace: Trace, backend: Backend, path: str, max_panels: Optional[int] = None) -> None:
+def render_trace(trace: Trace, backend: Backend, path: str, max_panels: int) -> None:
     """Write one multi-panel SVG: the initial configuration plus the result
-    of every round (truncated to ``max_panels`` panels if given)."""
-    configs = trace.configs()
+    of every round, truncated to the first ``max_panels`` panels. The scale
+    fits every configuration of the trace, each summarized once."""
+    summaries = [gather2d.summarize(conf, backend) for conf in trace.configs()]
+    views = [(summary, _circle(summary, backend)) for summary in summaries]
     labels = ["initial"] + [f"round {st.index}" for st in trace.steps]
-    if max_panels is not None and len(configs) > max_panels:
-        configs = configs[:max_panels]
-        labels = labels[:max_panels]
-    cx, cy, half = _bounds(trace, backend)
-    n = len(configs)
+    cx, cy, half = _bounds(views)
+    views = views[:max_panels]
+    n = len(views)
     cols = min(_COLS, n)
     rows = (n + cols - 1) // cols
     width = cols * _PANEL
@@ -105,10 +109,10 @@ def render_trace(trace: Trace, backend: Backend, path: str, max_panels: Optional
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif">'
     ]
-    for i, (conf, label) in enumerate(zip(configs, labels)):
+    for i, ((summary, circle), label) in enumerate(zip(views, labels)):
         ox = (i % cols) * _PANEL
         oy = (i // cols) * _PANEL
-        body.append(_panel(conf, backend, label, ox, oy, cx, cy, half))
+        body.append(_panel(summary, circle, label, ox, oy, cx, cy, half))
     body.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(body) + "\n")

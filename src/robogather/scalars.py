@@ -74,6 +74,11 @@ class ExactBackend:
         return Fraction(str(text))
 
 
+# Largest float magnitude read from input. It keeps 8·zoom²·|coordinate|²
+# below the largest float, so no squared distance in a robot's frame overflows.
+FLOAT_INPUT_MAX = 1e75
+
+
 @dataclass(frozen=True)
 class FloatBackend:
     """Binary64 floats with a mixed absolute/relative equality tolerance."""
@@ -110,7 +115,15 @@ class FloatBackend:
         return repr(float(a))
 
     def parse(self, text) -> float:
-        return self.scalar(text)
+        """A coordinate or frame parameter read from a scenario or a trace;
+        ValueError unless finite and at most ``FLOAT_INPUT_MAX`` in magnitude."""
+        try:
+            value = self.scalar(text)
+        except OverflowError:  # a 'p/q' string beyond the float range
+            value = math.inf
+        if not abs(value) <= FLOAT_INPUT_MAX:
+            raise ValueError(f"{text!r} is not a finite float of magnitude at most {FLOAT_INPUT_MAX:g}")
+        return value
 
 
 Backend = Union[ExactBackend, FloatBackend]

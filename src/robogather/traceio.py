@@ -15,7 +15,7 @@ from typing import Any, Optional
 
 from . import frames, gather2d, model, verify
 from .model import Configuration, DemonicAction, FrameParams, Trace
-from .scalars import Backend, Point, get_backend
+from .scalars import FLOAT_INPUT_MAX, Backend, Point, get_backend
 
 
 class ScenarioError(Exception):
@@ -209,12 +209,15 @@ class Scenario:
         else:
             gen = self.generator or {}
             rng = random.Random(_int(gen.get("seed", 0), "generator seed"))
+            bbox = _int(gen.get("bbox", 10), "generator bbox")
+            if not backend.is_exact and bbox > FLOAT_INPUT_MAX:
+                raise ScenarioError(f"generator bbox must be at most {FLOAT_INPUT_MAX:g} on floats, got {bbox}")
             try:
                 conf = verify.gen_initial(
                     self.n_robots,
                     rng,
                     backend,
-                    bbox=_int(gen.get("bbox", 10), "generator bbox"),
+                    bbox=bbox,
                     pool_size=_int(gen.get("pool"), "generator pool", optional=True),
                 )
             except (ValueError, IndexError, RuntimeError) as exc:

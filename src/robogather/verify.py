@@ -402,7 +402,6 @@ def check_trace(
     backend: Backend,
     declared_k: int | None = None,
     run_seed: int | None = None,
-    report: CheckReport | None = None,
 ) -> CheckReport:
     """Replay a trace and grade every round against the protocol invariants.
 
@@ -411,7 +410,7 @@ def check_trace(
     configuration is summarized once, and the global round reuses that
     summary's spectrum and analysis.
     """
-    rep = report if report is not None else CheckReport()
+    rep = CheckReport()
     r = gather2d.robogram(backend)
     prev = trace.initial
     prev_sum = gather2d.summarize(prev, backend)

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from robogather import cli
+from robogather import cli, geometry, model, render, traceio
 
 
 def _write_scenario(tmp_path, name="s.json", **overrides):
@@ -152,6 +154,25 @@ def _set_end_stopped_early(records):
     records[-1]["stopped_early"] = "no"
 
 
+def _on_floats(edit):
+    def edit_floating(records):
+        records[0]["backend"] = "floating"
+        edit(records)
+
+    return edit_floating
+
+
+def _set_location(value):
+    def edit(records):
+        records[1]["locations"][2] = [value, "5"]
+
+    return edit
+
+
+def _floating_points(x):
+    return {"backend": "floating", "initial": {"points": [[x, 0.0], [0.0, 0.0], [5.0, 5.0]]}}
+
+
 # a bivalent start that a non-bool allow_forbidden must not let through
 _BIVALENT = {
     "nG": 4,
@@ -181,6 +202,11 @@ _BIVALENT = {
         ("scenario", {"demon": {"kind": "all_active", "seed": True}}),
         ("scenario", {"backend": "floating", "eps": {"abs": True, "rel": True}}),
         ("scenario", {**_BIVALENT, "allow_forbidden": "false"}),
+        ("scenario", _floating_points(float("nan"))),
+        ("scenario", _floating_points(float("inf"))),
+        ("scenario", _floating_points(1e300)),
+        ("scenario", _floating_points("1e400")),
+        ("scenario", {"backend": "floating", "initial": {"generator": {"bbox": 10**198}}}),
         ("fuzz", ["--horizon", "-3"]),
         ("fuzz", ["--runs", "-3"]),
         ("fuzz", ["--runs", "0"]),
@@ -202,6 +228,11 @@ _BIVALENT = {
         ("trace", _set_round_index),
         ("trace", _set_frame("reflect", "no")),
         ("trace", _set_end_stopped_early),
+        ("trace", _on_floats(_set_location(float("nan")))),
+        ("trace", _on_floats(_set_location(float("inf")))),
+        ("trace", _on_floats(_set_frame("zoom", float("inf")))),
+        ("trace", _on_floats(_set_frame("zoom", 1e300))),
+        ("trace", _on_floats(_set_frame("c", float("inf")))),
     ],
     ids=[
         "nG-not-int",
@@ -222,6 +253,11 @@ _BIVALENT = {
         "demon-seed-bool",
         "eps-bool",
         "allow-forbidden-string",
+        "floating-point-nan",
+        "floating-point-inf",
+        "floating-point-1e300",
+        "floating-point-string-1e400",
+        "floating-generator-bbox-1e198",
         "fuzz-horizon-negative",
         "fuzz-runs-negative",
         "fuzz-runs-zero",
@@ -243,6 +279,11 @@ _BIVALENT = {
         "round-index-not-int",
         "frame-reflect-string",
         "end-stopped-early-string",
+        "floating-location-nan",
+        "floating-location-inf",
+        "floating-frame-zoom-inf",
+        "floating-frame-zoom-1e300",
+        "floating-frame-c-inf",
     ],
 )
 def test_malformed_input_exit_one_without_traceback(tmp_path, capsys, kind, edit):
@@ -433,6 +474,47 @@ def test_render_diameter_phase_shows_circle_and_target(tmp_path):
     assert "diameter_clean" in content
     assert "stroke-dasharray" in content  # the SEC
     assert "path d=" in content.replace('"', " ") or "<path" in content  # target marker
+
+
+def _run_and_load(tmp_path, scenario):
+    out = str(tmp_path / "trace.jsonl")
+    assert cli.main(["run", "--scenario", scenario, "--out", out]) == cli.EXIT_OK
+    loaded = traceio.read_trace(out)
+    return loaded, str(tmp_path / "t.svg")
+
+
+def test_render_majority_marker_is_on_the_highest_tower(tmp_path):
+    # robots (0, 0) x2 and (5, 5): the SEC center is (2.5, 2.5), but the
+    # robots go to the highest tower at the origin
+    loaded, svg = _run_and_load(tmp_path, _write_scenario(tmp_path))
+    render.render_trace(loaded.trace, loaded.backend, svg, 1)
+    content = open(svg).read()
+    assert "majority" in content
+    tower = re.search(r'<circle cx="([-\d.]+)" cy="([-\d.]+)" r="3.4" fill="#226"/>\n<text [^>]*>2</text>', content)
+    tx, ty = float(tower.group(1)), float(tower.group(2))
+    assert f'<path d="M {tx - 5:.2f} {ty:.2f} H {tx + 5:.2f} M {tx:.2f} {ty - 5:.2f} V {ty + 5:.2f}"' in content
+
+
+def test_render_analyses_each_configuration_once(tmp_path, monkeypatch):
+    scenario = _write_scenario(
+        tmp_path,
+        nG=5,
+        initial={"points": [["0", "0"], ["0", "0"], ["2", "0"], ["2", "0"], ["1", "0"]]},
+        demon={"kind": "round_robin", "seed": 0},
+        horizon=40,
+    )
+    loaded, svg = _run_and_load(tmp_path, scenario)
+    calls = Counter()
+    for mod, name in ((model, "spectrum_of"), (geometry, "sec")):
+        def counted(*args, _fn=getattr(mod, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(mod, name, counted)
+    render.render_trace(loaded.trace, loaded.backend, svg, 24)
+    n = len(loaded.trace.configs())
+    assert n > 2
+    assert calls == {"spectrum_of": n, "sec": n}
 
 
 def test_render_bad_trace_exit_one(tmp_path):

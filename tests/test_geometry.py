@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -227,7 +227,7 @@ def test_sec_bruteforce_examples():
 def test_sec_bruteforce_cap():
     pts = [P(i, i * i) for i in range(13)]
     with pytest.raises(g.InputTooLarge):
-        g.sec_bruteforce(pts, EXACT, cap=12)
+        g.sec_bruteforce(pts, EXACT)
 
 
 @given(exact_point_lists)
@@ -242,6 +242,17 @@ def test_sec_matches_bruteforce_float(pts):
     assert abs(a.center.x - b.center.x) <= 1e-9
     assert abs(a.center.y - b.center.y) <= 1e-9
     assert abs(a.radius_sq - b.radius_sq) <= 1e-9 * max(1.0, abs(a.radius_sq))
+
+
+@given(float_point_lists)
+@example([Point(-1.0, 0.0), Point(1.0, -1.0), Point(1.0, 1.0)])  # center y is 0.0, not -0.0
+def test_float_sec_is_the_exact_sec_of_the_floats_rounded(pts):
+    # a float is a dyadic rational: the float SEC is the exact SEC of the
+    # floats' own values, each component rounded to nearest once
+    exact = g.sec_bruteforce([P(F(x), F(y)) for x, y in pts], EXACT)
+    want = (float(exact.center.x), float(exact.center.y), float(exact.radius_sq))
+    c = g.sec(pts, FLOAT64)
+    assert [v.hex() for v in (c.center.x, c.center.y, c.radius_sq)] == [v.hex() for v in want]
 
 
 @given(exact_point_lists)
