@@ -45,7 +45,10 @@ def cmd_run(args) -> int:
     def stop(c):
         return gather2d.gathering_point(c, backend) is not None
 
-    trace = model.execute(robogram, strategy, conf, horizon, backend, stop=stop)
+    # ``run`` executes the local-frame model: its trace may never be checked.
+    trace = model.execute(
+        lambda da, c: model.round(robogram, da, c, backend), strategy, conf, horizon, stop=stop
+    )
     try:
         traceio.write_trace(
             args.out,

@@ -19,9 +19,9 @@ that analysis. A majority spectrum needs no SEC for any of them, so its
 ``pgm`` calls the lean ``_analyze`` alone and never pays for the phase or
 the measure. The checker's global round (``round_global`` given the
 summary) reuses the summary's spectrum and analysis: the same
-``spectrum_of`` and ``_analyze`` it would run itself, so no result changes,
-and the local-frame ``model.round`` still builds its own, independent of
-``round_global``.
+``spectrum_of`` and ``_analyze`` it would run itself, so no result changes.
+The local-frame ``model.round`` builds its own spectrum and runs ``pgm`` in
+every robot's frame, independent of ``round_global``.
 """
 from __future__ import annotations
 

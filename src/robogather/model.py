@@ -23,6 +23,9 @@ Spectrum = Counter  # Counter[Point] -> positive multiplicity
 # strategies may inspect the current configuration when choosing one.
 Demon = Callable[[int, Configuration], "DemonicAction"]
 
+# A round function: the configuration one demonic action leads to.
+Step = Callable[["DemonicAction", Configuration], Configuration]
+
 
 @dataclass(frozen=True)
 class FrameParams:
@@ -154,14 +157,14 @@ class Trace:
 
 
 def execute(
-    r: Robogram,
+    step: Step,
     demon: Demon,
     conf: Configuration,
     horizon: int,
-    backend: Backend,
     stop: Callable[[Configuration], bool] | None = None,
 ) -> Trace:
-    """Fold ``round`` over the demon's first ``horizon`` actions.
+    """Fold a round function ``step(action, conf) -> conf`` over the demon's
+    first ``horizon`` actions.
 
     Stops early (recording the fact) as soon as ``stop`` holds, checked on
     the initial configuration as well.
@@ -172,7 +175,7 @@ def execute(
     cur = conf
     for i in range(horizon):
         da = demon(i, cur)
-        cur = round(r, da, cur, backend)
+        cur = step(da, cur)
         steps.append(TraceStep(i, da, cur))
         if stop is not None and stop(cur):
             return Trace(conf, steps, stopped_early=True)

@@ -116,7 +116,10 @@ class FloatBackend:
 
     def parse(self, text) -> float:
         """A coordinate or frame parameter read from a scenario or a trace;
-        ValueError unless finite and at most ``FLOAT_INPUT_MAX`` in magnitude."""
+        ValueError unless a finite number (not a JSON boolean) at most
+        ``FLOAT_INPUT_MAX`` in magnitude."""
+        if isinstance(text, bool):
+            raise ValueError(f"{text!r} is not a number")
         try:
             value = self.scalar(text)
         except OverflowError:  # a 'p/q' string beyond the float range

@@ -405,10 +405,16 @@ def check_trace(
 ) -> CheckReport:
     """Replay a trace and grade every round against the protocol invariants.
 
-    All verdicts are recomputed from scratch (including the local-frame round
-    for the chaining check), so a corrupted trace cannot pass. Each
-    configuration is summarized once, and the global round reuses that
-    summary's spectrum and analysis.
+    All verdicts are recomputed from scratch, so a corrupted trace cannot
+    pass. ``chaining`` compares the recorded configuration with the
+    local-frame ``model.round`` and ``round_simplify`` with the frame-free
+    ``gather2d.round_global``, given the previous configuration's summary.
+    A fuzz run executes on ``round_global``, so on a fuzz trace ``chaining``
+    is the runtime check that the local round equals the global one, and
+    ``round_simplify`` only confirms that the summary-reusing global round
+    matches the executed one. A ``robogather run`` trace executes on
+    ``model.round``, so there ``round_simplify`` is that check. Each
+    configuration is summarized once.
     """
     rep = CheckReport()
     r = gather2d.robogram(backend)
@@ -428,14 +434,14 @@ def check_trace(
         rec(
             "chaining",
             _configs_eq(expected, cur, backend),
-            "recorded configuration does not match a recomputed round",
+            "recorded configuration does not match the local-frame round",
         )
 
         glob = gather2d.round_global(step.action.activated(), prev, backend, prev_sum)
         rec(
             "round_simplify",
             _configs_eq(glob, cur, backend),
-            "local-frame round differs from the global-view round",
+            "recorded configuration does not match the global-view round",
         )
 
         movers = [i for i in range(len(prev)) if not backend.points_eq(prev[i], cur[i])]
@@ -581,7 +587,8 @@ def run_one(
     strategy_kinds: Sequence[str] = FUZZ_KINDS,
     horizon: int | None = None,
 ) -> tuple[RunSpec, Trace, CheckReport]:
-    """One seeded fuzz run: generate, execute, check. Deterministic in the seed."""
+    """One seeded fuzz run: generate, execute (on ``round_global``), check
+    (against the local ``model.round``). Deterministic in the seed."""
     rng = random.Random(run_seed)
     n_robots = rng.randint(*ng_range)
     kind = rng.choice(list(strategy_kinds))
@@ -590,8 +597,13 @@ def run_one(
     conf = gen_initial(n_robots, rng, backend)
     h = horizon if horizon is not None else horizon_for(strat.k, n_robots)
     extra = strat.k  # keep checking persistence after gathering
-    r = gather2d.robogram(backend)
-    trace = model.execute(r, strat, conf, h + extra, backend, stop=_gathered_stable_stop(backend, extra))
+    trace = model.execute(
+        lambda da, c: gather2d.round_global(da.activated(), c, backend),
+        strat,
+        conf,
+        h + extra,
+        stop=_gathered_stable_stop(backend, extra),
+    )
     rep = check_trace(trace, backend, declared_k=strat.k, run_seed=run_seed)
 
     gathered_round = first_gathered_round(trace, backend)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import hypothesis
 from hypothesis import strategies as st
 
-from robogather import frames, geometry
+from robogather import frames, gather2d, geometry, model
 from robogather.scalars import EXACT, FLOAT64, Point
 
 hypothesis.settings.register_profile(
@@ -65,6 +65,13 @@ def sec_boundary(points, backend) -> list:
         if not any(backend.points_eq(p, q) for q in out) and geometry.on_circle(c, p, backend):
             out.append(p)
     return out
+
+
+def local_step(backend):
+    """The local-frame round of the gathering robogram, as a step function
+    for ``model.execute``."""
+    r = gather2d.robogram(backend)
+    return lambda da, conf: model.round(r, da, conf, backend)
 
 
 def circles_eq(a, b, backend) -> bool:

@@ -11,7 +11,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from robogather import frames, gather2d, geometry, model, verify
+from conftest import local_step
+from robogather import cli, frames, gather2d, geometry, model, verify
 from robogather.gather2d import AUDITED_ARCS, EXPECTED_ARCS
 from robogather.model import DemonicAction, FrameParams
 from robogather.scalars import EXACT, FLOAT64, Point
@@ -186,13 +187,11 @@ def test_horizon_bound_validated_before_reliance():
             strat = verify.make_strategy(kind, n, backend, seed=rng.randrange(2**62))
             conf = verify.gen_initial(n, rng, backend)
             bound = verify.horizon_for(strat.k, n)
-            r = gather2d.robogram(backend)
             trace = model.execute(
-                r,
+                local_step(backend),
                 strat,
                 conf,
                 3 * bound,
-                backend,
                 stop=lambda c: gather2d.gathering_point(c, backend) is not None,
             )
             got = verify.first_gathered_round(trace, backend)
@@ -251,8 +250,7 @@ def test_negative_control_corrupted_trace():
     rng = random.Random(5)
     conf = verify.gen_initial(5, rng, EXACT)
     strat = verify.make_strategy("round_robin", 5, EXACT, seed=8)
-    r = gather2d.robogram(EXACT)
-    trace = model.execute(r, strat, conf, 6, EXACT)
+    trace = model.execute(local_step(EXACT), strat, conf, 6)
     assert trace.steps, "fixture must execute at least one round"
     step = trace.steps[0]
     trace.steps[0] = model.TraceStep(
@@ -271,13 +269,50 @@ def test_negative_control_unfair_demon():
     # robot 0 cannot gather, and its stream fails the fairness check
     conf = (P(9, 9), P(0, 0), P(0, 0), P(0, 0))
     strat = verify.make_strategy("unfair_skip0", 4, EXACT, seed=0)
-    r = gather2d.robogram(EXACT)
     horizon = verify.horizon_for(strat.k, 4)
-    trace = model.execute(r, strat, conf, horizon, EXACT)
+    trace = model.execute(local_step(EXACT), strat, conf, horizon)
     rep = verify.check_trace(trace, EXACT, declared_k=strat.k)
     assert rep.violations_of("k_fairness") > 0
     assert verify.first_gathered_round(trace, EXACT) is None
     _report("negative control: unfair demon flagged and never gathers")
+
+
+def _pgm_returns_origin(s, backend):
+    return backend.origin()
+
+
+def _round_global_stays(activated, conf, backend, summary=None):
+    return conf
+
+
+@pytest.mark.parametrize(
+    "name, broken",
+    [("pgm", _pgm_returns_origin), ("round_global", _round_global_stays)],
+    ids=["pgm-returns-origin", "round-global-stays"],
+)
+def test_negative_control_fuzz_exercises_the_local_round(monkeypatch, name, broken):
+    # a fuzz run executes on round_global and checks against model.round:
+    # breaking either one must show up as chaining violations
+    monkeypatch.setattr(gather2d, name, broken)
+    rep, cex = verify.fuzz(50, EXACT)
+    assert rep.violations_of("chaining") > 0, rep.summary()
+    assert cex
+    _report(f"negative control: broken {name} fails chaining", f"{rep.violations_of('chaining')} violations")
+
+
+def test_negative_control_counterexample_replays_through_the_cli(monkeypatch, tmp_path, capsys):
+    # the counterexample scenario a broken round_global produces still fails
+    # when replayed: run executes the local round, check compares the global
+    monkeypatch.setattr(gather2d, "round_global", _round_global_stays)
+    cex_dir = tmp_path / "cex"
+    assert cli.main(["fuzz", "--runs", "20", "--seed", "0", "--out", str(cex_dir)]) == cli.EXIT_VIOLATION
+    scenario = str(cex_dir / "counterexample_0_scenario.json")
+    trace = str(tmp_path / "replay.jsonl")
+    assert cli.main(["run", "--scenario", scenario, "--out", trace]) in (cli.EXIT_OK, cli.EXIT_HORIZON)
+    capsys.readouterr()
+    assert cli.main(["check", "--trace", trace]) == cli.EXIT_VIOLATION
+    assert "round_simplify" in capsys.readouterr().out
+    _report("negative control: counterexample replays with run then check")
 
 
 # --- criterion: nG = 3 minimality ----------------------------------------------------

@@ -206,6 +206,7 @@ _BIVALENT = {
         ("scenario", _floating_points(float("inf"))),
         ("scenario", _floating_points(1e300)),
         ("scenario", _floating_points("1e400")),
+        ("scenario", _floating_points(True)),
         ("scenario", {"backend": "floating", "initial": {"generator": {"bbox": 10**198}}}),
         ("fuzz", ["--horizon", "-3"]),
         ("fuzz", ["--runs", "-3"]),
@@ -233,6 +234,8 @@ _BIVALENT = {
         ("trace", _on_floats(_set_frame("zoom", float("inf")))),
         ("trace", _on_floats(_set_frame("zoom", 1e300))),
         ("trace", _on_floats(_set_frame("c", float("inf")))),
+        ("trace", _on_floats(_set_location(True))),
+        ("trace", _on_floats(_set_frame("zoom", True))),
     ],
     ids=[
         "nG-not-int",
@@ -257,6 +260,7 @@ _BIVALENT = {
         "floating-point-inf",
         "floating-point-1e300",
         "floating-point-string-1e400",
+        "floating-point-bool",
         "floating-generator-bbox-1e198",
         "fuzz-horizon-negative",
         "fuzz-runs-negative",
@@ -284,6 +288,8 @@ _BIVALENT = {
         "floating-frame-zoom-inf",
         "floating-frame-zoom-1e300",
         "floating-frame-c-inf",
+        "floating-location-bool",
+        "floating-frame-zoom-bool",
     ],
 )
 def test_malformed_input_exit_one_without_traceback(tmp_path, capsys, kind, edit):

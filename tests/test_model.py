@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import exact_points
+from conftest import exact_points, local_step
 from robogather import gather2d, model, verify
 from robogather.model import DemonicAction, FrameParams, Robogram
 from robogather.scalars import EXACT, FLOAT64, Point
@@ -174,17 +174,15 @@ def _round_robin_demon(n):
 
 
 def test_execute_horizon_zero():
-    r = gather2d.robogram(EXACT)
     conf = (P(0, 0), P(0, 0), P(7, 1))
-    trace = model.execute(r, _round_robin_demon(3), conf, 0, EXACT)
+    trace = model.execute(local_step(EXACT), _round_robin_demon(3), conf, 0)
     assert trace.configs() == [conf]
     assert trace.final() == conf
 
 
 def test_execute_gathered_start_is_constant():
-    r = gather2d.robogram(EXACT)
     conf = (P(4, 4),) * 3
-    trace = model.execute(r, lambda i, c: all_active(3), conf, 5, EXACT)
+    trace = model.execute(local_step(EXACT), lambda i, c: all_active(3), conf, 5)
     assert all(cfg == conf for cfg in trace.configs())
 
 
@@ -192,7 +190,7 @@ def test_execute_majority_round_robin_hand_simulation():
     # a(x2), b(x1): only the robot at b ever moves; gathered by round 3
     r = gather2d.robogram(EXACT)
     conf = (P(0, 0), P(0, 0), P(7, 1))
-    trace = model.execute(r, _round_robin_demon(3), conf, 3, EXACT)
+    trace = model.execute(local_step(EXACT), _round_robin_demon(3), conf, 3)
     assert trace.final() == (P(0, 0), P(0, 0), P(0, 0))
     # chain integrity
     for i, step in enumerate(trace.steps):
@@ -201,14 +199,12 @@ def test_execute_majority_round_robin_hand_simulation():
 
 
 def test_execute_stop_predicate():
-    r = gather2d.robogram(EXACT)
     conf = (P(0, 0), P(0, 0), P(7, 1))
     trace = model.execute(
-        r,
+        local_step(EXACT),
         lambda i, c: all_active(3),
         conf,
         10,
-        EXACT,
         stop=lambda c: gather2d.gathering_point(c, EXACT) is not None,
     )
     assert trace.stopped_early

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import local_step
 from robogather import gather2d, model, traceio, verify
 from robogather.scalars import EXACT, FLOAT64, Point
 
@@ -86,8 +87,7 @@ def _make_trace(backend, seed=4, n=4, rounds=8, kind="random_kfair"):
     rng = random.Random(seed)
     conf = verify.gen_initial(n, rng, backend)
     strat = verify.make_strategy(kind, n, backend, seed=seed)
-    r = gather2d.robogram(backend)
-    trace = model.execute(r, strat, conf, rounds, backend)
+    trace = model.execute(local_step(backend), strat, conf, rounds)
     return trace, strat
 
 
@@ -162,13 +162,11 @@ def test_scenario_for_run_replays_identically(tmp_path):
     backend, conf, strategy, horizon = scenario.build()
     assert conf == spec.initial
     assert strategy.k == spec.k
-    r = gather2d.robogram(backend)
     replay = model.execute(
-        r,
+        local_step(backend),
         strategy,
         conf,
         len(trace.steps),
-        backend,
     )
     for a, b in zip(replay.steps, trace.steps):
         assert a.action == b.action

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import local_step
 from robogather import gather2d, model, verify
 from robogather.gather2d import Phase
 from robogather.model import DemonicAction, FrameParams, Trace, TraceStep
@@ -178,8 +179,7 @@ def test_gen_initial_rejects_small_n():
 
 def _run_trace(conf, n_rounds=6, seed=0, backend=EXACT, kind="round_robin"):
     strat = verify.make_strategy(kind, len(conf), backend, seed=seed)
-    r = gather2d.robogram(backend)
-    trace = model.execute(r, strat, conf, n_rounds, backend)
+    trace = model.execute(local_step(backend), strat, conf, n_rounds)
     return trace, strat
 
 
@@ -195,8 +195,7 @@ def test_check_trace_gathered_start_all_pass():
 def test_check_trace_majority_hand_simulation():
     conf = (P(0, 0), P(0, 0), P(7, 1))
     strat = verify.make_strategy("all_active", 3, EXACT, seed=0)
-    r = gather2d.robogram(EXACT)
-    trace = model.execute(r, strat, conf, 3, EXACT)
+    trace = model.execute(local_step(EXACT), strat, conf, 3)
     rep = verify.check_trace(trace, EXACT, declared_k=strat.k)
     assert rep.ok
     assert verify.first_gathered_round(trace, EXACT) == 1
@@ -340,13 +339,70 @@ def test_fuzz_unfair_demon_flagged():
     # the execution can never gather
     conf = (P(5, 5), P(0, 0), P(0, 0), P(0, 0))
     strat = verify.make_strategy("unfair_skip0", 4, EXACT, seed=0)
-    r = gather2d.robogram(EXACT)
     horizon = verify.horizon_for(strat.k, 4)
-    trace = model.execute(r, strat, conf, horizon, EXACT)
+    trace = model.execute(local_step(EXACT), strat, conf, horizon)
     rep = verify.check_trace(trace, EXACT, declared_k=strat.k)
     assert rep.violations_of("k_fairness") > 0
     assert verify.first_gathered_round(trace, EXACT) is None
     assert gather2d.gathering_point(trace.final(), EXACT) is None
+
+
+def _verdicts(rep):
+    props = {p: (st.checks, st.violations) for p, st in rep.properties.items() if p != "gathering"}
+    return props, rep.observed_arcs
+
+
+def _local_replay(spec, backend):
+    """Execute a fuzz run's spec on the local-frame model.round instead of
+    round_global: same strategy seed, start, horizon and stop rule."""
+    strat = verify.make_strategy(spec.strategy_kind, spec.n_robots, backend, seed=spec.strategy_seed)
+    return model.execute(
+        local_step(backend),
+        strat,
+        spec.initial,
+        spec.horizon + spec.k,
+        stop=verify._gathered_stable_stop(backend, spec.k),
+    )
+
+
+@pytest.mark.parametrize("kind", verify.FUZZ_KINDS)
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "float"])
+def test_fuzz_run_equals_its_local_frame_replay(backend, kind):
+    # a fuzz run executes on round_global; replaying its spec through the
+    # local-frame model.round gives the same configurations and verdicts
+    for run_seed in (6, 20, 38, 44):  # every run moves a robot on both backends
+        spec, trace, rep = verify.run_one(run_seed, backend, strategy_kinds=(kind,))
+        assert spec.strategy_kind == kind
+        replay = _local_replay(spec, backend)
+        assert len(replay.steps) == len(trace.steps), run_seed
+        for got, want in zip(replay.configs(), trace.configs()):
+            if backend.is_exact:
+                assert got == want, run_seed
+            else:
+                assert verify._configs_eq(got, want, backend), run_seed
+        assert [st.action for st in replay.steps] == [st.action for st in trace.steps]
+        replay_rep = verify.check_trace(replay, backend, declared_k=spec.k, run_seed=run_seed)
+        assert _verdicts(replay_rep) == _verdicts(rep), run_seed
+        assert [verify.first_gathered_round(replay, backend)] == rep.rounds_to_gather, run_seed
+
+
+
+def test_float_local_execution_passes_the_checker():
+    # fuzz executes on round_global, so frame round-off of the float local
+    # model no longer carries from round to round there: run it here, over
+    # many rounds of a few hundred fuzz specs, and grade it
+    master = random.Random(7)
+    rounds = 0
+    for _ in range(300):
+        run_seed = master.randrange(2**62)
+        spec, _trace, _rep = verify.run_one(run_seed, FLOAT64)
+        replay = _local_replay(spec, FLOAT64)
+        rep = verify.check_trace(replay, FLOAT64, declared_k=spec.k, run_seed=run_seed)
+        assert rep.ok, (run_seed, rep.summary())
+        gathered = verify.first_gathered_round(replay, FLOAT64)
+        assert gathered is not None and gathered <= spec.horizon, run_seed
+        rounds += len(replay.steps)
+    assert rounds > 3000
 
 
 # --- horizon bound -------------------------------------------------------------------
@@ -365,13 +421,11 @@ def test_horizon_bound_holds_empirically(backend):
         strat = verify.make_strategy(kind, n, backend, seed=rng.randrange(2**62))
         conf = verify.gen_initial(n, rng, backend)
         bound = verify.horizon_for(strat.k, n)
-        r = gather2d.robogram(backend)
         trace = model.execute(
-            r,
+            local_step(backend),
             strat,
             conf,
             3 * bound,
-            backend,
             stop=lambda c: gather2d.gathering_point(c, backend) is not None,
         )
         gathered_round = verify.first_gathered_round(trace, backend)
