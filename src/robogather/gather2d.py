@@ -17,11 +17,12 @@ phase, measure, forbidden flag and gathering point from that spectrum and
 that analysis. A majority spectrum needs no SEC for any of them, so its
 ``clean`` flag, which only the trace writer reads, is computed when read.
 ``pgm`` calls the lean ``_analyze`` alone and never pays for the phase or
-the measure. The checker's global round (``round_global`` given the
-summary) reuses the summary's spectrum and analysis: the same
-``spectrum_of`` and ``_analyze`` it would run itself, so no result changes.
-The local-frame ``model.round`` builds its own spectrum and runs ``pgm`` in
-every robot's frame, independent of ``round_global``.
+the measure. ``round_global`` given a summary reuses its spectrum and
+analysis, so no result changes. A fuzz run summarizes each configuration
+once and shares that summary with its executor (``round_global``), demon
+and checker; ``robogather check`` re-summarizes from the file. The
+local-frame ``model.round`` is never given a summary: it builds its own
+spectrum and runs ``pgm`` in every robot's frame.
 """
 from __future__ import annotations
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import gather2d, geometry, model
-from .gather2d import EXPECTED_ARCS, Phase
-from .model import Configuration, DemonicAction, FrameParams, Trace
+from .gather2d import EXPECTED_ARCS, Phase, RoundSummary
+from .model import Configuration, DemonicAction, FrameParams, Trace, TraceStep
 from .scalars import FLOAT64, Backend, Point
 
 # The strategies a fuzz campaign draws from unless told otherwise.
@@ -78,15 +78,15 @@ DEFAULT_POLICY = FramePolicy()
 
 
 class Strategy:
-    """A seeded demon: callable (round index, configuration) -> DemonicAction,
-    with a declared fairness bound ``k``.
+    """A seeded demon: callable (round index, configuration, optional
+    summary) -> DemonicAction, with a declared fairness bound ``k``.
 
     With a ``script`` it cycles through the script's activation sets.
     Without one it is a deadline demon: a robot idle for k-1 rounds is due
     and is activated, which makes the schedule k-fair. ``random_kfair`` adds
     each robot with probability 1/2; ``single_mover`` (a stall-maximizing
     adversary) activates the due robots, or else one robot already at its
-    destination.
+    destination, read from ``round_global`` given the summary, if any.
     """
 
     def __init__(
@@ -114,7 +114,7 @@ class Strategy:
             raise ValueError(f"script must be a non-empty list of lists of robot ids in [0, {n_robots})")
         self._ages = [0] * n_robots
 
-    def __call__(self, index: int, conf: Configuration) -> DemonicAction:
+    def __call__(self, index: int, conf: Configuration, summary: RoundSummary | None = None) -> DemonicAction:
         if self.script is not None:
             active = self.script[index % len(self.script)]
         else:
@@ -124,7 +124,7 @@ class Strategy:
             elif due:
                 active = due
             else:
-                dests = gather2d.round_global(range(self.n_robots), conf, self.backend)
+                dests = gather2d.round_global(range(self.n_robots), conf, self.backend, summary)
                 stayers = [i for i in range(self.n_robots) if self.backend.points_eq(conf[i], dests[i])]
                 active = {self.rng.choice(stayers) if stayers else self.rng.randrange(self.n_robots)}
             self._ages = [0 if i in active else a + 1 for i, a in enumerate(self._ages)]
@@ -389,42 +389,42 @@ def _configs_eq(a: Configuration, b: Configuration, backend: Backend) -> bool:
     return len(a) == len(b) and all(backend.points_eq(p, q) for p, q in zip(a, b))
 
 
-def first_gathered_round(trace: Trace, backend: Backend) -> Optional[int]:
-    """Index of the first gathered configuration (0 = initial), or None."""
-    for i, conf in enumerate(trace.configs()):
-        if gather2d.gathering_point(conf, backend) is not None:
-            return i
-    return None
-
-
 def check_trace(
     trace: Trace,
     backend: Backend,
     declared_k: int | None = None,
     run_seed: int | None = None,
+    summaries: Sequence[RoundSummary] | None = None,
 ) -> CheckReport:
     """Replay a trace and grade every round against the protocol invariants.
 
-    All verdicts are recomputed from scratch, so a corrupted trace cannot
-    pass. ``chaining`` compares the recorded configuration with the
-    local-frame ``model.round`` and ``round_simplify`` with the frame-free
-    ``gather2d.round_global``, given the previous configuration's summary.
-    A fuzz run executes on ``round_global``, so on a fuzz trace ``chaining``
-    is the runtime check that the local round equals the global one, and
-    ``round_simplify`` only confirms that the summary-reusing global round
-    matches the executed one. A ``robogather run`` trace executes on
-    ``model.round``, so there ``round_simplify`` is that check. Each
-    configuration is summarized once.
+    All verdicts are recomputed from the configurations, so a corrupted
+    trace cannot pass. ``chaining`` compares the recorded configuration with
+    the local-frame ``model.round`` and ``round_simplify`` with the
+    frame-free ``gather2d.round_global``, given the previous configuration's
+    summary. A fuzz run executes on ``round_global``, so on a fuzz trace
+    ``chaining`` is the runtime check that the local round equals the
+    global one, and ``round_simplify`` only confirms that the
+    summary-reusing global round matches the executed one. On a ``robogather
+    run`` trace, executed on ``model.round``, ``round_simplify`` is that
+    check. ``summaries`` (``gather2d.summarize`` of each configuration,
+    initial first; ValueError if the count is wrong) are the ones a fuzz run
+    shared with its demon and executed rounds; without them, as in
+    ``robogather check``, each configuration is summarized here, once.
     """
+    if summaries is None:
+        summaries = (gather2d.summarize(conf, backend) for conf in trace.configs())
+    elif len(summaries) != len(trace.steps) + 1:
+        raise ValueError(f"{len(summaries)} summaries for {len(trace.steps) + 1} configurations")
+    summary_of = iter(summaries)
     rep = CheckReport()
     r = gather2d.robogram(backend)
     prev = trace.initial
-    prev_sum = gather2d.summarize(prev, backend)
+    prev_sum = next(summary_of)
     gathered_pt = prev_sum.gathered_pt
 
-    for step in trace.steps:
+    for step, cur_sum in zip(trace.steps, summary_of):
         cur = step.config
-        cur_sum = gather2d.summarize(cur, backend)
         idx = step.index
 
         def rec(prop: str, ok: bool, detail: str, _prev=prev, _cur=cur, _idx=idx):
@@ -565,21 +565,6 @@ class Counterexample:
     trace: Trace
 
 
-def _gathered_stable_stop(backend: Backend, extra: int):
-    """Stop predicate: gathered and stayed gathered for ``extra`` more rounds."""
-    streak = 0
-
-    def stop(conf: Configuration) -> bool:
-        nonlocal streak
-        if gather2d.gathering_point(conf, backend) is not None:
-            streak += 1
-        else:
-            streak = 0
-        return streak > extra
-
-    return stop
-
-
 def run_one(
     run_seed: int,
     backend: Backend,
@@ -588,7 +573,9 @@ def run_one(
     horizon: int | None = None,
 ) -> tuple[RunSpec, Trace, CheckReport]:
     """One seeded fuzz run: generate, execute (on ``round_global``), check
-    (against the local ``model.round``). Deterministic in the seed."""
+    (against the local ``model.round``). Deterministic in the seed. Each
+    configuration is summarized once, and the demon, the executed round and
+    ``check_trace`` share that summary."""
     rng = random.Random(run_seed)
     n_robots = rng.randint(*ng_range)
     kind = rng.choice(list(strategy_kinds))
@@ -597,16 +584,23 @@ def run_one(
     conf = gen_initial(n_robots, rng, backend)
     h = horizon if horizon is not None else horizon_for(strat.k, n_robots)
     extra = strat.k  # keep checking persistence after gathering
-    trace = model.execute(
-        lambda da, c: gather2d.round_global(da.activated(), c, backend),
-        strat,
-        conf,
-        h + extra,
-        stop=_gathered_stable_stop(backend, extra),
-    )
-    rep = check_trace(trace, backend, declared_k=strat.k, run_seed=run_seed)
+    cur, cur_sum = conf, gather2d.summarize(conf, backend)
+    summaries = [cur_sum]
+    steps: list[TraceStep] = []
+    streak = 0  # consecutive gathered configurations, ending at cur
+    while True:
+        streak = streak + 1 if cur_sum.gathered_pt is not None else 0
+        if streak > extra or len(steps) == h + extra:
+            break
+        da = strat(len(steps), cur, cur_sum)
+        cur = gather2d.round_global(da.activated(), cur, backend, cur_sum)
+        cur_sum = gather2d.summarize(cur, backend)
+        steps.append(TraceStep(len(steps), da, cur))
+        summaries.append(cur_sum)
+    trace = Trace(conf, steps, stopped_early=streak > extra)
+    rep = check_trace(trace, backend, strat.k, run_seed, summaries=summaries)
 
-    gathered_round = first_gathered_round(trace, backend)
+    gathered_round = next((i for i, s in enumerate(summaries) if s.gathered_pt is not None), None)
     gathered_in_time = gathered_round is not None and gathered_round <= h
     rep.record(
         "gathering",

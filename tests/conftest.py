@@ -1,6 +1,7 @@
 """Shared hypothesis strategies and helpers for the test suite."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import hypothesis
@@ -17,7 +18,17 @@ hypothesis.settings.load_profile("default")
 
 # --- exact-backend strategies ------------------------------------------------
 
-rational = st.fractions(min_value=-20, max_value=20, max_denominator=8)
+@st.composite
+def bounded_fractions(draw, lo, hi, max_den: int):
+    """``Fraction(n, d)`` in [lo, hi] with d in 1..max_den: the values of
+    ``st.fractions(lo, hi, max_denominator=max_den)``, drawn as two integers
+    (d first, then n in [ceil(lo·d), floor(hi·d)]), which is much cheaper."""
+    d = draw(st.integers(1, max_den))
+    n = draw(st.integers(math.ceil(lo * d), math.floor(hi * d)))
+    return Fraction(n, d)
+
+
+rational = bounded_fractions(-20, 20, 8)
 
 exact_points = st.builds(Point, rational, rational)
 
@@ -29,9 +40,9 @@ def _unit_pair(t: Fraction) -> tuple[Fraction, Fraction]:
     return (1 - t * t) / den, (2 * t) / den
 
 
-rotation_params = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+rotation_params = bounded_fractions(-5, 5, 6)
 
-zooms = st.fractions(min_value=Fraction(1, 10), max_value=10, max_denominator=10)
+zooms = bounded_fractions(Fraction(1, 10), 10, 10)
 
 
 @st.composite
@@ -72,6 +83,30 @@ def local_step(backend):
     for ``model.execute``."""
     r = gather2d.robogram(backend)
     return lambda da, conf: model.round(r, da, conf, backend)
+
+
+def gathered_stable_stop(backend, extra: int):
+    """Stop predicate for ``model.execute``: gathered and stayed gathered for
+    ``extra`` more rounds (the stop rule of ``verify.run_one``)."""
+    streak = 0
+
+    def stop(conf) -> bool:
+        nonlocal streak
+        if gather2d.gathering_point(conf, backend) is not None:
+            streak += 1
+        else:
+            streak = 0
+        return streak > extra
+
+    return stop
+
+
+def first_gathered_round(trace, backend):
+    """Index of the first gathered configuration (0 = initial), or None."""
+    for i, conf in enumerate(trace.configs()):
+        if gather2d.gathering_point(conf, backend) is not None:
+            return i
+    return None
 
 
 def circles_eq(a, b, backend) -> bool:

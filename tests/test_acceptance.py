@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import local_step
+from conftest import first_gathered_round, local_step
 from robogather import cli, frames, gather2d, geometry, model, verify
 from robogather.gather2d import AUDITED_ARCS, EXPECTED_ARCS
 from robogather.model import DemonicAction, FrameParams
@@ -194,7 +194,7 @@ def test_horizon_bound_validated_before_reliance():
                 3 * bound,
                 stop=lambda c: gather2d.gathering_point(c, backend) is not None,
             )
-            got = verify.first_gathered_round(trace, backend)
+            got = first_gathered_round(trace, backend)
             assert got is not None and got <= bound, (run_seed, got, bound)
             checked += 1
     _report("horizon bound empirical validation", f"{checked} unbounded runs within k*7*(nG+1)")
@@ -273,7 +273,7 @@ def test_negative_control_unfair_demon():
     trace = model.execute(local_step(EXACT), strat, conf, horizon)
     rep = verify.check_trace(trace, EXACT, declared_k=strat.k)
     assert rep.violations_of("k_fairness") > 0
-    assert verify.first_gathered_round(trace, EXACT) is None
+    assert first_gathered_round(trace, EXACT) is None
     _report("negative control: unfair demon flagged and never gathers")
 
 

@@ -1,10 +1,11 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import local_step
+from conftest import first_gathered_round, gathered_stable_stop, local_step
 from robogather import gather2d, model, verify
 from robogather.gather2d import Phase
 from robogather.model import DemonicAction, FrameParams, Trace, TraceStep
@@ -198,7 +199,7 @@ def test_check_trace_majority_hand_simulation():
     trace = model.execute(local_step(EXACT), strat, conf, 3)
     rep = verify.check_trace(trace, EXACT, declared_k=strat.k)
     assert rep.ok
-    assert verify.first_gathered_round(trace, EXACT) == 1
+    assert first_gathered_round(trace, EXACT) == 1
 
 
 def test_check_trace_detects_teleport():
@@ -343,7 +344,7 @@ def test_fuzz_unfair_demon_flagged():
     trace = model.execute(local_step(EXACT), strat, conf, horizon)
     rep = verify.check_trace(trace, EXACT, declared_k=strat.k)
     assert rep.violations_of("k_fairness") > 0
-    assert verify.first_gathered_round(trace, EXACT) is None
+    assert first_gathered_round(trace, EXACT) is None
     assert gather2d.gathering_point(trace.final(), EXACT) is None
 
 
@@ -361,7 +362,7 @@ def _local_replay(spec, backend):
         strat,
         spec.initial,
         spec.horizon + spec.k,
-        stop=verify._gathered_stable_stop(backend, spec.k),
+        stop=gathered_stable_stop(backend, spec.k),
     )
 
 
@@ -383,8 +384,92 @@ def test_fuzz_run_equals_its_local_frame_replay(backend, kind):
         assert [st.action for st in replay.steps] == [st.action for st in trace.steps]
         replay_rep = verify.check_trace(replay, backend, declared_k=spec.k, run_seed=run_seed)
         assert _verdicts(replay_rep) == _verdicts(rep), run_seed
-        assert [verify.first_gathered_round(replay, backend)] == rep.rounds_to_gather, run_seed
+        assert [first_gathered_round(replay, backend)] == rep.rounds_to_gather, run_seed
 
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "float"])
+def test_check_trace_given_the_run_summaries_matches_resummarizing(backend, monkeypatch):
+    # run_one hands check_trace the summaries its demon and executed rounds
+    # used; grading with them or re-summarizing gives the same verdicts
+    check_trace = verify.check_trace
+    handed = []
+
+    def spy(trace, b, *args, **kwargs):
+        handed.append(kwargs.get("summaries"))
+        return check_trace(trace, b, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "check_trace", spy)
+    master = random.Random(11)
+    for _ in range(100):
+        run_seed = master.randrange(2**62)
+        spec, trace, rep = verify.run_one(run_seed, backend)
+        summaries = handed.pop()
+        assert summaries == [gather2d.summarize(c, backend) for c in trace.configs()], run_seed
+        given = check_trace(trace, backend, spec.k, run_seed, summaries=summaries)
+        again = check_trace(trace, backend, spec.k, run_seed)
+        assert _verdicts(given) == _verdicts(again) == _verdicts(rep), run_seed
+        assert given.failures == again.failures, run_seed
+    for wrong in (summaries[:-1], summaries + summaries[-1:]):
+        with pytest.raises(ValueError):
+            check_trace(trace, backend, spec.k, run_seed, summaries=wrong)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "float"])
+def test_teleport_is_flagged_when_summaries_are_given(backend):
+    spec, trace, _rep = verify.run_one(6, backend)
+    assert len(trace.steps) >= 2
+    step = trace.steps[1]
+    teleported = (backend.point(50, 50),) + step.config[1:]
+    trace.steps[1] = TraceStep(step.index, step.action, teleported)
+    summaries = [gather2d.summarize(c, backend) for c in trace.configs()]
+    given = verify.check_trace(trace, backend, spec.k, 6, summaries=summaries)
+    assert given.violations_of("chaining") > 0
+    again = verify.check_trace(trace, backend, spec.k, 6)
+    assert _verdicts(given) == _verdicts(again)
+    assert given.failures == again.failures
+
+
+def test_fuzz_summarizes_each_configuration_once(monkeypatch):
+    # one summary per configuration, shared by the demon, the executed round
+    # and the checker; the local model.round, run once per round by the
+    # checker, builds its own spectrum
+    calls = Counter()
+    configs = rounds = 0
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((gather2d, "summarize"), (model, "spectrum_of"), (model, "round")):
+        count(module, name)
+    gen_initial, check_trace = verify.gen_initial, verify.check_trace
+
+    def counted_gen_initial(*args, **kwargs):
+        before = calls["spectrum_of"]
+        try:
+            return gen_initial(*args, **kwargs)
+        finally:
+            calls["bivalence_draws"] += calls["spectrum_of"] - before
+
+    def counted_check_trace(trace, *args, **kwargs):
+        nonlocal configs, rounds
+        configs += len(trace.steps) + 1
+        rounds += len(trace.steps)
+        return check_trace(trace, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "gen_initial", counted_gen_initial)
+    monkeypatch.setattr(verify, "check_trace", counted_check_trace)
+    rep, _ = verify.fuzz(100, EXACT, seed=0)
+    assert rep.ok and rep.runs == 100 and rounds > 1000
+    assert calls["summarize"] == configs
+    assert calls["round"] == rounds
+    assert calls["spectrum_of"] <= rounds + configs + calls["bivalence_draws"]
 
 
 def test_float_local_execution_passes_the_checker():
@@ -399,7 +484,7 @@ def test_float_local_execution_passes_the_checker():
         replay = _local_replay(spec, FLOAT64)
         rep = verify.check_trace(replay, FLOAT64, declared_k=spec.k, run_seed=run_seed)
         assert rep.ok, (run_seed, rep.summary())
-        gathered = verify.first_gathered_round(replay, FLOAT64)
+        gathered = first_gathered_round(replay, FLOAT64)
         assert gathered is not None and gathered <= spec.horizon, run_seed
         rounds += len(replay.steps)
     assert rounds > 3000
@@ -428,6 +513,6 @@ def test_horizon_bound_holds_empirically(backend):
             3 * bound,
             stop=lambda c: gather2d.gathering_point(c, backend) is not None,
         )
-        gathered_round = verify.first_gathered_round(trace, backend)
+        gathered_round = first_gathered_round(trace, backend)
         assert gathered_round is not None, f"seed {run_seed} never gathered"
         assert gathered_round <= bound, f"seed {run_seed}: {gathered_round} > {bound}"
