@@ -9,7 +9,7 @@ import argparse
 import os
 import sys
 
-from . import gather2d, model, traceio, verify
+from . import traceio, verify
 from .scalars import get_backend
 
 EXIT_OK = 0
@@ -40,15 +40,8 @@ def cmd_run(args) -> int:
     except traceio.ScenarioError as exc:
         return _fail(str(exc))
 
-    robogram = gather2d.robogram(backend)
-
-    def stop(c):
-        return gather2d.gathering_point(c, backend) is not None
-
-    # ``run`` executes the local-frame model: its trace may never be checked.
-    trace = model.execute(
-        lambda da, c: model.round(robogram, da, c, backend), strategy, conf, horizon, stop=stop
-    )
+    # ``run`` executes the global round; ``check`` replays the local-frame one.
+    trace, summaries = verify.execute_global(strategy, conf, backend, horizon)
     try:
         traceio.write_trace(
             args.out,
@@ -58,12 +51,12 @@ def cmd_run(args) -> int:
             strategy_kind=strategy.kind,
             seed=strategy.seed,
             horizon=horizon,
+            summaries=summaries,
         )
     except OSError as exc:
         return _fail(f"cannot write trace {args.out}: {exc}")
-    gathered = gather2d.gathering_point(trace.final(), backend) is not None
     rounds = len(trace.steps)
-    if gathered:
+    if summaries[-1].gathered_pt is not None:
         print(f"gathered after {rounds} rounds; trace written to {args.out}")
         return EXIT_OK
     print(f"horizon {horizon} exhausted without gathering; trace written to {args.out}")

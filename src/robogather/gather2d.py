@@ -18,11 +18,11 @@ that analysis. A majority spectrum needs no SEC for any of them, so its
 ``clean`` flag, which only the trace writer reads, is computed when read.
 ``pgm`` calls the lean ``_analyze`` alone and never pays for the phase or
 the measure. ``round_global`` given a summary reuses its spectrum and
-analysis, so no result changes. A fuzz run summarizes each configuration
-once and shares that summary with its executor (``round_global``), demon
-and checker; ``robogather check`` re-summarizes from the file. The
-local-frame ``model.round`` is never given a summary: it builds its own
-spectrum and runs ``pgm`` in every robot's frame.
+analysis, so no result changes. Fuzz runs and ``robogather run`` execute
+on ``round_global`` and summarize each configuration once
+(``verify.execute_global``). The local-frame ``model.round`` is never
+given a summary: it builds its own spectrum and runs ``pgm`` in every
+robot's frame.
 """
 from __future__ import annotations
 

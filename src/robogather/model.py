@@ -149,9 +149,6 @@ class Trace:
     def configs(self) -> list[Configuration]:
         return [self.initial] + [st.config for st in self.steps]
 
-    def final(self) -> Configuration:
-        return self.steps[-1].config if self.steps else self.initial
-
     def actions(self) -> list[DemonicAction]:
         return [st.action for st in self.steps]
 

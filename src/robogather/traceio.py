@@ -253,8 +253,12 @@ def write_trace(
     strategy_kind: Optional[str] = None,
     seed: Optional[int] = None,
     horizon: Optional[int] = None,
+    summaries: Optional[list[gather2d.RoundSummary]] = None,
 ) -> None:
-    """Serialize a trace as JSON lines with derived per-round annotations."""
+    """Serialize a trace as JSON lines with per-round annotations read from
+    the ``summaries`` of its configurations (see ``verify.summaries_of``);
+    ``robogather run`` passes the ones its execution made."""
+    summary_of = verify.summaries_of(trace, backend, summaries)
     with open(path, "w", encoding="utf-8") as fh:
         header = {
             "type": "header",
@@ -271,16 +275,9 @@ def write_trace(
         fh.write(json.dumps(header) + "\n")
 
         prev = trace.initial
-        gathered_round: Optional[int] = None
-        if gather2d.gathering_point(prev, backend) is not None:
-            gathered_round = 0
-        for step in trace.steps:
-            summary = gather2d.summarize(step.config, backend)
-            moving = [
-                i
-                for i in range(len(prev))
-                if not backend.points_eq(prev[i], step.config[i])
-            ]
+        gathered_round = 0 if next(summary_of).gathered_pt is not None else None
+        for step, summary in zip(trace.steps, summary_of):
+            moving = [i for i, (p, q) in enumerate(zip(prev, step.config)) if not backend.points_eq(p, q)]
             record = {
                 "type": "round",
                 "index": step.index,

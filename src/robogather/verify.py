@@ -14,11 +14,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import gather2d, geometry, model
 from .gather2d import EXPECTED_ARCS, Phase, RoundSummary
-from .model import Configuration, DemonicAction, FrameParams, Trace, TraceStep
+from .model import Configuration, DemonicAction, FrameParams, Trace
 from .scalars import FLOAT64, Backend, Point
 
 # The strategies a fuzz campaign draws from unless told otherwise.
@@ -389,6 +389,19 @@ def _configs_eq(a: Configuration, b: Configuration, backend: Backend) -> bool:
     return len(a) == len(b) and all(backend.points_eq(p, q) for p, q in zip(a, b))
 
 
+def summaries_of(
+    trace: Trace, backend: Backend, summaries: Sequence[RoundSummary] | None = None
+) -> Iterator[RoundSummary]:
+    """``gather2d.summarize`` of each configuration of ``trace``, initial
+    first: ``summaries`` if given (ValueError if the count is wrong), else
+    made here, once each, as they are read."""
+    if summaries is None:
+        return (gather2d.summarize(conf, backend) for conf in trace.configs())
+    if len(summaries) != len(trace.steps) + 1:
+        raise ValueError(f"{len(summaries)} summaries for {len(trace.steps) + 1} configurations")
+    return iter(summaries)
+
+
 def check_trace(
     trace: Trace,
     backend: Backend,
@@ -402,21 +415,13 @@ def check_trace(
     trace cannot pass. ``chaining`` compares the recorded configuration with
     the local-frame ``model.round`` and ``round_simplify`` with the
     frame-free ``gather2d.round_global``, given the previous configuration's
-    summary. A fuzz run executes on ``round_global``, so on a fuzz trace
-    ``chaining`` is the runtime check that the local round equals the
-    global one, and ``round_simplify`` only confirms that the
-    summary-reusing global round matches the executed one. On a ``robogather
-    run`` trace, executed on ``model.round``, ``round_simplify`` is that
-    check. ``summaries`` (``gather2d.summarize`` of each configuration,
-    initial first; ValueError if the count is wrong) are the ones a fuzz run
-    shared with its demon and executed rounds; without them, as in
-    ``robogather check``, each configuration is summarized here, once.
+    summary. Fuzz runs and ``robogather run`` execute on ``round_global``,
+    so on their traces ``chaining`` is the runtime check that the local
+    round equals the global one, and ``round_simplify`` only confirms the
+    executed round. A fuzz run passes the ``summaries`` (see
+    ``summaries_of``) of its execution; ``robogather check`` passes none.
     """
-    if summaries is None:
-        summaries = (gather2d.summarize(conf, backend) for conf in trace.configs())
-    elif len(summaries) != len(trace.steps) + 1:
-        raise ValueError(f"{len(summaries)} summaries for {len(trace.steps) + 1} configurations")
-    summary_of = iter(summaries)
+    summary_of = summaries_of(trace, backend, summaries)
     rep = CheckReport()
     r = gather2d.robogram(backend)
     prev = trace.initial
@@ -565,6 +570,32 @@ class Counterexample:
     trace: Trace
 
 
+def execute_global(
+    strat: Strategy, conf: Configuration, backend: Backend, horizon: int, keep: int = 0
+) -> tuple[Trace, list[RoundSummary]]:
+    """Execute ``strat`` from ``conf`` on ``gather2d.round_global``. Returns
+    the trace and the summary of each configuration, initial first, made
+    once and shared by the demon, the executed round and the stop rule: stop
+    when the last ``keep + 1`` configurations are gathered (``robogather
+    run`` keeps 0 rounds after gathering, a fuzz run ``k``), or after
+    ``horizon + keep`` rounds."""
+    summaries = [gather2d.summarize(conf, backend)]
+
+    def step(da: DemonicAction, cur: Configuration) -> Configuration:
+        nxt = gather2d.round_global(da.activated(), cur, backend, summaries[-1])
+        summaries.append(gather2d.summarize(nxt, backend))
+        return nxt
+
+    def kept_gathered(_cur: Configuration) -> bool:
+        kept = summaries[-1 - keep :]
+        return len(kept) > keep and all(s.gathered_pt is not None for s in kept)
+
+    trace = model.execute(
+        step, lambda i, cur: strat(i, cur, summaries[-1]), conf, horizon + keep, stop=kept_gathered
+    )
+    return trace, summaries
+
+
 def run_one(
     run_seed: int,
     backend: Backend,
@@ -572,10 +603,9 @@ def run_one(
     strategy_kinds: Sequence[str] = FUZZ_KINDS,
     horizon: int | None = None,
 ) -> tuple[RunSpec, Trace, CheckReport]:
-    """One seeded fuzz run: generate, execute (on ``round_global``), check
-    (against the local ``model.round``). Deterministic in the seed. Each
-    configuration is summarized once, and the demon, the executed round and
-    ``check_trace`` share that summary."""
+    """One seeded fuzz run: generate, execute (``execute_global``), check
+    (against the local ``model.round``). Deterministic in the seed.
+    ``check_trace`` reuses the summaries of the execution."""
     rng = random.Random(run_seed)
     n_robots = rng.randint(*ng_range)
     kind = rng.choice(list(strategy_kinds))
@@ -583,32 +613,12 @@ def run_one(
     strat = make_strategy(kind, n_robots, backend, seed=strategy_seed)
     conf = gen_initial(n_robots, rng, backend)
     h = horizon if horizon is not None else horizon_for(strat.k, n_robots)
-    extra = strat.k  # keep checking persistence after gathering
-    cur, cur_sum = conf, gather2d.summarize(conf, backend)
-    summaries = [cur_sum]
-    steps: list[TraceStep] = []
-    streak = 0  # consecutive gathered configurations, ending at cur
-    while True:
-        streak = streak + 1 if cur_sum.gathered_pt is not None else 0
-        if streak > extra or len(steps) == h + extra:
-            break
-        da = strat(len(steps), cur, cur_sum)
-        cur = gather2d.round_global(da.activated(), cur, backend, cur_sum)
-        cur_sum = gather2d.summarize(cur, backend)
-        steps.append(TraceStep(len(steps), da, cur))
-        summaries.append(cur_sum)
-    trace = Trace(conf, steps, stopped_early=streak > extra)
+    trace, summaries = execute_global(strat, conf, backend, h, keep=strat.k)
     rep = check_trace(trace, backend, strat.k, run_seed, summaries=summaries)
 
     gathered_round = next((i for i, s in enumerate(summaries) if s.gathered_pt is not None), None)
     gathered_in_time = gathered_round is not None and gathered_round <= h
-    rep.record(
-        "gathering",
-        gathered_in_time,
-        run_seed,
-        None,
-        f"not gathered within horizon {h}",
-    )
+    rep.record("gathering", gathered_in_time, run_seed, None, f"not gathered within horizon {h}")
     rep.runs = 1
     if gathered_in_time:
         rep.gathered_runs = 1

@@ -6,6 +6,7 @@ criterion. The fuzz-based criteria share one 1,000-run corpus (600 floating,
 """
 import math
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -300,19 +301,46 @@ def test_negative_control_fuzz_exercises_the_local_round(monkeypatch, name, brok
     _report(f"negative control: broken {name} fails chaining", f"{rep.violations_of('chaining')} violations")
 
 
-def test_negative_control_counterexample_replays_through_the_cli(monkeypatch, tmp_path, capsys):
-    # the counterexample scenario a broken round_global produces still fails
-    # when replayed: run executes the local round, check compares the global
-    monkeypatch.setattr(gather2d, "round_global", _round_global_stays)
+def _replay_counterexample_through_the_cli(monkeypatch, tmp_path, capsys, name, broken):
+    """With ``gather2d.<name>`` broken: find a fuzz counterexample, replay its
+    scenario with ``run``, and return the exit codes of ``run`` and of
+    ``check`` on the written trace, with ``check``'s output."""
+    monkeypatch.setattr(gather2d, name, broken)
     cex_dir = tmp_path / "cex"
     assert cli.main(["fuzz", "--runs", "20", "--seed", "0", "--out", str(cex_dir)]) == cli.EXIT_VIOLATION
     scenario = str(cex_dir / "counterexample_0_scenario.json")
     trace = str(tmp_path / "replay.jsonl")
-    assert cli.main(["run", "--scenario", scenario, "--out", trace]) in (cli.EXIT_OK, cli.EXIT_HORIZON)
+    rc_run = cli.main(["run", "--scenario", scenario, "--out", trace])
     capsys.readouterr()
-    assert cli.main(["check", "--trace", trace]) == cli.EXIT_VIOLATION
-    assert "round_simplify" in capsys.readouterr().out
+    rc_check = cli.main(["check", "--trace", trace])
+    return rc_run, rc_check, capsys.readouterr().out
+
+
+def test_negative_control_counterexample_replays_through_the_cli(monkeypatch, tmp_path, capsys):
+    # run executes the broken global round, so every robot stays and the
+    # horizon runs out; check replays the local round, which moves robots:
+    # chaining fails, while round_simplify agrees with the broken round
+    rc_run, rc_check, out = _replay_counterexample_through_the_cli(
+        monkeypatch, tmp_path, capsys, "round_global", _round_global_stays
+    )
+    assert rc_run == cli.EXIT_HORIZON
+    assert rc_check == cli.EXIT_VIOLATION
+    assert re.search(r"^chaining: \d+/\d+ FAIL$", out, re.M), out
+    assert re.search(r"^round_simplify: (\d+)/\1 ok$", out, re.M), out
     _report("negative control: counterexample replays with run then check")
+
+
+def test_negative_control_broken_pgm_replays_through_the_cli(monkeypatch, tmp_path, capsys):
+    # run executes the global round, which never calls pgm, and gathers;
+    # check replays the local round, whose robots all stay: chaining fails
+    rc_run, rc_check, out = _replay_counterexample_through_the_cli(
+        monkeypatch, tmp_path, capsys, "pgm", _pgm_returns_origin
+    )
+    assert rc_run == cli.EXIT_OK
+    assert rc_check == cli.EXIT_VIOLATION
+    assert re.search(r"^chaining: \d+/\d+ FAIL$", out, re.M), out
+    assert re.search(r"^round_simplify: (\d+)/\1 ok$", out, re.M), out
+    _report("negative control: a broken pgm fails chaining on run then check")
 
 
 # --- criterion: nG = 3 minimality ----------------------------------------------------

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import random
 import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from robogather import cli, geometry, model, render, traceio
+from robogather import cli, gather2d, geometry, model, render, traceio, verify
+from robogather.scalars import FLOAT64
 
 
 def _write_scenario(tmp_path, name="s.json", **overrides):
@@ -521,6 +523,90 @@ def test_render_analyses_each_configuration_once(tmp_path, monkeypatch):
     n = len(loaded.trace.configs())
     assert n > 2
     assert calls == {"spectrum_of": n, "sec": n}
+
+
+def test_run_summarizes_each_configuration_once_and_never_runs_the_local_round(tmp_path, monkeypatch):
+    # run executes on round_global with one summary per configuration, shared
+    # by the demon, the executed round, the stop rule and the trace writer;
+    # the local model.round is left to check
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(gather2d, "summarize")
+    count(model, "round")
+    write_trace = traceio.write_trace
+
+    def counted_write_trace(*args, **kwargs):
+        before = calls["summarize"]
+        try:
+            return write_trace(*args, **kwargs)
+        finally:
+            calls["summarize_in_write_trace"] += calls["summarize"] - before
+
+    monkeypatch.setattr(traceio, "write_trace", counted_write_trace)
+    scenarios = [
+        str(Path(__file__).resolve().parent.parent / "scenarios" / "cocircular_demo.json"),
+        _write_scenario(
+            tmp_path,
+            nG=8,
+            initial={"generator": {"bbox": 8, "pool": 5, "seed": 3}},
+            demon={"kind": "single_mover", "seed": 2},
+            horizon=None,
+        ),
+    ]
+    configs = 0
+    for i, scenario in enumerate(scenarios):
+        out = str(tmp_path / f"trace{i}.jsonl")
+        assert cli.main(["run", "--scenario", scenario, "--out", out]) == cli.EXIT_OK
+        configs += len(traceio.read_trace(out).trace.configs())
+    assert configs > 20
+    assert calls == {"summarize": configs, "summarize_in_write_trace": 0}
+
+
+@pytest.mark.parametrize("n", [5, 12, 32])
+def test_floating_run_then_check_exits_zero(tmp_path, n):
+    # run executes the global round and check replays the local one: on
+    # floats their results differ in the last bits, inside the tolerance
+    for kind in verify.FUZZ_KINDS:
+        scenario = _write_scenario(
+            tmp_path,
+            name=f"{kind}.json",
+            nG=n,
+            backend="floating",
+            initial={"generator": {"bbox": n, "pool": n, "seed": n}},
+            demon={"kind": kind, "seed": n},
+            horizon=None,
+        )
+        out = str(tmp_path / f"{kind}.jsonl")
+        assert cli.main(["run", "--scenario", scenario, "--out", out]) == cli.EXIT_OK, kind
+        assert cli.main(["check", "--trace", out]) == cli.EXIT_OK, kind
+        assert traceio.read_trace(out).trace.steps, kind
+
+
+def test_floating_fuzz_spec_replays_bit_for_bit_through_run(tmp_path, capsys):
+    # fuzz and run share one execution loop on the global round, so a frozen
+    # floating fuzz spec replays to the same bits until run stops at gathering
+    master = random.Random(7)
+    for i in range(200):
+        spec, trace, _rep = verify.run_one(master.randrange(2**62), FLOAT64)
+        scenario = str(tmp_path / "spec.json")
+        traceio.scenario_for_run(spec, FLOAT64).save(scenario)
+        out = str(tmp_path / "replay.jsonl")
+        assert cli.main(["run", "--scenario", scenario, "--out", out]) in (cli.EXIT_OK, cli.EXIT_HORIZON)
+        capsys.readouterr()
+        replay = traceio.read_trace(out).trace
+        n = len(replay.steps)
+        assert n <= len(trace.steps), i
+        assert replay.configs() == trace.configs()[: n + 1], i
+        assert replay.actions() == trace.actions()[:n], i
 
 
 def test_render_bad_trace_exit_one(tmp_path):

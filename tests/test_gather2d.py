@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import exact_points, exact_similarities, float_points
+from conftest import bounded_fractions, exact_points, exact_similarities, float_points
 from robogather import frames, gather2d, geometry, model
 from robogather.gather2d import Measure, Phase
 from robogather.model import DemonicAction, FrameParams
@@ -291,7 +291,7 @@ def configurations_and_actions(draw):
     )
     conf = tuple(draw(st.sampled_from(pool)) for _ in range(n))
     zoom_nums = st.integers(min_value=1, max_value=10)
-    t_strategy = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    t_strategy = bounded_fractions(-4, 4, 5)
 
     def frame():
         zoom = F(draw(zoom_nums), draw(zoom_nums))

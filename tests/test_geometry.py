@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     _unit_pair,
+    bounded_fractions,
     circles_eq,
     exact_point_lists,
     exact_points,
@@ -313,8 +314,8 @@ def _cocircular_sets(draw):
     """At least four distinct rational points on one circle, plus its center
     and possibly repeats, in any order."""
     cx, cy = draw(rational), draw(rational)
-    r = draw(st.fractions(min_value=F(1, 4), max_value=10, max_denominator=6))
-    params = draw(st.lists(st.fractions(-8, 8, max_denominator=4), min_size=4, max_size=8, unique=True))
+    r = draw(bounded_fractions(F(1, 4), 10, 6))
+    params = draw(st.lists(bounded_fractions(-8, 8, 4), min_size=4, max_size=8, unique=True))
     pts = [P(cx + r * ux, cy + r * uy) for ux, uy in map(_unit_pair, params)]
     pts.append(P(cx, cy))
     pts += draw(st.lists(st.sampled_from(pts), max_size=2))
@@ -328,7 +329,7 @@ def _collinear_sets(draw):
     vx, vy = draw(rational), draw(rational)
     if vx == vy == 0:
         vx = F(1)
-    params = draw(st.lists(st.fractions(-6, 6, max_denominator=5), min_size=2, max_size=8, unique=True))
+    params = draw(st.lists(bounded_fractions(-6, 6, 5), min_size=2, max_size=8, unique=True))
     pts = [P(ax + t * vx, ay + t * vy) for t in params]
     return pts + draw(st.lists(st.sampled_from(pts), max_size=2))
 
@@ -381,7 +382,7 @@ def test_sec_matches_bruteforce_collinear(pts):
     assert len(sec_boundary(pts, EXACT)) == 2
 
 
-@given(rational, rational, st.fractions(min_value=0, max_value=50, max_denominator=9), exact_points)
+@given(rational, rational, bounded_fractions(0, 50, 9), exact_points)
 def test_on_circle_matches_fraction_formula(cx, cy, r2, p):
     c = g.Circle(P(cx, cy), r2)
     assert g.on_circle(c, p, EXACT) == (g.dist_sq(c.center, p) == r2)

@@ -177,7 +177,7 @@ def test_execute_horizon_zero():
     conf = (P(0, 0), P(0, 0), P(7, 1))
     trace = model.execute(local_step(EXACT), _round_robin_demon(3), conf, 0)
     assert trace.configs() == [conf]
-    assert trace.final() == conf
+    assert trace.configs()[-1] == conf
 
 
 def test_execute_gathered_start_is_constant():
@@ -191,7 +191,7 @@ def test_execute_majority_round_robin_hand_simulation():
     r = gather2d.robogram(EXACT)
     conf = (P(0, 0), P(0, 0), P(7, 1))
     trace = model.execute(local_step(EXACT), _round_robin_demon(3), conf, 3)
-    assert trace.final() == (P(0, 0), P(0, 0), P(0, 0))
+    assert trace.configs()[-1] == (P(0, 0), P(0, 0), P(0, 0))
     # chain integrity
     for i, step in enumerate(trace.steps):
         prev = trace.configs()[i]

@@ -171,3 +171,23 @@ def test_scenario_for_run_replays_identically(tmp_path):
     for a, b in zip(replay.steps, trace.steps):
         assert a.action == b.action
         assert a.config == b.config
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "float"])
+def test_write_trace_given_summaries_writes_the_same_bytes(tmp_path, backend):
+    trace, strat = _make_trace(backend, seed=5)
+    summaries = [gather2d.summarize(conf, backend) for conf in trace.configs()]
+    given, made = tmp_path / "given.jsonl", tmp_path / "made.jsonl"
+    traceio.write_trace(str(given), trace, backend, k=strat.k, summaries=summaries)
+    traceio.write_trace(str(made), trace, backend, k=strat.k)
+    assert given.read_bytes() == made.read_bytes()
+
+
+def test_write_trace_rejects_a_wrong_summary_count(tmp_path):
+    trace, strat = _make_trace(EXACT, seed=5)
+    summaries = [gather2d.summarize(conf, EXACT) for conf in trace.configs()]
+    path = tmp_path / "t.jsonl"
+    for wrong in (summaries[:-1], summaries + summaries[-1:]):
+        with pytest.raises(ValueError):
+            traceio.write_trace(str(path), trace, EXACT, k=strat.k, summaries=wrong)
+        assert not path.exists()

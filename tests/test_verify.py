@@ -345,7 +345,7 @@ def test_fuzz_unfair_demon_flagged():
     rep = verify.check_trace(trace, EXACT, declared_k=strat.k)
     assert rep.violations_of("k_fairness") > 0
     assert first_gathered_round(trace, EXACT) is None
-    assert gather2d.gathering_point(trace.final(), EXACT) is None
+    assert gather2d.gathering_point(trace.configs()[-1], EXACT) is None
 
 
 def _verdicts(rep):
