@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import gather2d, geometry, model
 from .gather2d import EXPECTED_ARCS, Phase, RoundSummary
-from .model import Configuration, DemonicAction, FrameParams, Trace
+from .model import Configuration, DemonicAction, FrameParams, Trace, TraceStep
 from .scalars import FLOAT64, Backend, Point
 
 # The strategies a fuzz campaign draws from unless told otherwise.
@@ -579,21 +579,19 @@ def execute_global(
     when the last ``keep + 1`` configurations are gathered (``robogather
     run`` keeps 0 rounds after gathering, a fuzz run ``k``), or after
     ``horizon + keep`` rounds."""
-    summaries = [gather2d.summarize(conf, backend)]
-
-    def step(da: DemonicAction, cur: Configuration) -> Configuration:
-        nxt = gather2d.round_global(da.activated(), cur, backend, summaries[-1])
-        summaries.append(gather2d.summarize(nxt, backend))
-        return nxt
-
-    def kept_gathered(_cur: Configuration) -> bool:
-        kept = summaries[-1 - keep :]
-        return len(kept) > keep and all(s.gathered_pt is not None for s in kept)
-
-    trace = model.execute(
-        step, lambda i, cur: strat(i, cur, summaries[-1]), conf, horizon + keep, stop=kept_gathered
-    )
-    return trace, summaries
+    cur, cur_sum = conf, gather2d.summarize(conf, backend)
+    summaries = [cur_sum]
+    steps: list[TraceStep] = []
+    streak = 0  # consecutive gathered configurations, ending at cur
+    while True:
+        streak = streak + 1 if cur_sum.gathered_pt is not None else 0
+        if streak > keep or len(steps) == horizon + keep:
+            return Trace(conf, steps, stopped_early=streak > keep), summaries
+        da = strat(len(steps), cur, cur_sum)
+        cur = gather2d.round_global(da.activated(), cur, backend, cur_sum)
+        cur_sum = gather2d.summarize(cur, backend)
+        steps.append(TraceStep(len(steps), da, cur))
+        summaries.append(cur_sum)
 
 
 def run_one(
