@@ -11,18 +11,18 @@ The module also provides the global-frame restatement of a round
 (``round_global``), the twelve-phase classification, the bivalent
 ("forbidden") predicate, and the lexicographic termination measure.
 
-One analysis per configuration: ``summarize`` builds the spectrum once and
-runs ``_analyze`` (which computes the SEC) at most once, and reads the
-phase, measure, forbidden flag and gathering point from that spectrum and
-that analysis. A majority spectrum needs no SEC for any of them, so its
+One analysis per distinct configuration: ``summarize`` builds the spectrum
+once and runs ``_analyze`` (which computes the SEC) at most once, and reads
+the phase, measure, forbidden flag and gathering point from that spectrum
+and that analysis. A majority spectrum needs no SEC for any of them, so its
 ``clean`` flag, which only the trace writer reads, is computed when read.
 ``pgm`` calls the lean ``_analyze`` alone and never pays for the phase or
 the measure. ``round_global`` given a summary reuses its spectrum and
-analysis, so no result changes. Fuzz runs and ``robogather run`` execute
-on ``round_global`` and summarize each configuration once
-(``verify.execute_global``). The local-frame ``model.round`` is never
-given a summary: it builds its own spectrum and runs ``pgm`` in every
-robot's frame.
+analysis, and returns a robot that stays as its own ``Point`` object. So
+``verify.execute_global`` (fuzz, ``robogather run``) and ``check`` (on the
+shared points of ``traceio.read_trace``) reuse the summary of a round that
+moves no robot, by identity. The local-frame ``model.round`` is never given
+a summary: it builds its own spectrum and runs ``pgm`` in every robot's frame.
 """
 from __future__ import annotations
 

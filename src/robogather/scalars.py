@@ -78,6 +78,10 @@ class ExactBackend:
 # below the largest float, so no squared distance in a robot's frame overflows.
 FLOAT_INPUT_MAX = 1e75
 
+# Smallest float eps_abs + eps_rel: below it, the round-off of a frame change
+# (~1e-15 at unit scale) exceeds the tolerance and the local round fails.
+FLOAT_EPS_MIN = 1e-12
+
 
 @dataclass(frozen=True)
 class FloatBackend:
@@ -137,7 +141,8 @@ FLOAT64 = FloatBackend()
 
 def get_backend(name: str, eps_abs: float | None = None, eps_rel: float | None = None) -> Backend:
     """Look up a backend by name ("exact" or "floating"), with optional eps
-    overrides; ValueError unless each given tolerance is finite and >= 0."""
+    overrides; ValueError unless each given tolerance is finite and >= 0 and,
+    on floats, eps_abs + eps_rel is at least ``FLOAT_EPS_MIN``."""
     for label, eps in (("eps.abs", eps_abs), ("eps.rel", eps_rel)):
         if eps is not None and not (math.isfinite(eps) and eps >= 0):
             raise ValueError(f"{label} must be finite and at least 0, got {eps!r}")
@@ -146,8 +151,9 @@ def get_backend(name: str, eps_abs: float | None = None, eps_rel: float | None =
     if name == "floating":
         if eps_abs is None and eps_rel is None:
             return FLOAT64
-        return FloatBackend(
-            eps_abs=FLOAT64.eps_abs if eps_abs is None else eps_abs,
-            eps_rel=FLOAT64.eps_rel if eps_rel is None else eps_rel,
-        )
+        eps_abs = FLOAT64.eps_abs if eps_abs is None else eps_abs
+        eps_rel = FLOAT64.eps_rel if eps_rel is None else eps_rel
+        if eps_abs + eps_rel < FLOAT_EPS_MIN:
+            raise ValueError(f"eps.abs + eps.rel must be at least {FLOAT_EPS_MIN:g}, got {eps_abs + eps_rel!r}")
+        return FloatBackend(eps_abs=eps_abs, eps_rel=eps_rel)
     raise ValueError(f"unknown backend {name!r} (expected 'exact' or 'floating')")

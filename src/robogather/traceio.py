@@ -5,6 +5,10 @@ a line-delimited UTF-8 file: one self-contained JSON record per line — a
 header, one record per round, and an end marker. Exact-backend coordinates
 serialize as "numerator/denominator" strings so replay is bit-exact;
 floating coordinates serialize as JSON numbers (repr round-trips exactly).
+``read_trace`` shares points: each distinct pair of "p/q" strings is parsed
+once and every later occurrence is the same ``Point``, so an unchanged
+configuration is summarized once (``verify.summaries_of``). Pairs of numbers
+are parsed one by one: ``true``, ``1``, ``1.0`` and ``-0.0`` stay apart.
 """
 from __future__ import annotations
 
@@ -34,10 +38,17 @@ def _point_out(p: Point, backend: Backend) -> list:
     return [_coord_out(p.x, backend), _coord_out(p.y, backend)]
 
 
-def _point_in(pair, backend: Backend) -> Point:
+def _point_in(pair, backend: Backend, shared: Optional[dict] = None) -> Point:
+    """The point of an [x, y] pair, from ``shared`` if it is a pair of strings."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise TraceFormatError(f"expected an [x, y] pair, got {pair!r}")
-    return Point(backend.parse(pair[0]), backend.parse(pair[1]))
+    x, y = pair
+    if shared is None or type(x) is not str or type(y) is not str:
+        return Point(backend.parse(x), backend.parse(y))
+    p = shared.get((x, y))
+    if p is None:
+        p = shared[x, y] = Point(backend.parse(x), backend.parse(y))
+    return p
 
 
 def _frame_out(fp: Optional[FrameParams], backend: Backend):
@@ -312,7 +323,7 @@ class LoadedTrace:
 
 
 def read_trace(path: str) -> LoadedTrace:
-    """Parse a trace file back into a checkable Trace."""
+    """Parse a trace file back into a checkable Trace with shared points."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
@@ -329,10 +340,12 @@ def read_trace(path: str) -> LoadedTrace:
     header = records[0]
     if not isinstance(header, dict) or header.get("type") != "header":
         raise TraceFormatError("first record must be the header")
+    shared: dict[tuple[str, str], Point] = {}
     try:
         backend = get_backend(header["backend"], *_eps_pair(header.get("eps")))
-        initial = tuple(_point_in(pair, backend) for pair in header["initial"])
+        initial = tuple(_point_in(pair, backend, shared) for pair in header["initial"])
         k = _int(header.get("k"), "k", optional=True)
+        seed = _int(header.get("seed"), "seed", optional=True)
         if k is not None and k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
     except (KeyError, ValueError, TypeError, ZeroDivisionError, ScenarioError) as exc:
@@ -349,7 +362,7 @@ def read_trace(path: str) -> LoadedTrace:
                 action = DemonicAction(
                     tuple(_frame_in(obj, backend) for obj in rec["steps"])
                 )
-                config = tuple(_point_in(pair, backend) for pair in rec["locations"])
+                config = tuple(_point_in(pair, backend, shared) for pair in rec["locations"])
                 index = _int(rec["index"], "round index")
             except (KeyError, ValueError, TypeError, ZeroDivisionError, ScenarioError) as exc:
                 raise TraceFormatError(f"bad round record: {exc}") from exc
@@ -367,7 +380,7 @@ def read_trace(path: str) -> LoadedTrace:
         trace=Trace(initial, steps, stopped_early),
         backend=backend,
         k=k,
-        seed=header.get("seed"),
+        seed=seed,
     )
 
 

@@ -11,6 +11,7 @@ never exceptions.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -389,14 +390,33 @@ def _configs_eq(a: Configuration, b: Configuration, backend: Backend) -> bool:
     return len(a) == len(b) and all(backend.points_eq(p, q) for p, q in zip(a, b))
 
 
+def _summarize_after(
+    conf: Configuration, prev: Configuration, prev_sum: RoundSummary | None, backend: Backend
+) -> RoundSummary:
+    """``gather2d.summarize(conf)``, or ``prev_sum`` when ``conf`` holds the very
+    ``Point`` objects of ``prev``: the same configuration bit for bit."""
+    if prev_sum is not None and len(conf) == len(prev) and all(map(operator.is_, conf, prev)):
+        return prev_sum
+    return gather2d.summarize(conf, backend)
+
+
+def _summaries_by_identity(trace: Trace, backend: Backend) -> Iterator[RoundSummary]:
+    prev, prev_sum = (), None
+    for conf in trace.configs():
+        prev, prev_sum = conf, _summarize_after(conf, prev, prev_sum, backend)
+        yield prev_sum
+
+
 def summaries_of(
     trace: Trace, backend: Backend, summaries: Sequence[RoundSummary] | None = None
 ) -> Iterator[RoundSummary]:
     """``gather2d.summarize`` of each configuration of ``trace``, initial
     first: ``summaries`` if given (ValueError if the count is wrong), else
-    made here, once each, as they are read."""
+    made here as read, once per distinct configuration: one made of the same
+    ``Point`` objects as the one before it (``traceio.read_trace`` shares
+    exact points) reuses that one's summary."""
     if summaries is None:
-        return (gather2d.summarize(conf, backend) for conf in trace.configs())
+        return _summaries_by_identity(trace, backend)
     if len(summaries) != len(trace.steps) + 1:
         raise ValueError(f"{len(summaries)} summaries for {len(trace.steps) + 1} configurations")
     return iter(summaries)
@@ -575,7 +595,8 @@ def execute_global(
 ) -> tuple[Trace, list[RoundSummary]]:
     """Execute ``strat`` from ``conf`` on ``gather2d.round_global``. Returns
     the trace and the summary of each configuration, initial first, made
-    once and shared by the demon, the executed round and the stop rule: stop
+    once per distinct configuration (found by identity, see ``summaries_of``)
+    and shared by the demon, the executed round and the stop rule. Stop
     when the last ``keep + 1`` configurations are gathered (``robogather
     run`` keeps 0 rounds after gathering, a fuzz run ``k``), or after
     ``horizon + keep`` rounds."""
@@ -588,8 +609,8 @@ def execute_global(
         if streak > keep or len(steps) == horizon + keep:
             return Trace(conf, steps, stopped_early=streak > keep), summaries
         da = strat(len(steps), cur, cur_sum)
-        cur = gather2d.round_global(da.activated(), cur, backend, cur_sum)
-        cur_sum = gather2d.summarize(cur, backend)
+        prev, cur = cur, gather2d.round_global(da.activated(), cur, backend, cur_sum)
+        cur_sum = _summarize_after(cur, prev, cur_sum, backend)
         steps.append(TraceStep(len(steps), da, cur))
         summaries.append(cur_sum)
 

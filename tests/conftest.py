@@ -109,6 +109,13 @@ def first_gathered_round(trace, backend):
     return None
 
 
+def distinct_configs(trace) -> int:
+    """The initial configuration plus each one whose robots are not all the
+    same objects as its predecessor's: what is summarized once each."""
+    confs = trace.configs()
+    return 1 + sum(not all(p is q for p, q in zip(a, b)) for a, b in zip(confs, confs[1:]))
+
+
 def circles_eq(a, b, backend) -> bool:
     return backend.points_eq(a.center, b.center) and backend.eq(a.radius_sq, b.radius_sq)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import distinct_configs
 from robogather import cli, gather2d, geometry, model, render, traceio, verify
 from robogather.scalars import FLOAT64
 
@@ -214,6 +215,9 @@ _BIVALENT = {
         ("fuzz", ["--runs", "-3"]),
         ("fuzz", ["--runs", "0"]),
         ("fuzz", ["--backend", "floating", "--eps", "nan"]),
+        ("fuzz", ["--backend", "floating", "--eps", "0"]),
+        ("fuzz", ["--backend", "floating", "--eps", "1e-15"]),
+        ("scenario", {"backend": "floating", "eps": {"abs": 0, "rel": 0}}),
         ("run", ["--eps", "-1"]),
         ("run", ["--backend", "floating", "--eps", "-1"]),
         ("run", ["--backend", "floating", "--eps", "inf"]),
@@ -228,6 +232,11 @@ _BIVALENT = {
         ("trace", _set_header("k", -1)),
         ("trace", _set_header("k", 2.5)),
         ("trace", _set_header("k", True)),
+        ("trace", _set_header("seed", True)),
+        ("trace", _set_header("seed", "abc")),
+        ("trace", _set_header("seed", 2.5)),
+        ("trace", _set_header("seed", [1])),
+        ("trace", _on_floats(_set_header("eps", {"abs": 1e-15, "rel": 0}))),
         ("trace", _set_round_index),
         ("trace", _set_frame("reflect", "no")),
         ("trace", _set_end_stopped_early),
@@ -268,6 +277,9 @@ _BIVALENT = {
         "fuzz-runs-negative",
         "fuzz-runs-zero",
         "fuzz-eps-nan",
+        "fuzz-floating-eps-zero",
+        "fuzz-floating-eps-1e-15",
+        "floating-eps-below-floor",
         "run-eps-negative",
         "run-floating-eps-negative",
         "run-floating-eps-inf",
@@ -282,6 +294,11 @@ _BIVALENT = {
         "header-k-negative",
         "header-k-not-int",
         "header-k-bool",
+        "header-seed-bool",
+        "header-seed-string",
+        "header-seed-float",
+        "header-seed-list",
+        "header-eps-below-floor",
         "round-index-not-int",
         "frame-reflect-string",
         "end-stopped-early-string",
@@ -324,6 +341,59 @@ def test_unknown_demon_kind_error_lists_the_kinds(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'bogus'" in err
     assert "'round_robin'" in err and "'unfair_skip0'" in err
+
+
+def test_check_reusing_summaries_prints_the_reference_report(tmp_path, capsys, monkeypatch):
+    # check summarizes a round that moves no robot once, by the identity of
+    # the points read_trace shares; with that reuse switched off, every
+    # configuration is summarized and the report is the same
+    scenario = _write_scenario(
+        tmp_path,
+        nG=8,
+        initial={"generator": {"bbox": 8, "pool": 5, "seed": 3}},
+        demon={"kind": "single_mover", "seed": 2},
+        horizon=None,
+    )
+    out = str(tmp_path / "trace.jsonl")
+    assert cli.main(["run", "--scenario", scenario, "--out", out]) == cli.EXIT_OK
+    configs = traceio.read_trace(out).trace.configs()
+    idle = sum(a == b for a, b in zip(configs, configs[1:]))
+    assert idle >= 5
+    calls = Counter()
+    summarize = gather2d.summarize
+
+    def counted_summarize(*args, **kwargs):
+        calls["summarize"] += 1
+        return summarize(*args, **kwargs)
+
+    def no_reuse(conf, prev, prev_sum, backend):
+        return gather2d.summarize(conf, backend)
+
+    monkeypatch.setattr(gather2d, "summarize", counted_summarize)
+    capsys.readouterr()
+    assert cli.main(["check", "--trace", out]) == cli.EXIT_OK
+    with_reuse = capsys.readouterr().out
+    assert calls["summarize"] == len(configs) - idle
+    monkeypatch.setattr(verify, "_summarize_after", no_reuse)
+    calls.clear()
+    assert cli.main(["check", "--trace", out]) == cli.EXIT_OK
+    assert capsys.readouterr().out == with_reuse
+    assert calls["summarize"] == len(configs)
+
+
+def test_floating_trace_with_a_bool_coordinate_after_its_number_exits_one(tmp_path, capsys):
+    # shared points are keyed on pairs of strings only: [true, 0.0] is never
+    # taken for the [1.0, 0.0] read before it
+    scenario = _write_scenario(tmp_path, **_floating_points(1.0))
+    out = str(tmp_path / "trace.jsonl")
+    assert cli.main(["run", "--scenario", scenario, "--out", out]) == cli.EXIT_OK
+    records = [json.loads(line) for line in open(out) if line.strip()]
+    assert records[0]["initial"][0] == [1.0, 0.0]
+    records[1]["locations"][0] = [True, 0.0]
+    (tmp_path / "bad.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert cli.main(["check", "--trace", str(tmp_path / "bad.jsonl")]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_check_header_eps_nan_names_the_tolerance(tmp_path, capsys):
@@ -526,10 +596,13 @@ def test_render_analyses_each_configuration_once(tmp_path, monkeypatch):
 
 
 def test_run_summarizes_each_configuration_once_and_never_runs_the_local_round(tmp_path, monkeypatch):
-    # run executes on round_global with one summary per configuration, shared
-    # by the demon, the executed round, the stop rule and the trace writer;
-    # the local model.round is left to check
+    # run executes on round_global with one summary per distinct
+    # configuration (a round that moves no robot keeps the same Point objects
+    # and reuses the summary before it), shared by the demon, the executed
+    # round, the stop rule and the trace writer; the local model.round is
+    # left to check
     calls = Counter()
+    traces = []
 
     def count(module, name):
         fn = getattr(module, name)
@@ -552,6 +625,14 @@ def test_run_summarizes_each_configuration_once_and_never_runs_the_local_round(t
             calls["summarize_in_write_trace"] += calls["summarize"] - before
 
     monkeypatch.setattr(traceio, "write_trace", counted_write_trace)
+    execute_global = verify.execute_global
+
+    def kept_execute_global(*args, **kwargs):
+        trace, summaries = execute_global(*args, **kwargs)
+        traces.append(trace)
+        return trace, summaries
+
+    monkeypatch.setattr(verify, "execute_global", kept_execute_global)
     scenarios = [
         str(Path(__file__).resolve().parent.parent / "scenarios" / "cocircular_demo.json"),
         _write_scenario(
@@ -562,13 +643,14 @@ def test_run_summarizes_each_configuration_once_and_never_runs_the_local_round(t
             horizon=None,
         ),
     ]
-    configs = 0
     for i, scenario in enumerate(scenarios):
         out = str(tmp_path / f"trace{i}.jsonl")
         assert cli.main(["run", "--scenario", scenario, "--out", out]) == cli.EXIT_OK
-        configs += len(traceio.read_trace(out).trace.configs())
-    assert configs > 20
-    assert calls == {"summarize": configs, "summarize_in_write_trace": 0}
+    configs = sum(len(trace.configs()) for trace in traces)
+    distinct = sum(distinct_configs(trace) for trace in traces)
+    assert len(traces) == 2 and configs > 20
+    assert calls == {"summarize": distinct, "summarize_in_write_trace": 0}
+    assert distinct < configs
 
 
 @pytest.mark.parametrize("n", [5, 12, 32])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from robogather.scalars import EXACT, FLOAT64, FloatBackend, Point, get_backend
+from robogather.scalars import EXACT, FLOAT64, FLOAT_EPS_MIN, FloatBackend, Point, get_backend
 
 
 def test_exact_equality_is_decidable():
@@ -71,4 +71,14 @@ def test_get_backend_rejects_a_tolerance_not_finite_and_non_negative(name, eps):
 
 
 def test_get_backend_accepts_a_zero_tolerance():
-    assert get_backend("floating", 0.0, 0).eps_abs == 0.0
+    # one zero component is fine; the sum must clear the frame noise
+    assert get_backend("floating", 0.0).eps_abs == 0.0
+    assert get_backend("floating", 0.0, FLOAT_EPS_MIN).eps_rel == FLOAT_EPS_MIN
+    assert get_backend("floating", eps_rel=0).eps_rel == 0
+
+
+@pytest.mark.parametrize("eps_abs, eps_rel", [(0.0, 0), (1e-15, 0.0), (1e-15, 1e-15), (0, 0.9e-12)])
+def test_get_backend_rejects_a_floating_tolerance_below_the_floor(eps_abs, eps_rel):
+    with pytest.raises(ValueError, match="at least 1e-12"):
+        get_backend("floating", eps_abs, eps_rel)
+    assert get_backend("exact", eps_abs, eps_rel) is EXACT

@@ -191,3 +191,18 @@ def test_write_trace_rejects_a_wrong_summary_count(tmp_path):
         with pytest.raises(ValueError):
             traceio.write_trace(str(path), trace, EXACT, k=strat.k, summaries=wrong)
         assert not path.exists()
+
+
+def test_read_trace_shares_the_point_of_a_repeated_exact_pair(tmp_path):
+    # hash-consing: each distinct pair of "p/q" strings is parsed once; an
+    # equal value written differently is a separate, equal object
+    path = tmp_path / "t.jsonl"
+    header = {"type": "header", "backend": "exact", "nG": 3, "k": None, "seed": None, "horizon": None}
+    header["initial"] = [["1/2", "0"], ["1/2", "0"], ["2/4", "0"]]
+    step = {"type": "round", "index": 0, "steps": [None, None, None]}
+    step["locations"] = [["1/2", "0"], ["2/4", "0"], ["2/4", "0"]]
+    path.write_text("".join(json.dumps(r) + "\n" for r in (header, step, {"type": "end"})))
+    trace = traceio.read_trace(str(path)).trace
+    (a, b, c), (d, e, f) = trace.initial, trace.steps[0].config
+    assert a is b is d and c is e is f
+    assert a == c == P(F(1, 2), 0) and a is not c

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import first_gathered_round, gathered_stable_stop, local_step
+from conftest import distinct_configs, first_gathered_round, gathered_stable_stop, local_step
 from robogather import gather2d, model, verify
 from robogather.gather2d import Phase
 from robogather.model import DemonicAction, FrameParams, Trace, TraceStep
@@ -431,11 +431,12 @@ def test_teleport_is_flagged_when_summaries_are_given(backend):
 
 
 def test_fuzz_summarizes_each_configuration_once(monkeypatch):
-    # one summary per configuration, shared by the demon, the executed round
-    # and the checker; the local model.round, run once per round by the
-    # checker, builds its own spectrum
+    # one summary per distinct configuration, shared by the demon, the
+    # executed round and the checker; a round that moves no robot keeps the
+    # same Point objects and reuses the summary before it. The local
+    # model.round, run once per round by the checker, builds its own spectrum
     calls = Counter()
-    configs = rounds = 0
+    configs = distinct = rounds = 0
 
     def count(module, name):
         fn = getattr(module, name)
@@ -458,8 +459,9 @@ def test_fuzz_summarizes_each_configuration_once(monkeypatch):
             calls["bivalence_draws"] += calls["spectrum_of"] - before
 
     def counted_check_trace(trace, *args, **kwargs):
-        nonlocal configs, rounds
+        nonlocal configs, distinct, rounds
         configs += len(trace.steps) + 1
+        distinct += distinct_configs(trace)
         rounds += len(trace.steps)
         return check_trace(trace, *args, **kwargs)
 
@@ -467,7 +469,7 @@ def test_fuzz_summarizes_each_configuration_once(monkeypatch):
     monkeypatch.setattr(verify, "check_trace", counted_check_trace)
     rep, _ = verify.fuzz(100, EXACT, seed=0)
     assert rep.ok and rep.runs == 100 and rounds > 1000
-    assert calls["summarize"] == configs
+    assert calls["summarize"] == distinct < configs
     assert calls["round"] == rounds
     assert calls["spectrum_of"] <= rounds + configs + calls["bivalence_draws"]
 
