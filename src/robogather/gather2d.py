@@ -15,19 +15,21 @@ One analysis per distinct configuration: ``summarize`` builds the spectrum
 once and runs ``_analyze`` (which computes the SEC) at most once, and reads
 the phase, measure, forbidden flag and gathering point from that spectrum
 and that analysis. A majority spectrum needs no SEC for any of them, so its
-``clean`` flag, which only the trace writer reads, is computed when read.
-``pgm`` calls the lean ``_analyze`` alone and never pays for the phase or
-the measure. ``round_global`` given a summary reuses its spectrum and
-analysis, and returns a robot that stays as its own ``Point`` object. So
-``verify.execute_global`` (fuzz, ``robogather run``) and ``check`` (on the
-shared points of ``traceio.read_trace``) reuse the summary of a round that
-moves no robot, by identity. The local-frame ``model.round`` is never given
-a summary: it builds its own spectrum and runs ``pgm`` in every robot's frame.
+``clean`` flag, which only the trace writer reads, is computed on its first
+read and kept. ``pgm`` calls the lean ``_analyze`` alone and never pays for
+the phase or the measure. ``round_global`` reads everything from a summary
+(made with ``summarize`` when not given), and returns a robot that stays as
+its own ``Point`` object. So ``verify.execute_global`` (fuzz, ``robogather
+run``) and ``check`` (on the shared points of ``traceio.read_trace``) reuse
+the summary of a round that moves no robot, by identity. The local-frame
+``model.round`` is never given a summary: it builds its own spectrum and
+runs ``pgm`` in every robot's frame.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from . import geometry, model
@@ -183,19 +185,15 @@ def round_global(
     the SEC or at the target, otherwise go to the target. Must agree with
     model.round on the gathering robogram for every valid action.
 
-    ``summary``, when given, is ``summarize(conf, backend)``; its spectrum
-    and analysis are used instead of being built again.
+    Everything is read from ``summary``, which is ``summarize(conf,
+    backend)`` and is made here when not given: the analysis, or, when there
+    is none (gathered and majority), the highest tower of its spectrum.
     """
     act = set(activated)
-    s = model.spectrum_of(conf, backend) if summary is None else summary.spectrum
-    if not s:
-        return conf
-    towers = model.max_support(s)
-    majority = towers[0] if len(towers) == 1 else None
-    if summary is not None:
-        ana = summary.analysis  # None exactly when there is a majority tower
-    else:
-        ana = None if majority is not None else _analyze(s, backend)
+    if summary is None:
+        summary = summarize(conf, backend)
+    ana = summary.analysis
+    majority = model.max_support(summary.spectrum)[0] if ana is None else None
     out: list[Point] = []
     for i, loc in enumerate(conf):
         if i not in act:
@@ -343,10 +341,11 @@ class RoundSummary:
     analysis: Optional[_Analysis] = field(compare=False, repr=False)
     backend: Backend = field(compare=False, repr=False)
 
-    @property
+    @cached_property
     def clean(self) -> bool:
         """Every tower on the SEC or at the target. No check reads it for a
-        majority spectrum, so that SEC is computed only here, when read."""
+        majority spectrum, so that SEC is computed only here, on the first
+        read (a frozen dataclass still has the ``__dict__`` that caches it)."""
         if self.analysis is not None:
             return self.analysis.clean
         return self.phase is Phase.GATHERED or _analyze(self.spectrum, self.backend).clean

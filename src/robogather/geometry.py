@@ -13,13 +13,14 @@ their exact values to integer pairs. A circle is then an integer tuple
 scaled units, and every enclosure test is one integer comparison. Only the
 result is converted back, to ``Fraction``s or to correctly rounded floats.
 
-The brute-force oracle ``sec_bruteforce`` shares no code path with that
-Welzl: on floats it tests float candidates with the tolerant ``encloses``;
-on the exact backend it clears denominators with its own code and builds
-its circumcircles by Cramer's rule on absolute coordinates (Welzl's are
-relative to a boundary point). The tests pin it against an exhaustive
-search over ``circumcircle``, which on the exact backend is plain
-``Fraction`` arithmetic, sharing nothing with either integer kernel.
+The brute-force oracle ``sec_bruteforce`` is one integer search on both
+backends that shares no code path with that Welzl: it clears denominators
+with its own code, tries every point, diameter and Cramer-rule circumcircle
+on absolute coordinates (Welzl's are relative to a boundary point), and
+rounds the winner once with its own lines, so on floats it must equal
+``sec`` bit for bit. The tests pin it against an exhaustive search over
+``circumcircle``, which on the exact backend is plain ``Fraction``
+arithmetic, sharing nothing with either integer kernel.
 """
 from __future__ import annotations
 
@@ -151,11 +152,6 @@ def circumcircle(p1: Point, p2: Point, p3: Point, backend: Backend) -> Circle:
     return Circle(center, dist_sq(center, p1))
 
 
-def encloses(c: Circle, p: Point, backend: Backend) -> bool:
-    """Is ``p`` inside or on ``c`` (boundary decided by backend tolerance)?"""
-    return backend.le(dist_sq(c.center, p), c.radius_sq)
-
-
 def on_circle(c: Circle, p: Point, backend: Backend) -> bool:
     """Is ``p`` on the boundary of ``c``?"""
     if backend.is_exact:
@@ -167,11 +163,6 @@ def on_circle(c: Circle, p: Point, backend: Backend) -> bool:
         dyd2 = (p.y.denominator * cy.denominator) ** 2
         return (dxn * dxn * dyd2 + dyn * dyn * dxd2) * r2.denominator == r2.numerator * dxd2 * dyd2
     return backend.eq(dist_sq(c.center, p), c.radius_sq)
-
-
-def _diameter_circle(p: Point, q: Point) -> Circle:
-    center = Point((p.x + q.x) / 2, (p.y + q.y) / 2)
-    return Circle(center, dist_sq(p, q) / 4)
 
 
 # Fixed shuffle seed: sec() must be a deterministic function of the point
@@ -267,50 +258,30 @@ def sec_bruteforce(points: Sequence[Point], backend: Backend) -> Circle:
     each pair as a diameter, and each non-collinear triple; return the
     smallest one enclosing all input points.
 
-    Exhaustive, so capped at ``_BRUTEFORCE_CAP`` distinct points. On floats
-    the candidates are float circles tested with the tolerance; on the exact
-    backend the search runs on integers (``_bruteforce_scaled``).
+    Exhaustive, so capped at ``_BRUTEFORCE_CAP`` distinct points. One
+    integer search on both backends: the points are scaled once by the lcm L
+    of the denominators of their exact values (``as_integer_ratio``) to
+    integer pairs. A candidate is (ux, uy, d, rn): center (ux/d, uy/d),
+    squared radius rn/d². The smallest enclosing candidate is kept, radii
+    compared by cross-multiplication (rn/d² < rn'/d'² iff rn·d'² < rn'·d²);
+    the SEC is unique, so the first of equal radius is the same circle. On
+    floats the winner is rounded once, by int true division.
     """
     pts = sorted(set(points))
     if len(pts) > _BRUTEFORCE_CAP:
         raise InputTooLarge(f"{len(pts)} distinct points exceed the cap of {_BRUTEFORCE_CAP}")
     if not pts:
         return Circle(backend.origin(), backend.scalar(0))
-    if backend.is_exact:
-        return _bruteforce_scaled(pts)
-    candidates: list[Circle] = [Circle(p, backend.scalar(0)) for p in pts]
-    for a, b in combinations(pts, 2):
-        candidates.append(_diameter_circle(a, b))
-    for a, b, c in combinations(pts, 3):
-        try:
-            candidates.append(circumcircle(a, b, c, backend))
-        except CollinearInput:
-            continue
-    candidates.sort(key=lambda circ: circ.radius_sq)
-    for circ in candidates:
-        if all(encloses(circ, p, backend) for p in pts):
-            return circ
-    raise GeometryError("no enclosing candidate found (unreachable)")
-
-
-def _bruteforce_scaled(points: Sequence[Point]) -> Circle:
-    """``sec_bruteforce`` on distinct exact points, scaled once by the lcm L
-    of their denominators to integer pairs. A candidate is (ux, uy, d, rn):
-    center (ux/d, uy/d), squared radius rn/d². The smallest enclosing
-    candidate is kept, radii compared by cross-multiplication
-    (rn/d² < rn'/d'² iff rn·d'² < rn'·d²); the SEC is unique, so the first
-    of equal radius is the same circle.
-    """
-    scale = lcm(*[v.denominator for p in points for v in p])
-    pts = [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-           for x, y in points]
+    ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in pts]
+    scale = lcm(*[d for r in ratios for _, d in r])
+    ints = [(xn * (scale // xd), yn * (scale // yd)) for (xn, xd), (yn, yd) in ratios]
 
     def candidates():
-        for x, y in pts:
+        for x, y in ints:
             yield x, y, 1, 0
-        for (ax, ay), (bx, by) in combinations(pts, 2):
+        for (ax, ay), (bx, by) in combinations(ints, 2):
             yield ax + bx, ay + by, 2, (ax - bx) ** 2 + (ay - by) ** 2
-        for (ax, ay), (bx, by), (cx, cy) in combinations(pts, 3):
+        for (ax, ay), (bx, by), (cx, cy) in combinations(ints, 3):
             d = 2 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
             if d == 0:
                 continue
@@ -323,10 +294,14 @@ def _bruteforce_scaled(points: Sequence[Point]) -> Circle:
     for ux, uy, d, rn in candidates():
         if best is not None and rn * best[2] ** 2 >= best[3] * d * d:
             continue
-        if all((x * d - ux) ** 2 + (y * d - uy) ** 2 <= rn for x, y in pts):
+        if all((x * d - ux) ** 2 + (y * d - uy) ** 2 <= rn for x, y in ints):
             best = ux, uy, d, rn
     if best is None:
         raise GeometryError("no enclosing candidate found (unreachable)")
     ux, uy, d, rn = best
+    if d < 0:  # a Cramer denominator may be negative; 0 / -n would read -0.0
+        ux, uy, d = -ux, -uy, -d
     den = d * scale
-    return Circle(Point(Fraction(ux, den), Fraction(uy, den)), Fraction(rn, den * den))
+    if backend.is_exact:
+        return Circle(Point(Fraction(ux, den), Fraction(uy, den)), Fraction(rn, den * den))
+    return Circle(Point(ux / den, uy / den), rn / (den * den))

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 
-from . import gather2d, geometry, model
+from . import gather2d, geometry, model, verify
 from .geometry import Circle
 from .model import Trace
 from .scalars import Backend
@@ -94,9 +94,9 @@ def _panel(
 def render_trace(trace: Trace, backend: Backend, path: str, max_panels: int) -> None:
     """Write one multi-panel SVG: the initial configuration plus the result
     of every round, truncated to the first ``max_panels`` panels. The scale
-    fits every configuration of the trace, each summarized once."""
-    summaries = [gather2d.summarize(conf, backend) for conf in trace.configs()]
-    views = [(summary, _circle(summary, backend)) for summary in summaries]
+    fits every configuration of the trace, each distinct one summarized once
+    (``verify.summaries_of``)."""
+    views = [(summary, _circle(summary, backend)) for summary in verify.summaries_of(trace, backend)]
     labels = ["initial"] + [f"round {st.index}" for st in trace.steps]
     cx, cy, half = _bounds(views)
     views = views[:max_panels]

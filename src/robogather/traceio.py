@@ -5,10 +5,13 @@ a line-delimited UTF-8 file: one self-contained JSON record per line — a
 header, one record per round, and an end marker. Exact-backend coordinates
 serialize as "numerator/denominator" strings so replay is bit-exact;
 floating coordinates serialize as JSON numbers (repr round-trips exactly).
-``read_trace`` shares points: each distinct pair of "p/q" strings is parsed
-once and every later occurrence is the same ``Point``, so an unchanged
-configuration is summarized once (``verify.summaries_of``). Pairs of numbers
-are parsed one by one: ``true``, ``1``, ``1.0`` and ``-0.0`` stay apart.
+A document is parsed with one memo: each distinct [x, y] pair is parsed once
+and every later occurrence is the same ``Point``, so an unchanged
+configuration is summarized once (``verify.summaries_of``), and each
+distinct frame is parsed and checked once. A frame's memo key, and a
+point's unless both coordinates are strings, is the repr of its JSON
+values, which keeps ``true``, ``1``, ``1.0`` and ``-0.0`` apart (they are
+equal as dict keys).
 """
 from __future__ import annotations
 
@@ -38,16 +41,15 @@ def _point_out(p: Point, backend: Backend) -> list:
     return [_coord_out(p.x, backend), _coord_out(p.y, backend)]
 
 
-def _point_in(pair, backend: Backend, shared: Optional[dict] = None) -> Point:
-    """The point of an [x, y] pair, from ``shared`` if it is a pair of strings."""
+def _point_in(pair, backend: Backend, shared: dict) -> Point:
+    """The point of an [x, y] pair, from the document's memo ``shared``."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise TraceFormatError(f"expected an [x, y] pair, got {pair!r}")
     x, y = pair
-    if shared is None or type(x) is not str or type(y) is not str:
-        return Point(backend.parse(x), backend.parse(y))
-    p = shared.get((x, y))
+    key = (x, y) if type(x) is str and type(y) is str else repr(pair)
+    p = shared.get(key)
     if p is None:
-        p = shared[x, y] = Point(backend.parse(x), backend.parse(y))
+        p = shared[key] = Point(backend.parse(x), backend.parse(y))
     return p
 
 
@@ -62,19 +64,22 @@ def _frame_out(fp: Optional[FrameParams], backend: Backend):
     }
 
 
-def _frame_in(obj, backend: Backend) -> Optional[FrameParams]:
+def _frame_in(obj, backend: Backend, shared: dict) -> Optional[FrameParams]:
+    """The frame of a step, from the document's memo ``shared``: one checked
+    ``FrameParams`` per distinct zoom, c, s and reflect."""
     if obj is None:
         return None
-    fp = FrameParams(
-        zoom=backend.parse(obj["zoom"]),
-        c=backend.parse(obj["c"]),
-        s=backend.parse(obj["s"]),
-        reflect=_bool(obj["reflect"], "frame reflect"),
-    )
-    try:
-        frames.check_params(fp.zoom, fp.c, fp.s, backend)
-    except frames.InvalidFrame as exc:
-        raise TraceFormatError(f"invalid frame: {exc}") from exc
+    zoom, c, s = obj["zoom"], obj["c"], obj["s"]
+    reflect = _bool(obj["reflect"], "frame reflect")
+    key = repr((zoom, c, s, reflect))
+    fp = shared.get(key)
+    if fp is None:
+        fp = FrameParams(backend.parse(zoom), backend.parse(c), backend.parse(s), reflect)
+        try:
+            frames.check_params(fp.zoom, fp.c, fp.s, backend)
+        except frames.InvalidFrame as exc:
+            raise TraceFormatError(f"invalid frame: {exc}") from exc
+        shared[key] = fp
     return fp
 
 
@@ -209,7 +214,8 @@ class Scenario:
                     f"{len(self.initial)} initial points for nG={self.n_robots}"
                 )
             try:
-                conf = tuple(_point_in(pair, backend) for pair in self.initial)
+                shared: dict = {}  # this document's memo, as in read_trace
+                conf = tuple(_point_in(pair, backend, shared) for pair in self.initial)
             except (TraceFormatError, ValueError, TypeError, ZeroDivisionError) as exc:
                 raise ScenarioError(f"bad initial coordinates: {exc}") from exc
             if gather2d.forbidden(conf, backend) and not self.allow_forbidden:
@@ -323,7 +329,8 @@ class LoadedTrace:
 
 
 def read_trace(path: str) -> LoadedTrace:
-    """Parse a trace file back into a checkable Trace with shared points."""
+    """Parse a trace file back into a checkable Trace with shared points and
+    frames; the k-th round record must have index k."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
@@ -340,7 +347,7 @@ def read_trace(path: str) -> LoadedTrace:
     header = records[0]
     if not isinstance(header, dict) or header.get("type") != "header":
         raise TraceFormatError("first record must be the header")
-    shared: dict[tuple[str, str], Point] = {}
+    shared: dict = {}
     try:
         backend = get_backend(header["backend"], *_eps_pair(header.get("eps")))
         initial = tuple(_point_in(pair, backend, shared) for pair in header["initial"])
@@ -359,15 +366,15 @@ def read_trace(path: str) -> LoadedTrace:
         kind = rec.get("type")
         if kind == "round":
             try:
-                action = DemonicAction(
-                    tuple(_frame_in(obj, backend) for obj in rec["steps"])
-                )
+                action = DemonicAction(tuple(_frame_in(obj, backend, shared) for obj in rec["steps"]))
                 config = tuple(_point_in(pair, backend, shared) for pair in rec["locations"])
                 index = _int(rec["index"], "round index")
             except (KeyError, ValueError, TypeError, ZeroDivisionError, ScenarioError) as exc:
                 raise TraceFormatError(f"bad round record: {exc}") from exc
             if len(config) != len(initial) or len(action.steps) != len(initial):
                 raise TraceFormatError("round record size does not match nG")
+            if index != len(steps):
+                raise TraceFormatError(f"round record at position {len(steps)} has index {index}")
             steps.append(model.TraceStep(index, action, config))
         elif kind == "end":
             try:

@@ -69,11 +69,8 @@ def test_sec_oracle_equivalence_10k_sets():
         fpts = [Point(float(p.x), float(p.y)) for p in pts]
         f_fast = geometry.sec(fpts, FLOAT64)
         f_brute = geometry.sec_bruteforce(fpts, FLOAT64)
-        assert abs(f_fast.center.x - f_brute.center.x) <= 1e-9
-        assert abs(f_fast.center.y - f_brute.center.y) <= 1e-9
-        assert abs(f_fast.radius_sq - f_brute.radius_sq) <= 1e-9 * max(
-            1.0, abs(f_fast.radius_sq)
-        )
+        fast_bits = [v.hex() for v in (*f_fast.center, f_fast.radius_sq)]
+        assert fast_bits == [v.hex() for v in (*f_brute.center, f_brute.radius_sq)], (fpts, f_fast, f_brute)
         # and the float result tracks the exact one
         assert abs(f_fast.center.x - float(exact_fast.center.x)) <= 1e-9
         assert abs(f_fast.center.y - float(exact_fast.center.y)) <= 1e-9

@@ -153,6 +153,18 @@ def _set_round_index(records):
     records[1]["index"] = 0.5
 
 
+def _set_round_index_to(index):
+    def edit(records):
+        records[1]["index"] = index
+
+    return edit
+
+
+def _repeat_round(records):
+    # two round records with index 0
+    records.insert(2, dict(records[1]))
+
+
 def _set_end_stopped_early(records):
     records[-1]["stopped_early"] = "no"
 
@@ -238,6 +250,9 @@ _BIVALENT = {
         ("trace", _set_header("seed", [1])),
         ("trace", _on_floats(_set_header("eps", {"abs": 1e-15, "rel": 0}))),
         ("trace", _set_round_index),
+        ("trace", _set_round_index_to(1)),
+        ("trace", _set_round_index_to(-1)),
+        ("trace", _repeat_round),
         ("trace", _set_frame("reflect", "no")),
         ("trace", _set_end_stopped_early),
         ("trace", _on_floats(_set_location(float("nan")))),
@@ -300,6 +315,9 @@ _BIVALENT = {
         "header-seed-list",
         "header-eps-below-floor",
         "round-index-not-int",
+        "round-index-one-at-position-zero",
+        "round-index-negative",
+        "round-index-repeated",
         "frame-reflect-string",
         "end-stopped-early-string",
         "floating-location-nan",
@@ -593,6 +611,25 @@ def test_render_analyses_each_configuration_once(tmp_path, monkeypatch):
     n = len(loaded.trace.configs())
     assert n > 2
     assert calls == {"spectrum_of": n, "sec": n}
+
+
+def test_render_summarizes_each_distinct_configuration_once(tmp_path, monkeypatch):
+    # render reads its summaries from verify.summaries_of: a round that moves
+    # no robot keeps the Point objects read_trace shares and reuses the
+    # summary before it
+    scenario = _write_scenario(
+        tmp_path,
+        nG=8,
+        initial={"generator": {"bbox": 8, "pool": 5, "seed": 3}},
+        demon={"kind": "single_mover", "seed": 2},
+        horizon=None,
+    )
+    loaded, svg = _run_and_load(tmp_path, scenario)
+    calls = []
+    summarize = gather2d.summarize
+    monkeypatch.setattr(gather2d, "summarize", lambda *args: calls.append(1) or summarize(*args))
+    render.render_trace(loaded.trace, loaded.backend, svg, 24)
+    assert len(calls) == distinct_configs(loaded.trace) < len(loaded.trace.configs())
 
 
 def test_run_summarizes_each_configuration_once_and_never_runs_the_local_round(tmp_path, monkeypatch):

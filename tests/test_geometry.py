@@ -238,11 +238,10 @@ def test_sec_matches_bruteforce_exact(pts):
 
 @given(float_point_lists)
 def test_sec_matches_bruteforce_float(pts):
+    # both round the exact SEC of the floats once: equal bit for bit
     a = g.sec(pts, FLOAT64)
     b = g.sec_bruteforce(pts, FLOAT64)
-    assert abs(a.center.x - b.center.x) <= 1e-9
-    assert abs(a.center.y - b.center.y) <= 1e-9
-    assert abs(a.radius_sq - b.radius_sq) <= 1e-9 * max(1.0, abs(a.radius_sq))
+    assert [v.hex() for v in (*a.center, a.radius_sq)] == [v.hex() for v in (*b.center, b.radius_sq)]
 
 
 @given(float_point_lists)

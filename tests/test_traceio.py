@@ -206,3 +206,104 @@ def test_read_trace_shares_the_point_of_a_repeated_exact_pair(tmp_path):
     (a, b, c), (d, e, f) = trace.initial, trace.steps[0].config
     assert a is b is d and c is e is f
     assert a == c == P(F(1, 2), 0) and a is not c
+
+
+def _write_records(path, *records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def test_read_trace_shares_a_repeated_number_pair_and_keeps_signed_zeros_apart(tmp_path):
+    # number pairs are keyed by their repr: 1 and 1.0 and 0.0 and -0.0 are
+    # equal as dict keys but written apart, so each is its own object
+    path = tmp_path / "t.jsonl"
+    header = {"type": "header", "backend": "floating", "nG": 3, "k": None, "seed": None, "horizon": None}
+    header["initial"] = [[1.5, 0.0], [1.5, 0.0], [1.5, -0.0]]
+    step = {"type": "round", "index": 0, "steps": [None, None, None]}
+    step["locations"] = [[1.5, 0.0], [1.5, -0.0], [1, 0.0]]
+    _write_records(path, header, step, {"type": "end"})
+    trace = traceio.read_trace(str(path)).trace
+    (a, b, c), (d, e, f) = trace.initial, trace.steps[0].config
+    assert a is b is d and c is e and a is not c
+    assert str(a.y) == "0.0" and str(c.y) == "-0.0"
+    assert f == Point(1.0, 0.0) and f is not a
+
+
+def _frame(zoom="1/2", c="3/5", s="4/5", reflect=False):
+    return {"zoom": zoom, "c": c, "s": s, "reflect": reflect}
+
+
+def _trace_with_frames(path, *frame_lists):
+    header = {"type": "header", "backend": "exact", "nG": 3, "k": None, "seed": None, "horizon": None}
+    header["initial"] = [["0", "0"], ["0", "0"], ["5", "5"]]
+    rounds = [
+        {"type": "round", "index": i, "steps": frames, "locations": header["initial"]}
+        for i, frames in enumerate(frame_lists)
+    ]
+    _write_records(path, header, *rounds, {"type": "end"})
+
+
+def test_read_trace_shares_a_repeated_frame(tmp_path):
+    # one checked FrameParams per distinct zoom, c, s and reflect; an equal
+    # frame written differently, or reflected, is a separate object
+    path = tmp_path / "t.jsonl"
+    _trace_with_frames(
+        path,
+        [_frame(), _frame(), None],
+        [_frame(zoom="2/4"), _frame(reflect=True), _frame()],
+    )
+    (a, b, _), (c, d, e) = (step.action.steps for step in traceio.read_trace(str(path)).trace.steps)
+    assert a is b is e
+    assert c == a and c is not a
+    assert d is not a and d.reflect and not a.reflect
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [_frame(zoom="0"), _frame(c="1", s="1"), _frame(reflect=1), _frame(reflect="false")],
+    ids=["zoom-zero", "not-unit-pair", "reflect-one", "reflect-string"],
+)
+def test_read_trace_rejects_an_invalid_frame_after_a_valid_one(tmp_path, bad):
+    # the memo never holds an invalid frame, and reflect 1 is not taken for
+    # the frame with reflect true read before it
+    path = tmp_path / "t.jsonl"
+    _trace_with_frames(path, [_frame(reflect=True), None, None], [bad, None, None])
+    with pytest.raises(traceio.TraceFormatError):
+        traceio.read_trace(str(path))
+    _trace_with_frames(path, [bad, None, None], [bad, None, None])
+    with pytest.raises(traceio.TraceFormatError):
+        traceio.read_trace(str(path))
+
+
+def test_read_trace_rejects_a_round_index_out_of_position(tmp_path):
+    # the k-th round record must have index k
+    path = tmp_path / "t.jsonl"
+    _trace_with_frames(path, [None] * 3, [None] * 3)
+    traceio.read_trace(str(path))
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for indices in ([0, 0], [1, 2], [1, 0], [-1, 0]):
+        for rec, index in zip(records[1:3], indices):
+            rec["index"] = index
+        _write_records(path, *records)
+        with pytest.raises(traceio.TraceFormatError, match="index"):
+            traceio.read_trace(str(path))
+
+
+def test_write_trace_analyzes_each_distinct_majority_summary_once(tmp_path, monkeypatch):
+    # a majority summary computes its clean flag (a SEC) on its first read
+    # and keeps it; rounds that move no robot share one summary, so
+    # write_trace runs _analyze once per distinct majority summary
+    # Scenario.build shares the three (0, 0) robots, as robogather run does
+    points = [["0", "0"], ["0", "0"], ["0", "0"], ["5", "5"], ["1", "3"]]
+    data = _scenario_dict(nG=5, initial={"points": points}, demon={"kind": "round_robin"})
+    backend, conf, strat, horizon = traceio.Scenario.from_dict(data).build()
+    assert conf[0] is conf[1] is conf[2]
+    trace, summaries = verify.execute_global(strat, conf, backend, horizon)
+    # a round record's clean flag is its result's: summaries after the first
+    majority = [s for s in summaries[1:] if s.phase is gather2d.Phase.MAJORITY]
+    distinct = len({id(s) for s in majority})
+    assert 0 < distinct < len(majority)
+    calls = []
+    analyze = gather2d._analyze
+    monkeypatch.setattr(gather2d, "_analyze", lambda *args: calls.append(1) or analyze(*args))
+    traceio.write_trace(str(tmp_path / "t.jsonl"), trace, backend, summaries=summaries)
+    assert len(calls) == distinct
