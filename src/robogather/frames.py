@@ -24,7 +24,9 @@ form, and ``apply`` evaluates it by the generic formula, which is exact on
 A frame made for a robot sends that robot's own tower to the origin with no
 arithmetic (the identity that defines ``make_frame``), and a robot whose
 destination is its own origin stays exactly where it is (``model.round``),
-on both backends.
+on both backends. On the exact backend ``map_multiset`` finds the own tower
+by identity, with no ``Fraction`` comparison; an equal but distinct key goes
+through ``apply``, whose integer form sends it to exactly (0, 0).
 """
 from __future__ import annotations
 
@@ -185,13 +187,14 @@ def preimage(f: Similarity, q: Point) -> Point:
 def map_multiset(f: Similarity, s: "Spectrum") -> "Spectrum":
     """Apply ``f`` pointwise to a multiset of points, keeping multiplicities
     and key order. The tower at ``f.robot`` maps to the origin with no
-    arithmetic."""
+    arithmetic: on the exact backend the tower whose key *is* that point,
+    on floats any key equal to it, so the own tower is never rounded."""
     robot = f.robot
     if f.ints is not None:
         # an exact similarity is injective, so the towers stay distinct and
         # each image is hashed once
         origin = EXACT.origin()
-        return Counter({origin if p == robot else apply(f, p): mult for p, mult in s.items()})
+        return Counter({origin if p is robot else apply(f, p): mult for p, mult in s.items()})
     origin = FLOAT64.origin()
     out: Counter = Counter()
     for p, mult in s.items():

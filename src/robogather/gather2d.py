@@ -18,12 +18,13 @@ and that analysis. A majority spectrum needs no SEC for any of them, so its
 ``clean`` flag, which only the trace writer reads, is computed on its first
 read and kept. ``pgm`` calls the lean ``_analyze`` alone and never pays for
 the phase or the measure. ``round_global`` reads everything from a summary
-(made with ``summarize`` when not given), and returns a robot that stays as
-its own ``Point`` object. So ``verify.execute_global`` (fuzz, ``robogather
-run``) and ``check`` (on the shared points of ``traceio.read_trace``) reuse
-the summary of a round that moves no robot, by identity. The local-frame
-``model.round`` is never given a summary: it builds its own spectrum and
-runs ``pgm`` in every robot's frame.
+(made with ``summarize`` when not given), and returns an exact robot that
+stays, even one activated at its destination, as its own ``Point`` object.
+So ``verify.execute_global`` (fuzz, ``robogather run``) and ``check`` (on
+the shared points of ``traceio.read_trace``) reuse the summary of a round
+that moves no robot, by identity. The local-frame ``model.round`` is never
+given a summary: it builds its own spectrum and runs ``pgm`` in every
+robot's frame.
 """
 from __future__ import annotations
 
@@ -120,11 +121,13 @@ class _Analysis:
 
 
 def _analyze(s: Spectrum, backend: Backend) -> _Analysis:
+    """The SEC of the towers of ``s``, with its boundary as ``geometry.sec``
+    returns it (one integer pass on the exact backend), the target, the
+    points a robot may hold still on, and the clean flag."""
     if not s:
         raise EmptySpectrum("cannot analyze an empty spectrum")
     sup = list(s)
-    circle = geometry.sec(sup, backend)
-    boundary = [p for p in sup if geometry.on_circle(circle, p, backend)]
+    circle, boundary = geometry.sec(sup, backend)
     if len(boundary) == 1:
         tgt = boundary[0]
     elif len(boundary) == 3:
@@ -194,14 +197,17 @@ def round_global(
         summary = summarize(conf, backend)
     ana = summary.analysis
     majority = model.max_support(summary.spectrum)[0] if ana is None else None
+    # an exact robot activated at its destination keeps its own Point (on
+    # floats -0.0 == 0.0, but the two print differently in a trace)
+    exact = backend.is_exact
     out: list[Point] = []
     for i, loc in enumerate(conf):
         if i not in act:
             out.append(loc)
         elif majority is not None:
-            out.append(majority)
+            out.append(loc if exact and loc == majority else majority)
         elif ana.clean:
-            out.append(ana.tgt)
+            out.append(loc if exact and loc == ana.tgt else ana.tgt)
         elif any(backend.points_eq(loc, q) for q in ana.sect_pts):
             out.append(loc)
         else:

@@ -12,6 +12,9 @@ their exact values to integer pairs. A circle is then an integer tuple
 (ux, uy, d, rn) with d ≠ 0, center (ux/d, uy/d) and squared radius rn/d² in
 scaled units, and every enclosure test is one integer comparison. Only the
 result is converted back, to ``Fraction``s or to correctly rounded floats.
+``sec`` also returns the circle's boundary, the input points on it: on the
+exact backend each is decided on the same scaled integers, on floats by
+``on_circle``'s tolerance test on the rounded circle.
 
 The brute-force oracle ``sec_bruteforce`` is one integer search on both
 backends that shares no code path with that Welzl: it clears denominators
@@ -28,6 +31,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
@@ -153,15 +157,8 @@ def circumcircle(p1: Point, p2: Point, p3: Point, backend: Backend) -> Circle:
 
 
 def on_circle(c: Circle, p: Point, backend: Backend) -> bool:
-    """Is ``p`` on the boundary of ``c``?"""
-    if backend.is_exact:
-        # dx² + dy² = r², multiplied out over the denominators of dx, dy and r²
-        (cx, cy), r2 = c
-        dxn = p.x.numerator * cx.denominator - cx.numerator * p.x.denominator
-        dyn = p.y.numerator * cy.denominator - cy.numerator * p.y.denominator
-        dxd2 = (p.x.denominator * cx.denominator) ** 2
-        dyd2 = (p.y.denominator * cy.denominator) ** 2
-        return (dxn * dxn * dyd2 + dyn * dyn * dxd2) * r2.denominator == r2.numerator * dxd2 * dyd2
+    """Is ``p`` on the boundary of ``c``? Exact on ``Fraction``s, within the
+    tolerance on floats."""
     return backend.eq(dist_sq(c.center, p), c.radius_sq)
 
 
@@ -170,55 +167,66 @@ def on_circle(c: Circle, p: Point, backend: Backend) -> bool:
 _SEC_SHUFFLE_SEED = 0x5EC
 
 
-def sec(points: Sequence[Point], backend: Backend) -> Circle:
-    """Smallest enclosing circle of a point list.
+@lru_cache(maxsize=256)
+def _shuffle_order(n: int) -> tuple[int, ...]:
+    """The permutation ``random.Random(_SEC_SHUFFLE_SEED).shuffle`` applies to
+    a list of length ``n``, seeded once per length (per recent length)."""
+    order = list(range(n))
+    random.Random(_SEC_SHUFFLE_SEED).shuffle(order)
+    return tuple(order)
 
-    Permutation- and duplication-invariant; ``sec([])`` is the zero circle
-    at the origin. Welzl's move-to-front scheme on lcm-scaled integers, on
-    both backends: ``as_integer_ratio`` reads a ``Fraction``'s and a float's
-    exact value alike. On floats the result is rounded once, by int true
-    division, which is correctly rounded.
+
+def sec(points: Sequence[Point], backend: Backend) -> tuple[Circle, list[Point]]:
+    """Smallest enclosing circle of a point list, and its boundary: the input
+    points on the circle, in input order, repeats kept.
+
+    The circle is permutation- and duplication-invariant; ``sec([])`` is the
+    zero circle at the origin, with no boundary. Welzl's move-to-front scheme
+    on lcm-scaled integers, on both backends: ``as_integer_ratio`` reads a
+    ``Fraction``'s and a float's exact value alike. On floats the circle is
+    rounded once, by int true division, which is correctly rounded, and the
+    boundary is ``on_circle``'s tolerance test on that rounded circle. On
+    the exact backend each point is decided on the scaled integers:
+    (x·d − ux)² + (y·d − uy)² = rn.
     """
     ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in points]
     scale = lcm(*[d for r in ratios for _, d in r])
-    pts = sorted({(xn * (scale // xd), yn * (scale // yd)) for (xn, xd), (yn, yd) in ratios})
+    ints = [(xn * (scale // xd), yn * (scale // yd)) for (xn, xd), (yn, yd) in ratios]
+    pts = sorted(set(ints))
     if not pts:
-        return Circle(backend.origin(), backend.scalar(0))
-    random.Random(_SEC_SHUFFLE_SEED).shuffle(pts)
-    c = (*pts[0], 1, 0)
-    for i, p in enumerate(pts):
-        if not _int_encloses(c, p):
-            c = _int_sec_one_point(pts[: i + 1], p)
-    ux, uy, d, rn = c
+        return Circle(backend.origin(), backend.scalar(0)), []
+    pts = [pts[i] for i in _shuffle_order(len(pts))]
+    ux, uy, d, rn = pts[0][0], pts[0][1], 1, 0
+    for i, (x, y) in enumerate(pts):
+        dx, dy = x * d - ux, y * d - uy
+        if dx * dx + dy * dy > rn:
+            ux, uy, d, rn = _int_sec_one_point(pts[: i + 1], x, y)
     if d < 0:  # so that a zero center coordinate rounds to 0.0, not -0.0
         ux, uy, d = -ux, -uy, -d
     den = d * scale
     if backend.is_exact:
-        return Circle(Point(Fraction(ux, den), Fraction(uy, den)), Fraction(rn, den * den))
-    return Circle(Point(ux / den, uy / den), rn / (den * den))
+        boundary = [p for p, (x, y) in zip(points, ints) if (x * d - ux) ** 2 + (y * d - uy) ** 2 == rn]
+        return Circle(Point(Fraction(ux, den), Fraction(uy, den)), Fraction(rn, den * den)), boundary
+    circle = Circle(Point(ux / den, uy / den), rn / (den * den))
+    return circle, [p for p in points if on_circle(circle, p, backend)]
 
 
-def _int_encloses(c: tuple[int, int, int, int], p: tuple[int, int]) -> bool:
-    ux, uy, d, rn = c
-    dx = p[0] * d - ux
-    dy = p[1] * d - uy
-    return dx * dx + dy * dy <= rn
-
-
-def _int_sec_one_point(pts: Sequence[tuple[int, int]], p: tuple[int, int]) -> tuple[int, int, int, int]:
-    c = (p[0], p[1], 1, 0)
-    for i, q in enumerate(pts):
-        if not _int_encloses(c, q):
-            if c[3] == 0:
-                dx, dy = p[0] - q[0], p[1] - q[1]
-                c = (p[0] + q[0], p[1] + q[1], 2, dx * dx + dy * dy)
-            else:
-                c = _int_sec_two_points(pts[: i + 1], p, q)
-    return c
+def _int_sec_one_point(pts: Sequence[tuple[int, int]], px: int, py: int) -> tuple[int, int, int, int]:
+    ux, uy, d, rn = px, py, 1, 0
+    for i, (x, y) in enumerate(pts):
+        dx, dy = x * d - ux, y * d - uy
+        if dx * dx + dy * dy <= rn:
+            continue
+        if rn == 0:
+            dx, dy = px - x, py - y
+            ux, uy, d, rn = px + x, py + y, 2, dx * dx + dy * dy
+        else:
+            ux, uy, d, rn = _int_sec_two_points(pts[: i + 1], px, py, x, y)
+    return ux, uy, d, rn
 
 
 def _int_sec_two_points(
-    pts: Sequence[tuple[int, int]], p: tuple[int, int], q: tuple[int, int]
+    pts: Sequence[tuple[int, int]], px: int, py: int, qx: int, qy: int
 ) -> tuple[int, int, int, int]:
     """Smallest circle through p and q enclosing ``pts``, grown one point at
     a time (the two-point step of the textbook incremental form).
@@ -229,23 +237,25 @@ def _int_sec_two_points(
     side, which keeps every earlier point inside. Exact arithmetic never
     misplaces a point, so no left/right bookkeeping is needed.
     """
-    px, py = p
-    ex, ey = q[0] - px, q[1] - py
+    ex, ey = qx - px, qy - py
     e2 = ex * ex + ey * ey
-    c = (px + q[0], py + q[1], 2, e2)
-    for r in pts:
-        if _int_encloses(c, r):
+    ux, uy, d, rn = px + qx, py + qy, 2, e2
+    for x, y in pts:
+        dx, dy = x * d - ux, y * d - uy
+        if dx * dx + dy * dy <= rn:
             continue
-        fx, fy = r[0] - px, r[1] - py
+        fx, fy = x - px, y - py
         d = 2 * (ex * fy - ey * fx)
         if d == 0:
-            raise GeometryError(f"collinear point {r} outside the circle on {p}, {q} (unreachable)")
+            raise GeometryError(
+                f"collinear point {x, y} outside the circle on {px, py}, {qx, qy} (unreachable)"
+            )
         # circumcenter of p, q, r relative to p is (vx, vy)/d
         f2 = fx * fx + fy * fy
         vx = fy * e2 - ey * f2
         vy = ex * f2 - fx * e2
-        c = (px * d + vx, py * d + vy, d, vx * vx + vy * vy)
-    return c
+        ux, uy, rn = px * d + vx, py * d + vy, vx * vx + vy * vy
+    return ux, uy, d, rn
 
 
 # Distinct points ``sec_bruteforce`` accepts: it tries O(n³) candidates

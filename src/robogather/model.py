@@ -104,10 +104,10 @@ def round(r: Robogram, da: DemonicAction, conf: Configuration, backend: Backend)
 
     A frame is a bijection, so a robot's local spectrum is the image of the
     global one: the global spectrum is built once per round and each robot
-    maps its towers (``frames.map_multiset``), its own tower to the origin
-    with no arithmetic. On floats this also means the tolerance merges
-    robots once, in the global frame, so what a robot sees does not depend
-    on the zoom of its frame.
+    maps its towers (``frames.map_multiset``), its own tower to exactly the
+    origin. On floats this also means the tolerance merges robots once, in
+    the global frame, so what a robot sees does not depend on the zoom of
+    its frame.
 
     Each activation builds one frame, whose integer form (exact backend) is
     derived once. A robot whose destination is its own origin stays exactly

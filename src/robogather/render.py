@@ -20,7 +20,7 @@ def _circle(summary: gather2d.RoundSummary, backend: Backend) -> Circle:
     gathered and majority summaries do not carry."""
     if summary.analysis is not None:
         return summary.analysis.circle
-    return geometry.sec(list(summary.spectrum), backend)
+    return geometry.sec(list(summary.spectrum), backend)[0]
 
 
 def _bounds(views: list[tuple[gather2d.RoundSummary, Circle]]) -> tuple[float, float, float]:
@@ -95,8 +95,11 @@ def render_trace(trace: Trace, backend: Backend, path: str, max_panels: int) -> 
     """Write one multi-panel SVG: the initial configuration plus the result
     of every round, truncated to the first ``max_panels`` panels. The scale
     fits every configuration of the trace, each distinct one summarized once
-    (``verify.summaries_of``)."""
-    views = [(summary, _circle(summary, backend)) for summary in verify.summaries_of(trace, backend)]
+    (``verify.summaries_of``), and each distinct summary's SEC computed once."""
+    views: list[tuple[gather2d.RoundSummary, Circle]] = []
+    for summary in verify.summaries_of(trace, backend):
+        same = views and views[-1][0] is summary
+        views.append((summary, views[-1][1] if same else _circle(summary, backend)))
     labels = ["initial"] + [f"round {st.index}" for st in trace.steps]
     cx, cy, half = _bounds(views)
     views = views[:max_panels]

@@ -70,7 +70,7 @@ float_point_lists = st.lists(float_points, max_size=10)
 def sec_boundary(points, backend) -> list:
     """The input points on the boundary of their SEC, deduplicated, in input
     order: built from ``geometry.sec`` and ``geometry.on_circle``."""
-    c = geometry.sec(points, backend)
+    c = geometry.sec(points, backend)[0]
     out: list = []
     for p in points:
         if not any(backend.points_eq(p, q) for q in out) and geometry.on_circle(c, p, backend):

@@ -62,12 +62,12 @@ def test_sec_oracle_equivalence_10k_sets():
         pts = [_rational_point(rng) for _ in range(size)]
         if pts and rng.random() < 0.3:  # duplicates must not matter
             pts.append(rng.choice(pts))
-        exact_fast = geometry.sec(pts, EXACT)
+        exact_fast = geometry.sec(pts, EXACT)[0]
         exact_brute = geometry.sec_bruteforce(pts, EXACT)
         assert exact_fast == exact_brute, (pts, exact_fast, exact_brute)
 
         fpts = [Point(float(p.x), float(p.y)) for p in pts]
-        f_fast = geometry.sec(fpts, FLOAT64)
+        f_fast = geometry.sec(fpts, FLOAT64)[0]
         f_brute = geometry.sec_bruteforce(fpts, FLOAT64)
         fast_bits = [v.hex() for v in (*f_fast.center, f_fast.radius_sq)]
         assert fast_bits == [v.hex() for v in (*f_brute.center, f_brute.radius_sq)], (fpts, f_fast, f_brute)

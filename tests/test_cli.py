@@ -592,14 +592,9 @@ def test_render_majority_marker_is_on_the_highest_tower(tmp_path):
 
 
 def test_render_analyses_each_configuration_once(tmp_path, monkeypatch):
-    scenario = _write_scenario(
-        tmp_path,
-        nG=5,
-        initial={"points": [["0", "0"], ["0", "0"], ["2", "0"], ["2", "0"], ["1", "0"]]},
-        demon={"kind": "round_robin", "seed": 0},
-        horizon=40,
-    )
-    loaded, svg = _run_and_load(tmp_path, scenario)
+    # one spectrum and one SEC per distinct summary: the first trace has no
+    # repeated configuration; in the second, round-robin robots activated on
+    # the highest tower hold still, and those majority panels share a summary
     calls = Counter()
     for mod, name in ((model, "spectrum_of"), (geometry, "sec")):
         def counted(*args, _fn=getattr(mod, name), _name=name):
@@ -607,10 +602,25 @@ def test_render_analyses_each_configuration_once(tmp_path, monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(mod, name, counted)
-    render.render_trace(loaded.trace, loaded.backend, svg, 24)
-    n = len(loaded.trace.configs())
-    assert n > 2
-    assert calls == {"spectrum_of": n, "sec": n}
+    starts = (
+        [["0", "0"], ["0", "0"], ["2", "0"], ["2", "0"], ["1", "0"]],
+        [["0", "0"], ["0", "0"], ["5", "5"], ["1", "3"]],
+    )
+    for points, repeats in zip(starts, (False, True)):
+        scenario = _write_scenario(
+            tmp_path,
+            nG=len(points),
+            initial={"points": points},
+            demon={"kind": "round_robin", "seed": 0},
+            horizon=40,
+        )
+        loaded, svg = _run_and_load(tmp_path, scenario)
+        calls.clear()
+        render.render_trace(loaded.trace, loaded.backend, svg, 24)
+        n = len(loaded.trace.configs())
+        distinct = distinct_configs(loaded.trace)
+        assert n > 2 and (distinct < n) == repeats
+        assert calls == {"spectrum_of": distinct, "sec": distinct}
 
 
 def test_render_summarizes_each_distinct_configuration_once(tmp_path, monkeypatch):

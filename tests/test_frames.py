@@ -117,8 +117,8 @@ def test_mapped_towers_equal_spectrum_of_mapped_robots(f, conf):
 def test_sec_commutes_with_similarity(f, pts):
     if not pts:
         return  # sec([]) is pinned at the origin, which similarities move
-    direct = geometry.sec([apply(f, p) for p in pts], EXACT)
-    base = geometry.sec(pts, EXACT)
+    direct = geometry.sec([apply(f, p) for p in pts], EXACT)[0]
+    base = geometry.sec(pts, EXACT)[0]
     assert direct.center == apply(f, base.center)
     assert direct.radius_sq == f.zoom**2 * base.radius_sq
 
@@ -250,6 +250,19 @@ def test_own_tower_maps_to_the_origin_in_key_order(f, conf):
         mapped = map_multiset(g, spec)
         assert list(mapped.items()) == [(apply(g, p), m) for p, m in spec.items()]
         assert mapped[EXACT.origin()] == spec[loc]
+
+
+@given(exact_similarities(), exact_point_lists)
+def test_own_tower_key_equal_but_distinct_maps_to_the_origin(f, pts):
+    # map_multiset finds the own tower by identity; a key equal to the
+    # robot's point but a distinct object goes through the integer form
+    robot = f.robot
+    twin = Point(F(robot.x.numerator, robot.x.denominator), F(robot.y.numerator, robot.y.denominator))
+    assert twin == robot and twin is not robot
+    spec = Counter([twin, twin] + [p for p in pts if p != robot])
+    mapped = map_multiset(f, spec)
+    assert list(mapped.items()) == [(EXACT.origin() if p == robot else apply(f, p), m) for p, m in spec.items()]
+    assert next(iter(mapped)) == (0, 0) and mapped[EXACT.origin()] == 2
 
 
 def test_float_own_tower_maps_to_the_origin_and_images_still_merge():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -200,21 +201,21 @@ def test_at_most_one_circle_through_three_points(p1, p2, p3, dx, dy):
 
 
 def test_sec_empty_and_singleton():
-    c = g.sec([], EXACT)
+    c = g.sec([], EXACT)[0]
     assert c.radius_sq == 0 and c.center == P(0, 0)
-    c = g.sec([P(3, 4)], EXACT)
+    c = g.sec([P(3, 4)], EXACT)[0]
     assert c.radius_sq == 0 and c.center == P(3, 4)
 
 
 def test_sec_two_points_diameter():
-    c = g.sec([P(0, 0), P(2, 0)], EXACT)
+    c = g.sec([P(0, 0), P(2, 0)], EXACT)[0]
     assert c == g.Circle(P(1, 0), F(1))
 
 
 def test_sec_square_with_center():
     # oracle: brute force agrees, and boundary excludes the interior point
     pts = [P(0, 0), P(2, 0), P(0, 2), P(1, 1)]
-    c = g.sec(pts, EXACT)
+    c = g.sec(pts, EXACT)[0]
     assert c == g.sec_bruteforce(pts, EXACT)
     assert c == g.Circle(P(1, 1), F(2))
     assert sec_boundary(pts, EXACT) == [P(0, 0), P(2, 0), P(0, 2)]
@@ -233,13 +234,13 @@ def test_sec_bruteforce_cap():
 
 @given(exact_point_lists)
 def test_sec_matches_bruteforce_exact(pts):
-    assert g.sec(pts, EXACT) == g.sec_bruteforce(pts, EXACT)
+    assert g.sec(pts, EXACT)[0] == g.sec_bruteforce(pts, EXACT)
 
 
 @given(float_point_lists)
 def test_sec_matches_bruteforce_float(pts):
     # both round the exact SEC of the floats once: equal bit for bit
-    a = g.sec(pts, FLOAT64)
+    a = g.sec(pts, FLOAT64)[0]
     b = g.sec_bruteforce(pts, FLOAT64)
     assert [v.hex() for v in (*a.center, a.radius_sq)] == [v.hex() for v in (*b.center, b.radius_sq)]
 
@@ -251,22 +252,23 @@ def test_float_sec_is_the_exact_sec_of_the_floats_rounded(pts):
     # floats' own values, each component rounded to nearest once
     exact = g.sec_bruteforce([P(F(x), F(y)) for x, y in pts], EXACT)
     want = (float(exact.center.x), float(exact.center.y), float(exact.radius_sq))
-    c = g.sec(pts, FLOAT64)
+    c = g.sec(pts, FLOAT64)[0]
     assert [v.hex() for v in (c.center.x, c.center.y, c.radius_sq)] == [v.hex() for v in want]
 
 
 @given(exact_point_lists)
 def test_sec_encloses_every_point(pts):
-    c = g.sec(pts, EXACT)
+    c = g.sec(pts, EXACT)[0]
     for p in pts:
         assert g.dist_sq(c.center, p) <= c.radius_sq
 
 
 @given(float_point_lists)
 def test_sec_encloses_every_point_float(pts):
-    c = g.sec(pts, FLOAT64)
+    c = g.sec(pts, FLOAT64)[0]
     for p in pts:
-        assert FLOAT64.le(g.dist_sq(c.center, p), c.radius_sq)
+        d2 = g.dist_sq(c.center, p)
+        assert d2 <= c.radius_sq or FLOAT64.eq(d2, c.radius_sq)
 
 
 @given(exact_point_lists, st.randoms(use_true_random=False))
@@ -275,13 +277,13 @@ def test_sec_permutation_and_duplication_invariant(pts, rnd):
     rnd.shuffle(shuffled)
     if pts:
         shuffled += [rnd.choice(pts)] * 2
-    assert g.sec(pts, EXACT) == g.sec(shuffled, EXACT)
+    assert g.sec(pts, EXACT)[0] == g.sec(shuffled, EXACT)[0]
 
 
 @given(exact_point_lists)
 def test_sec_of_boundary_points_is_fixpoint(pts):
     boundary = sec_boundary(pts, EXACT)
-    assert g.sec(boundary, EXACT) == g.sec(pts, EXACT)
+    assert g.sec(boundary, EXACT)[0] == g.sec(pts, EXACT)[0]
 
 
 def test_on_sec_examples():
@@ -292,7 +294,7 @@ def test_on_sec_examples():
 @given(float_point_lists)
 def test_on_sec_fixpoint_float(pts):
     boundary = sec_boundary(pts, FLOAT64)
-    assert circles_eq(g.sec(boundary, FLOAT64), g.sec(pts, FLOAT64), FLOAT64)
+    assert circles_eq(g.sec(boundary, FLOAT64)[0], g.sec(pts, FLOAT64)[0], FLOAT64)
 
 
 # --- on_circle -------------------------------------------------------------------
@@ -368,7 +370,7 @@ def test_integer_sec_oracle_of_an_acute_triangle_is_its_circumcircle(a, b, c):
 
 @given(_cocircular_sets())
 def test_sec_matches_bruteforce_cocircular(pts):
-    c = g.sec(pts, EXACT)
+    c = g.sec(pts, EXACT)[0]
     assert c == g.sec_bruteforce(pts, EXACT)
     for p in pts:
         assert g.on_circle(c, p, EXACT) == (g.dist_sq(c.center, p) == c.radius_sq)
@@ -376,7 +378,7 @@ def test_sec_matches_bruteforce_cocircular(pts):
 
 @given(_collinear_sets())
 def test_sec_matches_bruteforce_collinear(pts):
-    c = g.sec(pts, EXACT)
+    c = g.sec(pts, EXACT)[0]
     assert c == g.sec_bruteforce(pts, EXACT)
     assert len(sec_boundary(pts, EXACT)) == 2
 
@@ -386,3 +388,34 @@ def test_on_circle_matches_fraction_formula(cx, cy, r2, p):
     c = g.Circle(P(cx, cy), r2)
     assert g.on_circle(c, p, EXACT) == (g.dist_sq(c.center, p) == r2)
     assert g.on_circle(g.Circle(c.center, g.dist_sq(c.center, p)), p, EXACT)
+
+
+# --- the boundary sec returns ----------------------------------------------------
+
+
+@st.composite
+def _lists_with_repeats(draw):
+    pts = draw(exact_point_lists)
+    if pts:
+        pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    return draw(st.permutations(pts))
+
+
+@given(st.one_of(_lists_with_repeats(), _cocircular_sets(), _collinear_sets()))
+def test_exact_sec_boundary_is_the_points_on_the_circle_in_input_order(pts):
+    c, boundary = g.sec(pts, EXACT)
+    assert boundary == [p for p in pts if g.dist_sq(c.center, p) == c.radius_sq]
+
+
+@given(float_point_lists)
+def test_float_sec_boundary_is_the_on_circle_filter(pts):
+    pts = pts + pts[:2]
+    c, boundary = g.sec(pts, FLOAT64)
+    assert boundary == [p for p in pts if g.on_circle(c, p, FLOAT64)]
+
+
+def test_cached_shuffle_order_is_the_seeded_shuffle():
+    for n in range(301):
+        order = list(range(n))
+        random.Random(0x5EC).shuffle(order)
+        assert g._shuffle_order(n) == tuple(order)

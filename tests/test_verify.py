@@ -474,6 +474,21 @@ def test_fuzz_summarizes_each_configuration_once(monkeypatch):
     assert calls["spectrum_of"] <= rounds + configs + calls["bivalence_draws"]
 
 
+def test_robot_that_does_not_move_keeps_its_own_point(monkeypatch):
+    # four separate objects: the robot activated at the highest tower stays
+    # where it is, as its own Point, so that round is not summarized again
+    conf = tuple(Point(F(x), F(y)) for x, y in ((0, 0), (0, 0), (5, 5), (1, 3)))
+    calls = []
+    summarize = gather2d.summarize
+    monkeypatch.setattr(gather2d, "summarize", lambda *args: calls.append(1) or summarize(*args))
+    strat = verify.make_strategy("round_robin", 4, EXACT, seed=0)
+    trace, summaries = verify.execute_global(strat, conf, EXACT, 20)
+    configs = trace.configs()
+    assert configs[1] == configs[0] and all(p is q for p, q in zip(configs[1], configs[0]))
+    assert len(configs) == 5 and len(calls) == distinct_configs(trace) == 3
+    assert summaries[1] is summaries[0]
+
+
 def test_float_local_execution_passes_the_checker():
     # fuzz executes on round_global, so frame round-off of the float local
     # model no longer carries from round to round there: run it here, over
