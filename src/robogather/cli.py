@@ -86,10 +86,9 @@ def cmd_fuzz(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     kinds = tuple(k.strip() for k in args.strategies.split(",") if k.strip())
-    known = verify.STRATEGY_KINDS + verify.UNFAIR_KINDS
     for k in kinds:
-        if k not in known:
-            return _fail(f"unknown strategy {k!r} (expected one of {known})")
+        if k not in verify.UNSCRIPTED_KINDS:
+            return _fail(f"fuzz cannot run strategy {k!r} (expected one of {verify.UNSCRIPTED_KINDS})")
     if args.ng_min < 3 or args.ng_max < args.ng_min:
         return _fail("invalid nG range")
     if args.horizon is not None and args.horizon < 0:
@@ -176,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument(
         "--strategies",
         default=",".join(verify.FUZZ_KINDS),
-        help="comma-separated strategy kinds",
+        help=f"comma-separated strategy kinds, from {', '.join(verify.UNSCRIPTED_KINDS)}",
     )
     p_fuzz.add_argument("--horizon", type=int, help="fixed round budget (default: k*7*(nG+1))")
     p_fuzz.add_argument("--out", help="directory for counterexample scenario/trace files")

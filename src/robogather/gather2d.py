@@ -14,10 +14,10 @@ The module also provides the global-frame restatement of a round
 One analysis per distinct configuration: ``summarize`` builds the spectrum
 once and runs ``_analyze`` (which computes the SEC) at most once, and reads
 the phase, measure, forbidden flag and gathering point from that spectrum
-and that analysis. A majority spectrum needs no SEC for any of them, so its
-``clean`` flag, which only the trace writer reads, is computed on its first
-read and kept. ``pgm`` calls the lean ``_analyze`` alone and never pays for
-the phase or the measure. ``round_global`` reads everything from a summary
+and that analysis, whose target pick also records the (clean, dirty)
+phases of the SEC towers' shape. A majority spectrum needs no SEC, so its
+analysis is made on first need (``RoundSummary.sec_analysis``). ``pgm``
+calls ``_analyze`` alone. ``round_global`` reads everything from a summary
 (made with ``summarize`` when not given), and returns an exact robot that
 stays, even one activated at its destination, as its own ``Point`` object.
 So ``verify.execute_global`` (fuzz, ``robogather run``) and ``check`` (on
@@ -93,19 +93,28 @@ def lt_measure(a: Measure, b: Measure) -> bool:
     return a.weight < b.weight or (a.weight == b.weight and a.residual < b.residual)
 
 
-def target_triangle(p1: Point, p2: Point, p3: Point, backend: Backend) -> Point:
-    """Destination when exactly three towers sit on the SEC.
+def target_triangle(p1: Point, p2: Point, p3: Point, backend: Backend) -> tuple[Point, TriangleKind]:
+    """Destination when exactly three towers sit on the SEC, and the kind of
+    their triangle.
 
     Equilateral: the barycenter. Isosceles (excluding equilateral): the apex.
     Scalene: the vertex opposite the longest side. Permutation-invariant.
     """
     shape = geometry.classify_triangle(p1, p2, p3, backend)
     if shape.kind is TriangleKind.EQUILATERAL:
-        return geometry.barycenter_3(p1, p2, p3)
+        return geometry.barycenter_3(p1, p2, p3), shape.kind
     if shape.kind is TriangleKind.ISOSCELES:
         assert shape.apex is not None
-        return shape.apex
-    return geometry.opposite_of_max_side(p1, p2, p3, backend)
+        return shape.apex, shape.kind
+    return geometry.opposite_of_max_side(p1, p2, p3, backend), shape.kind
+
+
+# The (clean, dirty) phases of each shape the SEC towers form: a diameter,
+# a triangle of each kind (``TriangleKind`` values), or a general polygon.
+_SHAPE_PHASES = {
+    shape: (Phase(f"{shape}_clean"), Phase(f"{shape}_dirty"))
+    for shape in ("diameter", "equilateral", "isosceles", "scalene", "general")
+}
 
 
 @dataclass(frozen=True)
@@ -118,29 +127,32 @@ class _Analysis:
     tgt: Point
     sect_pts: list[Point]
     clean: bool
+    phases: tuple[Phase, Phase]  # (clean, dirty), from the shape of the boundary
 
 
 def _analyze(s: Spectrum, backend: Backend) -> _Analysis:
     """The SEC of the towers of ``s``, with its boundary as ``geometry.sec``
     returns it (one integer pass on the exact backend), the target, the
-    points a robot may hold still on, and the clean flag."""
+    points a robot may hold still on, the clean flag, and the phases of the
+    boundary's shape, recorded while the target is picked."""
     if not s:
         raise EmptySpectrum("cannot analyze an empty spectrum")
     sup = list(s)
     circle, boundary = geometry.sec(sup, backend)
     if len(boundary) == 1:
-        tgt = boundary[0]
+        tgt, phases = boundary[0], (Phase.GATHERED, Phase.GATHERED)
     elif len(boundary) == 3:
-        tgt = target_triangle(boundary[0], boundary[1], boundary[2], backend)
+        tgt, kind = target_triangle(boundary[0], boundary[1], boundary[2], backend)
+        phases = _SHAPE_PHASES[kind.value]
     elif len(boundary) >= 2:
-        tgt = circle.center
+        tgt, phases = circle.center, _SHAPE_PHASES["diameter" if len(boundary) == 2 else "general"]
     else:
         raise InternalInvariant("spectrum support has no tower on its own SEC")
     sect_pts = list(boundary)
     if not any(backend.points_eq(tgt, p) for p in sect_pts):
         sect_pts.insert(0, tgt)
     clean = all(any(backend.points_eq(p, q) for q in sect_pts) for p in sup)
-    return _Analysis(sup, boundary, circle, tgt, sect_pts, clean)
+    return _Analysis(sup, boundary, circle, tgt, sect_pts, clean, phases)
 
 
 def target(s: Spectrum, backend: Backend) -> Point:
@@ -171,8 +183,8 @@ def pgm(s: Spectrum, backend: Backend) -> Point:
 
 
 def robogram(backend: Backend) -> Robogram:
-    """The gathering protocol packaged for the execution framework."""
-    return Robogram(pgm=lambda s: pgm(s, backend))
+    """The gathering protocol as a robogram: ``pgm`` on ``backend``."""
+    return lambda s: pgm(s, backend)
 
 
 def round_global(
@@ -228,18 +240,7 @@ def _classify(s: Spectrum, backend: Backend) -> tuple[Phase, Optional[_Analysis]
     n = len(ana.boundary)
     if n < 2:
         raise InternalInvariant(f"{len(ana.sup)} towers but {n} on the SEC")
-    if n == 2:
-        return (Phase.DIAMETER_CLEAN if ana.clean else Phase.DIAMETER_DIRTY), ana
-    if n == 3:
-        shape = geometry.classify_triangle(*ana.boundary, backend)
-        by_kind = {
-            TriangleKind.EQUILATERAL: (Phase.EQUILATERAL_CLEAN, Phase.EQUILATERAL_DIRTY),
-            TriangleKind.ISOSCELES: (Phase.ISOSCELES_CLEAN, Phase.ISOSCELES_DIRTY),
-            TriangleKind.SCALENE: (Phase.SCALENE_CLEAN, Phase.SCALENE_DIRTY),
-        }
-        clean_phase, dirty_phase = by_kind[shape.kind]
-        return (clean_phase if ana.clean else dirty_phase), ana
-    return (Phase.GENERAL_CLEAN if ana.clean else Phase.GENERAL_DIRTY), ana
+    return ana.phases[not ana.clean], ana
 
 
 def classify_phase(s: Spectrum, backend: Backend) -> Phase:
@@ -348,13 +349,16 @@ class RoundSummary:
     backend: Backend = field(compare=False, repr=False)
 
     @cached_property
+    def sec_analysis(self) -> _Analysis:
+        """``analysis``, or for the gathered and majority phases one made on
+        first need, for ``clean`` and ``render`` (a frozen dataclass still
+        has the ``__dict__`` that caches it)."""
+        return self.analysis or _analyze(self.spectrum, self.backend)
+
+    @property
     def clean(self) -> bool:
-        """Every tower on the SEC or at the target. No check reads it for a
-        majority spectrum, so that SEC is computed only here, on the first
-        read (a frozen dataclass still has the ``__dict__`` that caches it)."""
-        if self.analysis is not None:
-            return self.analysis.clean
-        return self.phase is Phase.GATHERED or _analyze(self.spectrum, self.backend).clean
+        """Every tower on the SEC or at the target."""
+        return self.phase is Phase.GATHERED or self.sec_analysis.clean
 
 
 def summarize(conf: Configuration, backend: Backend) -> RoundSummary:

@@ -145,7 +145,7 @@ def circumcircle(p1: Point, p2: Point, p3: Point, backend: Backend) -> Circle:
     formula. Exact on ``Fraction``s, where it is the reference the tests pin
     the integer brute-force oracle against."""
     d = 2 * _cross(p1, p2, p3)
-    if backend.is_zero(d):
+    if backend.eq(d, 0):
         raise CollinearInput(f"collinear points {p1}, {p2}, {p3}")
     n1 = p1.x * p1.x + p1.y * p1.y
     n2 = p2.x * p2.x + p2.y * p2.y

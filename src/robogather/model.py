@@ -4,8 +4,9 @@ Robots are anonymous: a configuration maps identifiers to locations, but a
 robogram only ever sees a *spectrum* -- the multiset of inhabited locations
 (strong global multiplicity). Each round the demon activates an arbitrary
 subset of robots and hands each one a fresh local frame; an activated robot
-observes the configuration through its frame, runs the robogram, and its
-destination is mapped back to the global frame.
+observes the configuration through its frame, runs the robogram (a callable
+from spectrum to destination), and its destination is mapped back to the
+global frame.
 """
 from __future__ import annotations
 
@@ -18,6 +19,10 @@ from .scalars import Backend, Point, Scalar
 
 Configuration = tuple[Point, ...]
 Spectrum = Counter  # Counter[Point] -> positive multiplicity
+
+# A protocol: a pure function from spectrum to destination. Taking only a
+# spectrum enforces anonymity; purity gives compatibility.
+Robogram = Callable[[Spectrum], Point]
 
 # A demon is a lazily evaluated stream of demonic actions; adversarial
 # strategies may inspect the current configuration when choosing one.
@@ -46,17 +51,6 @@ class DemonicAction:
 
     def activated(self) -> tuple[int, ...]:
         return tuple(i for i, fp in enumerate(self.steps) if fp is not None)
-
-
-@dataclass(frozen=True)
-class Robogram:
-    """A protocol: a pure function from spectrum to destination.
-
-    Taking only a spectrum (never a configuration) enforces anonymity; purity
-    gives compatibility: equal spectra yield equal destinations.
-    """
-
-    pgm: Callable[[Spectrum], Point]
 
 
 def spectrum_of(conf: Configuration, backend: Backend) -> Spectrum:
@@ -124,7 +118,7 @@ def round(r: Robogram, da: DemonicAction, conf: Configuration, backend: Backend)
             out.append(loc)
             continue
         f = frames.make_frame(loc, fp.zoom, fp.c, fp.s, fp.reflect, backend)
-        dest = r.pgm(frames.map_multiset(f, global_spec))
+        dest = r(frames.map_multiset(f, global_spec))
         out.append(loc if dest == origin else frames.preimage(f, dest))
     return tuple(out)
 

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import math
 
-from . import gather2d, geometry, model, verify
-from .geometry import Circle
+from . import gather2d, model, verify
 from .model import Trace
 from .scalars import Backend
 
@@ -15,23 +14,15 @@ _MARGIN = 26
 _COLS = 4
 
 
-def _circle(summary: gather2d.RoundSummary, backend: Backend) -> Circle:
-    """The SEC of a summarized configuration: read from its analysis, which
-    gathered and majority summaries do not carry."""
-    if summary.analysis is not None:
-        return summary.analysis.circle
-    return geometry.sec(list(summary.spectrum), backend)[0]
-
-
-def _bounds(views: list[tuple[gather2d.RoundSummary, Circle]]) -> tuple[float, float, float]:
+def _bounds(summaries: list[gather2d.RoundSummary]) -> tuple[float, float, float]:
     xs: list[float] = []
     ys: list[float] = []
     radii: list[float] = []
-    for summary, circle in views:
+    for summary in summaries:
         for p in summary.spectrum:
             xs.append(float(p.x))
             ys.append(float(p.y))
-        radii.append(math.sqrt(max(0.0, float(circle.radius_sq))))
+        radii.append(math.sqrt(max(0.0, float(summary.sec_analysis.circle.radius_sq))))
     cx = (min(xs) + max(xs)) / 2
     cy = (min(ys) + max(ys)) / 2
     half = max(max(xs) - cx, cx - min(xs), max(ys) - cy, cy - min(ys), max(radii), 1e-6)
@@ -40,7 +31,6 @@ def _bounds(views: list[tuple[gather2d.RoundSummary, Circle]]) -> tuple[float, f
 
 def _panel(
     summary: gather2d.RoundSummary,
-    circle: Circle,
     label: str,
     ox: float,
     oy: float,
@@ -58,6 +48,7 @@ def _panel(
         return oy + _PANEL - _MARGIN - (y - (cy - half)) * scale
 
     s = summary.spectrum
+    circle = summary.sec_analysis.circle
     r = math.sqrt(max(0.0, float(circle.radius_sq))) * scale
 
     parts = [
@@ -95,15 +86,13 @@ def render_trace(trace: Trace, backend: Backend, path: str, max_panels: int) -> 
     """Write one multi-panel SVG: the initial configuration plus the result
     of every round, truncated to the first ``max_panels`` panels. The scale
     fits every configuration of the trace, each distinct one summarized once
-    (``verify.summaries_of``), and each distinct summary's SEC computed once."""
-    views: list[tuple[gather2d.RoundSummary, Circle]] = []
-    for summary in verify.summaries_of(trace, backend):
-        same = views and views[-1][0] is summary
-        views.append((summary, views[-1][1] if same else _circle(summary, backend)))
+    (``verify.summaries_of``), with the SEC its summary keeps
+    (``RoundSummary.sec_analysis``)."""
+    summaries = list(verify.summaries_of(trace, backend))
     labels = ["initial"] + [f"round {st.index}" for st in trace.steps]
-    cx, cy, half = _bounds(views)
-    views = views[:max_panels]
-    n = len(views)
+    cx, cy, half = _bounds(summaries)
+    summaries = summaries[:max_panels]
+    n = len(summaries)
     cols = min(_COLS, n)
     rows = (n + cols - 1) // cols
     width = cols * _PANEL
@@ -112,10 +101,10 @@ def render_trace(trace: Trace, backend: Backend, path: str, max_panels: int) -> 
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif">'
     ]
-    for i, ((summary, circle), label) in enumerate(zip(views, labels)):
+    for i, (summary, label) in enumerate(zip(summaries, labels)):
         ox = (i % cols) * _PANEL
         oy = (i // cols) * _PANEL
-        body.append(_panel(summary, circle, label, ox, oy, cx, cy, half))
+        body.append(_panel(summary, label, ox, oy, cx, cy, half))
     body.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(body) + "\n")

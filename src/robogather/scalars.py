@@ -52,9 +52,6 @@ class ExactBackend:
     def eq(self, a: Scalar, b: Scalar) -> bool:
         return a == b
 
-    def is_zero(self, a: Scalar) -> bool:
-        return a == 0
-
     def point(self, x, y) -> Point:
         return Point(self.scalar(x), self.scalar(y))
 
@@ -96,9 +93,6 @@ class FloatBackend:
 
     def eq(self, a: Scalar, b: Scalar) -> bool:
         return abs(a - b) <= self.eps_abs + self.eps_rel * max(abs(a), abs(b))
-
-    def is_zero(self, a: Scalar) -> bool:
-        return self.eq(a, 0.0)
 
     def point(self, x, y) -> Point:
         return Point(self.scalar(x), self.scalar(y))

@@ -6,7 +6,8 @@ every round against the protocol's invariants: the local/global round
 equivalence, common destination of movers, unreachability of bivalent
 configurations, strict measure decrease, phase-transition conformance and
 gather persistence. Failures are report entries with a replayable seed,
-never exceptions.
+never exceptions. Every demon kind is one entry of ``DEMON_KINDS``;
+``fuzz`` accepts those that need no given script (``UNSCRIPTED_KINDS``).
 """
 from __future__ import annotations
 
@@ -20,14 +21,26 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import gather2d, geometry, model
 from .gather2d import EXPECTED_ARCS, Phase, RoundSummary
 from .model import Configuration, DemonicAction, FrameParams, Trace, TraceStep
-from .scalars import FLOAT64, Backend, Point
+from .scalars import Backend, Point
+
+# Every demon kind: (its bound k, its activation script), each for n robots.
+# A script fixes k; None makes a deadline demon and GIVEN_SCRIPT one whose
+# script the caller gives, and either may be given its own k.
+GIVEN_SCRIPT = "given"
+DEMON_KINDS = {
+    "round_robin": (lambda n: n, lambda n: [[i] for i in range(n)]),
+    "all_active": (lambda n: 1, lambda n: [range(n)]),
+    "random_kfair": (lambda n: 2 * n, None),
+    "single_mover": (lambda n: 2 * n, None),
+    "adversarial": (lambda n: n, GIVEN_SCRIPT),
+    # Never activates robot 0; claims round-robin fairness. Negative control.
+    "unfair_skip0": (lambda n: n, lambda n: [[1 + i % (n - 1)] for i in range(n - 1)]),
+}
+# The kinds that need no given script: those ``fuzz`` accepts.
+UNSCRIPTED_KINDS = tuple(kind for kind, (_, script) in DEMON_KINDS.items() if script != GIVEN_SCRIPT)
 
 # The strategies a fuzz campaign draws from unless told otherwise.
 FUZZ_KINDS = ("round_robin", "all_active", "random_kfair", "single_mover")
-STRATEGY_KINDS = FUZZ_KINDS + ("adversarial",)
-
-# Deliberately unfair scripted strategy, kept for negative controls only.
-UNFAIR_KINDS = ("unfair_skip0",)
 
 
 def horizon_for(k: int, n_robots: int) -> int:
@@ -106,8 +119,6 @@ class Strategy:
         self.rng = random.Random(seed)
         self.k = k
         self.script = None if script is None else [set(ids) for ids in script]
-        if script is None and kind not in ("random_kfair", "single_mover"):
-            raise ValueError(f"{kind} strategy requires a script")
         if self.script is not None and (
             not self.script
             or any(type(i) is not int or not 0 <= i < n_robots for ids in self.script for i in ids)
@@ -144,24 +155,18 @@ def make_strategy(
     k: int | None = None,
     script: Sequence[Iterable[int]] | None = None,
 ) -> Strategy:
-    n = n_robots
-    k_and_script = {
-        "round_robin": (n, [[i] for i in range(n)]),
-        "all_active": (1, [range(n)]),
-        "random_kfair": (k or 2 * n, None),
-        "single_mover": (k or 2 * n, None),
-        "adversarial": (k or n, script),
-        # Never activates robot 0; claims round-robin fairness. Negative control.
-        "unfair_skip0": (n, [[1 + i % (n - 1)] for i in range(n - 1)]),
-    }
-    if kind not in k_and_script:
-        raise ValueError(f"unknown strategy kind {kind!r} (expected one of {tuple(k_and_script)})")
-    kind_k, kind_script = k_and_script[kind]
-    if k is not None and k != kind_k:
-        raise ValueError(f"demon key 'k' is fixed at {kind_k} for {kind}, got {k}")
-    if script is not None and kind != "adversarial":
-        raise ValueError(f"demon key 'script' applies to adversarial only, not {kind}")
-    return Strategy(kind, n, backend, seed, kind_k, kind_script)
+    if kind not in DEMON_KINDS:
+        raise ValueError(f"unknown strategy kind {kind!r} (expected one of {tuple(DEMON_KINDS)})")
+    kind_k, kind_script = DEMON_KINDS[kind]
+    if callable(kind_script) and k is not None and k != kind_k(n_robots):
+        raise ValueError(f"demon key 'k' is fixed at {kind_k(n_robots)} for {kind}, got {k}")
+    if kind_script != GIVEN_SCRIPT:
+        if script is not None:
+            raise ValueError(f"demon key 'script' applies to adversarial only, not {kind}")
+        script = kind_script(n_robots) if callable(kind_script) else None
+    elif script is None:
+        raise ValueError(f"{kind} strategy requires a script")
+    return Strategy(kind, n_robots, backend, seed, k or kind_k(n_robots), script)
 
 
 def _cocircular_pool(rng: random.Random, backend: Backend, bbox: int, size: int) -> list[Point]:
@@ -245,13 +250,16 @@ def gen_initial(
         else:
             size = pool_size if pool_size is not None else rng.randint(1, min(n_robots, 5))
             guard = 0
+            drawn: set[tuple[int, int]] = set()  # the exact pool, as integer pairs
             while len(pool) < size:
                 guard += 1
                 if guard > 1000:
                     raise RuntimeError("could not draw a separated location pool")
                 if backend.is_exact:
-                    p = backend.point(rng.randint(-bbox, bbox), rng.randint(-bbox, bbox))
-                    ok = all(p != q for q in pool)
+                    xy = rng.randint(-bbox, bbox), rng.randint(-bbox, bbox)
+                    ok = xy not in drawn
+                    drawn.add(xy)
+                    p = backend.point(*xy)
                 else:
                     p = Point(rng.uniform(-bbox, bbox), rng.uniform(-bbox, bbox))
                     ok = all((p.x - q.x) ** 2 + (p.y - q.y) ** 2 > 1e-2 for q in pool)
@@ -438,8 +446,9 @@ def check_trace(
     summary. Fuzz runs and ``robogather run`` execute on ``round_global``,
     so on their traces ``chaining`` is the runtime check that the local
     round equals the global one, and ``round_simplify`` only confirms the
-    executed round. A fuzz run passes the ``summaries`` (see
-    ``summaries_of``) of its execution; ``robogather check`` passes none.
+    executed round. A ``GeometryError`` the local round raises is a
+    ``chaining`` violation that names it. A fuzz run passes the ``summaries``
+    (see ``summaries_of``) of its execution; ``robogather check`` none.
     """
     summary_of = summaries_of(trace, backend, summaries)
     rep = CheckReport()
@@ -455,12 +464,12 @@ def check_trace(
         def rec(prop: str, ok: bool, detail: str, _prev=prev, _cur=cur, _idx=idx):
             rep.record(prop, ok, run_seed, _idx, detail, before=_prev, after=_cur)
 
-        expected = model.round(r, step.action, prev, backend)
-        rec(
-            "chaining",
-            _configs_eq(expected, cur, backend),
-            "recorded configuration does not match the local-frame round",
-        )
+        try:
+            chained = _configs_eq(model.round(r, step.action, prev, backend), cur, backend)
+            detail = "recorded configuration does not match the local-frame round"
+        except geometry.GeometryError as exc:
+            chained, detail = False, f"the local-frame round raised {type(exc).__name__}: {exc}"
+        rec("chaining", chained, detail)
 
         glob = gather2d.round_global(step.action.activated(), prev, backend, prev_sum)
         rec(
@@ -520,54 +529,6 @@ def check_trace(
             f"action stream violates {declared_k}-bounded fairness",
         )
     return rep
-
-
-def check_equivalence(conf: Configuration, da: DemonicAction, backend: Backend) -> bool:
-    """Does one local-frame round equal the global-view round?"""
-    r = gather2d.robogram(backend)
-    return _configs_eq(
-        model.round(r, da, conf, backend),
-        gather2d.round_global(da.activated(), conf, backend),
-        backend,
-    )
-
-
-def stress_degenerate_triangles(n_samples: int, seed: int = 0) -> dict[int, dict[str, int]]:
-    """Characterize (never assert) float classification near the tolerance.
-
-    For each perturbation size 10^e, e in {-6, -8, -9, -10, -12, -14},
-    nudges one vertex of an exactly isosceles triangle and of a float
-    equilateral triangle, and tallies how the classifier reads the result.
-    Regular fuzzing stays clear of this regime by a separation margin; this
-    map documents what happens inside it.
-    """
-    rng = random.Random(seed)
-    out: dict[int, dict[str, int]] = {}
-    for e in (-6, -8, -9, -10, -12, -14):
-        eps = 10.0**e
-        tally: dict[str, int] = {}
-        for _ in range(n_samples):
-            base = rng.uniform(1.0, 4.0)
-            apex_y = rng.uniform(1.0, 4.0)
-            if rng.random() < 0.5:
-                tri = [
-                    Point(0.0, 0.0),
-                    Point(base, 0.0),
-                    Point(base / 2 + rng.uniform(-eps, eps), apex_y),
-                ]
-            else:
-                theta = rng.uniform(0.0, 2 * math.pi)
-                tri = [
-                    Point(
-                        math.cos(theta + k * 2 * math.pi / 3) + (rng.uniform(-eps, eps) if k == 0 else 0.0),
-                        math.sin(theta + k * 2 * math.pi / 3),
-                    )
-                    for k in range(3)
-                ]
-            kind = geometry.classify_triangle(*tri, FLOAT64).kind.value
-            tally[kind] = tally.get(kind, 0) + 1
-        out[e] = tally
-    return out
 
 
 @dataclass(frozen=True)

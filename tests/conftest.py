@@ -7,7 +7,7 @@ from fractions import Fraction
 import hypothesis
 from hypothesis import strategies as st
 
-from robogather import frames, gather2d, geometry, model
+from robogather import frames, gather2d, geometry, model, verify
 from robogather.scalars import EXACT, FLOAT64, Point
 
 hypothesis.settings.register_profile(
@@ -76,6 +76,15 @@ def sec_boundary(points, backend) -> list:
         if not any(backend.points_eq(p, q) for q in out) and geometry.on_circle(c, p, backend):
             out.append(p)
     return out
+
+
+def local_round_matches_global(conf, da, backend) -> bool:
+    """Does one local-frame round equal the global-view round? Graded by
+    ``verify.check_trace``'s ``chaining`` on a one-round trace that records
+    the global round."""
+    after = gather2d.round_global(da.activated(), conf, backend)
+    trace = model.Trace(conf, [model.TraceStep(0, da, after)])
+    return verify.check_trace(trace, backend).violations_of("chaining") == 0
 
 
 def local_step(backend):

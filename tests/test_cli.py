@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -9,7 +12,9 @@ import pytest
 
 from conftest import distinct_configs
 from robogather import cli, gather2d, geometry, model, render, traceio, verify
-from robogather.scalars import FLOAT64
+from robogather.scalars import FLOAT64, Point
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _write_scenario(tmp_path, name="s.json", **overrides):
@@ -539,6 +544,44 @@ def test_fuzz_unfair_strategy_exit_three(tmp_path, capsys):
 
 def test_fuzz_rejects_unknown_strategy():
     assert cli.main(["fuzz", "--runs", "1", "--strategies", "bogus"]) == cli.EXIT_INPUT
+
+
+def _robogather(*argv):
+    """``python -m robogather argv`` in a fresh interpreter, so a traceback
+    would reach stderr."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run(
+        [sys.executable, "-m", "robogather", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_fuzz_rejects_a_kind_that_needs_a_script():
+    # adversarial cycles through a script the scenario gives; fuzz has none
+    done = _robogather("fuzz", "--runs", "1", "--strategies", "adversarial")
+    assert done.returncode == cli.EXIT_INPUT
+    assert done.stderr.startswith("error: ") and "adversarial" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_check_reports_a_local_round_geometry_error_as_chaining(tmp_path):
+    # robots 0 and 2 are 5.4e-9 apart, three towers under the global
+    # tolerance; robot 2's frame zooms by 1/10, and in it the local
+    # classify_triangle finds two of the three SEC towers coincident
+    conf = (
+        Point(2.8620990692958076e-09, 1.000000003816132),
+        Point(0.0, 2.494570660529033e-09),
+        Point(0.0, 1.0000000084397684),
+    )
+    da = model.DemonicAction((None, None, model.FrameParams(0.1, 0.6, 0.8, False)))
+    after = gather2d.round_global(da.activated(), conf, FLOAT64)
+    path = str(tmp_path / "float.jsonl")
+    traceio.write_trace(path, model.Trace(conf, [model.TraceStep(0, da, after)]), FLOAT64)
+    done = _robogather("check", "--trace", path)
+    assert done.returncode in (cli.EXIT_OK, cli.EXIT_VIOLATION), done.stderr
+    assert "Traceback" not in done.stderr
+    if done.returncode == cli.EXIT_VIOLATION:
+        assert "[chaining]" in done.stdout and "DegenerateInput" in done.stdout
 
 
 def test_render_trace(tmp_path):

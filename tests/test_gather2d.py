@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import bounded_fractions, exact_points, exact_similarities, float_points
 from robogather import frames, gather2d, geometry, model
 from robogather.gather2d import Measure, Phase
+from robogather.geometry import TriangleKind
 from robogather.model import DemonicAction, FrameParams
 from robogather.scalars import EXACT, FLOAT64, Point
 
@@ -23,23 +24,24 @@ def spectrum(*pts):
 
 
 def test_target_triangle_isosceles_apex():
-    assert gather2d.target_triangle(P(0, 0), P(2, 0), P(1, 5), EXACT) == P(1, 5)
+    assert gather2d.target_triangle(P(0, 0), P(2, 0), P(1, 5), EXACT) == (P(1, 5), TriangleKind.ISOSCELES)
 
 
 def test_target_triangle_scalene_opposite_longest():
-    assert gather2d.target_triangle(P(0, 0), P(4, 0), P(1, 1), EXACT) == P(1, 1)
+    assert gather2d.target_triangle(P(0, 0), P(4, 0), P(1, 1), EXACT) == (P(1, 1), TriangleKind.SCALENE)
 
 
 def test_target_triangle_equilateral_barycenter_floating():
     tri = (Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, math.sqrt(3) / 2))
-    tgt = gather2d.target_triangle(*tri, FLOAT64)
+    tgt, kind = gather2d.target_triangle(*tri, FLOAT64)
     assert FLOAT64.points_eq(tgt, Point(0.5, math.sqrt(3) / 6))
+    assert kind is TriangleKind.EQUILATERAL
 
 
 @given(st.permutations([0, 1, 2]))
 def test_target_triangle_permutation_invariant(perm):
     pts = [P(0, 0), P(4, 0), P(1, 1)]
-    assert gather2d.target_triangle(*(pts[i] for i in perm), EXACT) == P(1, 1)
+    assert gather2d.target_triangle(*(pts[i] for i in perm), EXACT) == (P(1, 1), TriangleKind.SCALENE)
 
 
 # --- target / is_clean -------------------------------------------------
@@ -112,7 +114,7 @@ def test_pgm_empty_spectrum_returns_origin():
 def test_robogram_is_pure():
     r = gather2d.robogram(EXACT)
     s = Counter({P(0, 0): 2, P(5, 5): 3})
-    assert r.pgm(s) == r.pgm(Counter(s))
+    assert r(s) == r(Counter(s))
 
 
 # --- round_global ------------------------------------------------------------------
@@ -194,6 +196,31 @@ def test_classify_equilateral_floating():
     assert gather2d.classify_phase(s, FLOAT64) is Phase.EQUILATERAL_CLEAN
 
 
+@pytest.mark.parametrize(
+    "conf, backend, phase",
+    [
+        ((P(0, 0), P(2, 0), P(1, 5)), EXACT, Phase.ISOSCELES_CLEAN),
+        ((P(0, 0), P(2, 0), P(1, 5), P(1, 1)), EXACT, Phase.ISOSCELES_DIRTY),
+        ((P(0, 0), P(4, 0), P(1, 3)), EXACT, Phase.SCALENE_CLEAN),
+        ((P(0, 0), P(4, 0), P(1, 3), P(1, 1)), EXACT, Phase.SCALENE_DIRTY),
+        (
+            tuple(Point(math.cos(0.3 + k * 2 * math.pi / 3), math.sin(0.3 + k * 2 * math.pi / 3)) for k in range(3)),
+            FLOAT64,
+            Phase.EQUILATERAL_CLEAN,
+        ),
+    ],
+    ids=["isosceles-clean", "isosceles-dirty", "scalene-clean", "scalene-dirty", "equilateral-clean"],
+)
+def test_summarize_classifies_a_triangle_once(monkeypatch, conf, backend, phase):
+    # the phase is read from the shape _analyze records while it picks the
+    # target, not from a second classify_triangle on the same boundary
+    calls = []
+    classify = geometry.classify_triangle
+    monkeypatch.setattr(geometry, "classify_triangle", lambda *args: calls.append(1) or classify(*args))
+    assert gather2d.summarize(conf, backend).phase is phase
+    assert len(calls) == 1
+
+
 def test_classify_empty_raises():
     with pytest.raises(gather2d.EmptySpectrum):
         gather2d.classify_phase(Counter(), EXACT)
@@ -252,6 +279,7 @@ def test_summarize_agrees_with_standalone_predicates(pts):
     assert summary.forbidden == gather2d.forbidden(conf, EXACT)
     assert summary.gathered_pt == gather2d.gathering_point(conf, EXACT)
     assert summary.clean == (summary.phase is Phase.GATHERED or gather2d._analyze(s, EXACT).clean)
+    assert summary.sec_analysis.circle == geometry.sec(list(s), EXACT)[0]
 
 
 def test_lt_measure():

@@ -383,13 +383,6 @@ def test_sec_matches_bruteforce_collinear(pts):
     assert len(sec_boundary(pts, EXACT)) == 2
 
 
-@given(rational, rational, bounded_fractions(0, 50, 9), exact_points)
-def test_on_circle_matches_fraction_formula(cx, cy, r2, p):
-    c = g.Circle(P(cx, cy), r2)
-    assert g.on_circle(c, p, EXACT) == (g.dist_sq(c.center, p) == r2)
-    assert g.on_circle(g.Circle(c.center, g.dist_sq(c.center, p)), p, EXACT)
-
-
 # --- the boundary sec returns ----------------------------------------------------
 
 
@@ -405,6 +398,8 @@ def _lists_with_repeats(draw):
 def test_exact_sec_boundary_is_the_points_on_the_circle_in_input_order(pts):
     c, boundary = g.sec(pts, EXACT)
     assert boundary == [p for p in pts if g.dist_sq(c.center, p) == c.radius_sq]
+    # on_circle on Fractions decides what the scaled-integer kernel decided
+    assert boundary == [p for p in pts if g.on_circle(c, p, EXACT)]
 
 
 @given(float_point_lists)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import exact_points, local_step
-from robogather import gather2d, model, verify
-from robogather.model import DemonicAction, FrameParams, Robogram
+from conftest import exact_points, local_round_matches_global, local_step
+from robogather import gather2d, model
+from robogather.model import DemonicAction, FrameParams
 from robogather.scalars import EXACT, FLOAT64, Point
 
 P = EXACT.point
@@ -115,7 +115,7 @@ def test_round_float_robot_sent_to_its_origin_stays_exactly():
     # must keep its exact coordinates instead
     loc = Point(0.3, -1.7)
     fp = FrameParams(2.5, math.cos(0.7), math.sin(0.7), True)
-    stay = Robogram(pgm=lambda s: FLOAT64.origin())
+    stay = lambda s: FLOAT64.origin()  # noqa: E731
     conf = (loc, Point(4.0, 1.0), Point(-2.0, 3.0))
     da = DemonicAction((fp, None, fp))
     assert model.round(stay, da, conf, FLOAT64) == conf
@@ -131,7 +131,7 @@ def test_round_float_tolerance_band_independent_of_zoom(zoom):
     da = DemonicAction((FrameParams(zoom, 1.0, 0.0, False), None, None, None))
     after = model.round(gather2d.robogram(FLOAT64), da, conf, FLOAT64)
     assert after[0] == Point(5.0, 0.0)
-    assert verify.check_equivalence(conf, da, FLOAT64)
+    assert local_round_matches_global(conf, da, FLOAT64)
 
 
 def test_pgm_compatibility_equal_spectra_equal_outputs():
@@ -139,7 +139,7 @@ def test_pgm_compatibility_equal_spectra_equal_outputs():
     s1 = Counter([P(0, 0), P(1, 1), P(1, 1)])
     s2 = Counter([P(1, 1), P(0, 0), P(1, 1)])
     assert s1 == s2
-    assert r.pgm(s1) == r.pgm(s2)
+    assert r(s1) == r(s2)
 
 
 # --- moving ----------------------------------------------------------------------

@@ -1,12 +1,19 @@
 import hashlib
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import distinct_configs, first_gathered_round, gathered_stable_stop, local_step
-from robogather import gather2d, model, verify
+from conftest import (
+    distinct_configs,
+    first_gathered_round,
+    gathered_stable_stop,
+    local_round_matches_global,
+    local_step,
+)
+from robogather import gather2d, geometry, model, verify
 from robogather.gather2d import Phase
 from robogather.model import DemonicAction, FrameParams, Trace, TraceStep
 from robogather.scalars import EXACT, FLOAT64, Point
@@ -99,7 +106,7 @@ ACTION_STREAM_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("kind", verify.STRATEGY_KINDS + verify.UNFAIR_KINDS)
+@pytest.mark.parametrize("kind", tuple(verify.DEMON_KINDS))
 @pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "float"])
 def test_strategy_action_stream_is_pinned(kind, backend):
     n = 5
@@ -265,8 +272,46 @@ def test_failures_carry_before_and_after_configurations():
     assert failure.after == bad
 
 
+def _stress_degenerate_triangles(n_samples: int, seed: int = 0) -> dict[int, dict[str, int]]:
+    """Characterize (never assert) float classification near the tolerance.
+
+    For each perturbation size 10^e, e in {-6, -8, -9, -10, -12, -14},
+    nudges one vertex of an exactly isosceles triangle and of a float
+    equilateral triangle, and tallies how the classifier reads the result.
+    Regular fuzzing stays clear of this regime by a separation margin; this
+    map documents what happens inside it.
+    """
+    rng = random.Random(seed)
+    out: dict[int, dict[str, int]] = {}
+    for e in (-6, -8, -9, -10, -12, -14):
+        eps = 10.0**e
+        tally: dict[str, int] = {}
+        for _ in range(n_samples):
+            base = rng.uniform(1.0, 4.0)
+            apex_y = rng.uniform(1.0, 4.0)
+            if rng.random() < 0.5:
+                tri = [
+                    Point(0.0, 0.0),
+                    Point(base, 0.0),
+                    Point(base / 2 + rng.uniform(-eps, eps), apex_y),
+                ]
+            else:
+                theta = rng.uniform(0.0, 2 * math.pi)
+                tri = [
+                    Point(
+                        math.cos(theta + k * 2 * math.pi / 3) + (rng.uniform(-eps, eps) if k == 0 else 0.0),
+                        math.sin(theta + k * 2 * math.pi / 3),
+                    )
+                    for k in range(3)
+                ]
+            kind = geometry.classify_triangle(*tri, FLOAT64).kind.value
+            tally[kind] = tally.get(kind, 0) + 1
+        out[e] = tally
+    return out
+
+
 def test_stress_mode_characterizes_degenerate_regime():
-    profile = verify.stress_degenerate_triangles(60, seed=3)
+    profile = _stress_degenerate_triangles(60, seed=3)
     # structural checks only: the regime map is a report, not an assertion
     assert set(profile) == {-6, -8, -9, -10, -12, -14}
     for tally in profile.values():
@@ -297,7 +342,7 @@ def test_check_report_merge_and_summary():
 def test_check_equivalence_inactive():
     conf = (P(0, 0), P(1, 1), P(2, 2))
     da = DemonicAction((None, None, None))
-    assert verify.check_equivalence(conf, da, EXACT)
+    assert local_round_matches_global(conf, da, EXACT)
 
 
 def test_check_equivalence_random_frames():
@@ -306,7 +351,7 @@ def test_check_equivalence_random_frames():
     conf = verify.gen_initial(5, rng, EXACT)
     for i in range(10):
         da = strat(i, conf)
-        assert verify.check_equivalence(conf, da, EXACT)
+        assert local_round_matches_global(conf, da, EXACT)
 
 
 # --- fuzz ---------------------------------------------------------------------------
