@@ -10,16 +10,15 @@ On the exact backend a similarity also carries an integer form
 (A, B, TX, TY, D) over one common denominator D > 0: A/D = zoom·c,
 B/D = zoom·s and (TX/D, TY/D) is the translation. ``apply`` evaluates one
 integer expression per coordinate and builds one ``Fraction`` from it,
-instead of about ten ``Fraction`` operations per point; points keep their
-``Fraction`` coordinates, so callers see the same values. Only
-``make_frame`` derives the form, once, from the integer numerators and
-denominators of the zoom, the unit pair and the robot's location; it need
-not be in lowest terms, because every point that leaves ``apply`` or
-``preimage`` is a normalized ``Fraction``. ``preimage`` maps a point back
-through the form with one integer expression, so no inverse frame is
-built. A ``Similarity`` built directly (an inverse, say) has no integer
-form, and ``apply`` evaluates it by the generic formula, which is exact on
-``Fraction``s too.
+instead of about ten ``Fraction`` operations per point. ``linear_form``
+keeps (A, B, D) on a ``FrameParams``, so a shared frame pays for it once,
+and a frame from ``make_frame`` derives its translation, over D·xd·yd with
+the robot's denominators, on first read: a robot that sees only its own
+tower derives none. The form need not be in lowest terms, because every
+point that leaves ``apply`` or ``preimage`` is a normalized ``Fraction``;
+``preimage`` maps a point back with one integer expression, and no inverse
+frame. A ``Similarity`` built directly (an inverse, say), or on floats, has
+no integer form and maps by the generic formula, exact on ``Fraction``s too.
 
 A frame made for a robot sends that robot's own tower to the origin with no
 arithmetic (the identity that defines ``make_frame``), and a robot whose
@@ -34,19 +33,23 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
 from .scalars import EXACT, FLOAT64, Backend, Point, Scalar
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .model import Spectrum
+    from .model import FrameParams, Spectrum
+
+_set = object.__setattr__  # fills a frozen object's slot on first use
+_params = attrgetter("zoom", "c", "s", "reflect", "tx", "ty")  # what Similarity equality compares
 
 
 class InvalidFrame(Exception):
     """Rejected frame parameters: non-positive zoom or non-unit rotation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Similarity:
     """f(p) = zoom · M · p + translation, where M is the rotation (c, -s; s, c)
     composed with reflection across the x-axis when ``reflect`` is set.
@@ -65,8 +68,34 @@ class Similarity:
     reflect: bool
     tx: Scalar
     ty: Scalar
-    ints: Optional[tuple[int, int, int, int, int]] = field(default=None, compare=False, repr=False)
-    robot: Optional[Point] = field(default=None, compare=False, repr=False)
+    ints: Optional[tuple[int, int, int, int, int]] = field(default=None, repr=False)
+    robot: Optional[Point] = field(default=None, repr=False)
+
+    def __eq__(self, other):
+        return isinstance(other, Similarity) and _params(self) == _params(other)
+
+    def __hash__(self):
+        return hash(_params(self))
+
+
+class _ExactFrame(Similarity):
+    """An exact frame from ``make_frame``, set up with its ``FrameParams`` and robot only;
+    ``__getattr__`` (it slows every read, so no other class has one) derives the rest."""
+
+    __slots__ = ("fp",)
+
+    def __getattr__(self, name: str):
+        if name == "ints":
+            value = _with_translation(self.fp.form, self.reflect, self.robot)
+        elif name in ("tx", "ty"):
+            _, _, txn, tyn, den = self.ints
+            value = Fraction(txn if name == "tx" else tyn, den)
+        elif name in ("zoom", "c", "s", "reflect"):
+            value = getattr(self.fp, name)
+        else:
+            raise AttributeError(name)
+        _set(self, name, value)
+        return value
 
 
 def _image(a: int, b: int, tx: int, ty: int, d: int, reflect: bool, p: Point) -> Point:
@@ -108,44 +137,48 @@ def check_params(zoom: Scalar, c: Scalar, s: Scalar, backend: Backend) -> None:
         raise InvalidFrame(f"(c, s) = ({c}, {s}) is not a unit pair")
 
 
-def make_frame(
-    robot_loc: Point,
-    zoom: Scalar,
-    c: Scalar,
-    s: Scalar,
-    reflect: bool,
-    backend: Backend,
-) -> Similarity:
-    """Build the frame of a robot at ``robot_loc``: the unique similarity with
-    the given linear part mapping the robot to the origin of its own frame.
+def linear_form(fp: "FrameParams", backend: Backend) -> Optional[tuple[int, int, int]]:
+    """Validate ``fp`` and return its (A, B, D), A/D = zoom·c, B/D = zoom·s, kept
+    on ``fp`` so each exact ``FrameParams`` is validated once; None on floats."""
+    form = fp.form
+    if form is None:
+        zoom, c, s = fp.zoom, fp.c, fp.s
+        check_params(zoom, c, s, backend)
+        if backend.is_exact:
+            zn, zd, cd, sd = zoom.numerator, zoom.denominator, c.denominator, s.denominator
+            d = zd * lcm(cd, sd)
+            form = (zn * c.numerator * (d // (zd * cd)), zn * s.numerator * (d // (zd * sd)), d)
+            _set(fp, "form", form)
+    return form
 
-    On the exact backend this derives the integer form with integer
-    arithmetic only, over D·xd·yd where xd and yd are the denominators of
-    the robot's coordinates.
-    """
-    check_params(zoom, c, s, backend)
-    if backend.is_exact:
-        # (A, B, D) with A/D = zoom·c and B/D = zoom·s
-        zd, cd, sd = zoom.denominator, c.denominator, s.denominator
-        d = zd * lcm(cd, sd)
-        a = zoom.numerator * c.numerator * (d // (zd * cd))
-        b = zoom.numerator * s.numerator * (d // (zd * sd))
-        # the translation is minus the linear part's image of the robot,
-        # (A·x − B·y, B·x + A·y)/D with y negated when reflecting
-        x, y = robot_loc
-        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-        if reflect:
-            yn = -yn
-        u, v, w = xn * yd, yn * xd, xd * yd
-        txn, tyn, den = b * v - a * u, -(b * u + a * v), d * w
-        ints = (a * w, b * w, txn, tyn, den)
-        tx, ty = Fraction(txn, den), Fraction(tyn, den)
-    else:
-        lx, ly = _linear(zoom, c, s, reflect, robot_loc)
+
+def _with_translation(form: tuple[int, int, int], reflect: bool, robot: Point) -> tuple[int, ...]:
+    """The integer form of the frame with (A, B, D) that sends ``robot`` to the
+    origin: the translation is minus (A·x − B·y, B·x + A·y)/D, y negated when reflecting."""
+    a, b, d = form
+    x, y = robot
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    if reflect:
+        yn = -yn
+    u, v, w = xn * yd, yn * xd, xd * yd
+    return a * w, b * w, b * v - a * u, -(b * u + a * v), d * w
+
+
+def make_frame(robot_loc: Point, fp: "FrameParams", backend: Backend) -> Similarity:
+    """Build the frame of a robot at ``robot_loc``: the unique similarity with
+    the linear part of ``fp`` mapping the robot to the origin of its own
+    frame. An exact frame derives its translation on first read."""
+    if not backend.is_exact:
+        check_params(fp.zoom, fp.c, fp.s, backend)
+        lx, ly = _linear(fp.zoom, fp.c, fp.s, fp.reflect, robot_loc)
         # Translation cancels the same linear expression, so f(robot_loc) is
         # the exact origin (identical rounding).
-        tx, ty, ints = -lx, -ly, None
-    return Similarity(zoom, c, s, reflect, tx, ty, ints, robot_loc)
+        return Similarity(fp.zoom, fp.c, fp.s, fp.reflect, -lx, -ly, None, robot_loc)
+    linear_form(fp, backend)
+    f = object.__new__(_ExactFrame)
+    _set(f, "fp", fp)
+    _set(f, "robot", robot_loc)
+    return f
 
 
 def inverse(f: Similarity) -> Similarity:
@@ -190,7 +223,7 @@ def map_multiset(f: Similarity, s: "Spectrum") -> "Spectrum":
     arithmetic: on the exact backend the tower whose key *is* that point,
     on floats any key equal to it, so the own tower is never rounded."""
     robot = f.robot
-    if f.ints is not None:
+    if type(f) is _ExactFrame:
         # an exact similarity is injective, so the towers stay distinct and
         # each image is hashed once
         origin = EXACT.origin()

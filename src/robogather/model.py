@@ -11,7 +11,7 @@ global frame.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from . import frames
@@ -32,14 +32,16 @@ Demon = Callable[[int, Configuration], "DemonicAction"]
 Step = Callable[["DemonicAction", Configuration], Configuration]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameParams:
-    """Frame a demon hands to an activated robot (see frames.make_frame)."""
+    """Frame a demon hands to an activated robot (see frames.make_frame and,
+    for ``form``, frames.linear_form)."""
 
     zoom: Scalar
     c: Scalar
     s: Scalar
     reflect: bool
+    form: Optional[tuple[int, int, int]] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -103,10 +105,10 @@ def round(r: Robogram, da: DemonicAction, conf: Configuration, backend: Backend)
     the global frame, so what a robot sees does not depend on the zoom of
     its frame.
 
-    Each activation builds one frame, whose integer form (exact backend) is
-    derived once. A robot whose destination is its own origin stays exactly
-    where it is, on both backends; any other destination comes back through
-    ``frames.preimage``.
+    Each activation builds one frame; an exact one reuses its ``FrameParams``'
+    linear form and derives a translation only to see another tower or move.
+    A robot whose destination is its own origin stays exactly where it is,
+    on both backends; any other destination comes back through ``preimage``.
     """
     if len(da.steps) != len(conf):
         raise ValueError(f"action for {len(da.steps)} robots applied to {len(conf)}")
@@ -117,7 +119,7 @@ def round(r: Robogram, da: DemonicAction, conf: Configuration, backend: Backend)
         if fp is None:
             out.append(loc)
             continue
-        f = frames.make_frame(loc, fp.zoom, fp.c, fp.s, fp.reflect, backend)
+        f = frames.make_frame(loc, fp, backend)
         dest = r(frames.map_multiset(f, global_spec))
         out.append(loc if dest == origin else frames.preimage(f, dest))
     return tuple(out)

@@ -66,7 +66,8 @@ def _frame_out(fp: Optional[FrameParams], backend: Backend):
 
 def _frame_in(obj, backend: Backend, shared: dict) -> Optional[FrameParams]:
     """The frame of a step, from the document's memo ``shared``: one checked
-    ``FrameParams`` per distinct zoom, c, s and reflect."""
+    ``FrameParams`` per distinct zoom, c, s and reflect, validated once by
+    ``frames.linear_form``."""
     if obj is None:
         return None
     zoom, c, s = obj["zoom"], obj["c"], obj["s"]
@@ -76,7 +77,7 @@ def _frame_in(obj, backend: Backend, shared: dict) -> Optional[FrameParams]:
     if fp is None:
         fp = FrameParams(backend.parse(zoom), backend.parse(c), backend.parse(s), reflect)
         try:
-            frames.check_params(fp.zoom, fp.c, fp.s, backend)
+            frames.linear_form(fp, backend)
         except frames.InvalidFrame as exc:
             raise TraceFormatError(f"invalid frame: {exc}") from exc
         shared[key] = fp
@@ -248,8 +249,6 @@ class Scenario:
         kind = demon.get("kind", "round_robin")
         seed = _int(demon.get("seed", 0), "demon seed")
         k = _int(demon.get("k"), "demon k", optional=True)
-        if k is not None and k < 1:
-            raise ScenarioError(f"demon k must be at least 1, got {k}")
         try:
             strategy = verify.make_strategy(
                 kind, self.n_robots, backend, seed=seed, k=k, script=demon.get("script")

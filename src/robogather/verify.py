@@ -61,13 +61,15 @@ def _unit_circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
     return Fraction(q * q - p * p, den), Fraction(2 * p * q, den)
 
 
-# The exact frame distribution's support, built once: zoom
-# _ZOOM_LO + (_ZOOM_HI - _ZOOM_LO) · i/12 for i = 0..12, and the unit pair
-# of each half-angle parameter p/q keyed by the draws (p, q).
+# The exact frame distribution's support: zoom
+# _ZOOM_LO + (_ZOOM_HI - _ZOOM_LO) · i/12 for i = 0..12, the unit pair of each
+# half-angle parameter p/q keyed by the draws (p, q), and reflect: one shared
+# FrameParams per point, built on first draw, so its form is derived once.
 _EXACT_ZOOMS = tuple(Fraction(12 + 99 * i, 120) for i in range(13))
 _EXACT_UNIT_PAIRS = {
     (p, q): _unit_circle_point(Fraction(p, q)) for p in range(-6, 7) for q in range(1, 7)
 }
+_EXACT_FRAMES: list[Optional[FrameParams]] = [None] * (13 * 13 * 6 * 2)
 _LOG_ZOOM_RANGE = (math.log(float(_ZOOM_LO)), math.log(float(_ZOOM_HI)))
 
 
@@ -79,13 +81,15 @@ class FramePolicy:
 
     def sample(self, rng: random.Random, backend: Backend) -> FrameParams:
         if backend.is_exact:
-            zoom = _EXACT_ZOOMS[rng.randint(0, 12)]
-            c, s = _EXACT_UNIT_PAIRS[rng.randint(-6, 6), rng.randint(1, 6)]
-        else:
-            zoom = math.exp(rng.uniform(*_LOG_ZOOM_RANGE))
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            c, s = math.cos(theta), math.sin(theta)
-        return FrameParams(zoom, c, s, rng.random() < 0.5)
+            i, p, q, reflect = rng.randint(0, 12), rng.randint(-6, 6), rng.randint(1, 6), rng.random() < 0.5
+            key = ((i * 13 + p + 6) * 6 + q - 1) * 2 + reflect
+            fp = _EXACT_FRAMES[key]
+            if fp is None:
+                fp = _EXACT_FRAMES[key] = FrameParams(_EXACT_ZOOMS[i], *_EXACT_UNIT_PAIRS[p, q], reflect)
+            return fp
+        zoom = math.exp(rng.uniform(*_LOG_ZOOM_RANGE))
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        return FrameParams(zoom, math.cos(theta), math.sin(theta), rng.random() < 0.5)
 
 
 DEFAULT_POLICY = FramePolicy()
@@ -157,6 +161,8 @@ def make_strategy(
 ) -> Strategy:
     if kind not in DEMON_KINDS:
         raise ValueError(f"unknown strategy kind {kind!r} (expected one of {tuple(DEMON_KINDS)})")
+    if k is not None and k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     kind_k, kind_script = DEMON_KINDS[kind]
     if callable(kind_script) and k is not None and k != kind_k(n_robots):
         raise ValueError(f"demon key 'k' is fixed at {kind_k(n_robots)} for {kind}, got {k}")
@@ -166,7 +172,7 @@ def make_strategy(
         script = kind_script(n_robots) if callable(kind_script) else None
     elif script is None:
         raise ValueError(f"{kind} strategy requires a script")
-    return Strategy(kind, n_robots, backend, seed, k or kind_k(n_robots), script)
+    return Strategy(kind, n_robots, backend, seed, kind_k(n_robots) if k is None else k, script)
 
 
 def _cocircular_pool(rng: random.Random, backend: Backend, bbox: int, size: int) -> list[Point]:

@@ -52,7 +52,7 @@ def exact_similarities(draw):
     zoom = draw(zooms)
     c, s = _unit_pair(draw(rotation_params))
     reflect = draw(st.booleans())
-    return frames.make_frame(draw(exact_points), zoom, c, s, reflect, EXACT)
+    return frames.make_frame(draw(exact_points), model.FrameParams(zoom, c, s, reflect), EXACT)
 
 
 # --- float-backend strategies ------------------------------------------------
@@ -65,6 +65,14 @@ float_point_lists = st.lists(float_points, max_size=10)
 
 
 # --- helpers ------------------------------------------------------------------
+
+
+def closed_form_frame(ref) -> model.FrameParams:
+    """The exact demon's frame built from the draws of ``ref`` directly, in
+    the order ``FramePolicy.sample`` makes them."""
+    zoom = Fraction(12 + 99 * ref.randint(0, 12), 120)
+    c, s = verify._unit_circle_point(Fraction(ref.randint(-6, 6), ref.randint(1, 6)))
+    return model.FrameParams(zoom, c, s, ref.random() < 0.5)
 
 
 def sec_boundary(points, backend) -> list:

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import first_gathered_round, local_step
+from conftest import closed_form_frame, first_gathered_round, local_step
 from robogather import cli, frames, gather2d, geometry, model, verify
 from robogather.gather2d import AUDITED_ARCS, EXPECTED_ARCS
 from robogather.model import DemonicAction, FrameParams
@@ -234,7 +234,7 @@ def test_target_morph_5k_pairs():
         c, sn = _rational_rotation(rng)
         reflect = rng.random() < 0.5
         # built as production builds frames, so the integer form is exercised
-        f = frames.make_frame(_rational_point(rng), zoom, c, sn, reflect, EXACT)
+        f = frames.make_frame(_rational_point(rng), FrameParams(zoom, c, sn, reflect), EXACT)
         lhs = gather2d.target(frames.map_multiset(f, s), EXACT)
         rhs = frames.apply(f, gather2d.target(s, EXACT))
         assert lhs == rhs, (dict(s), f)
@@ -296,6 +296,48 @@ def test_negative_control_fuzz_exercises_the_local_round(monkeypatch, name, brok
     assert rep.violations_of("chaining") > 0, rep.summary()
     assert cex
     _report(f"negative control: broken {name} fails chaining", f"{rep.violations_of('chaining')} violations")
+
+
+def _translation_ignoring_reflect(form, reflect, robot, _real=frames._with_translation):
+    return _real(form, False, robot)
+
+
+def test_negative_control_lazy_translation_ignoring_reflect(monkeypatch):
+    # a mirrored robot frame whose derived translation is the unmirrored one
+    # no longer sends the robot to its origin: the robot's view is wrong
+    monkeypatch.setattr(frames, "_with_translation", _translation_ignoring_reflect)
+    rep, cex = verify.fuzz(20, EXACT)
+    assert rep.violations_of("chaining") > 0, rep.summary()
+    assert cex
+    _report("negative control: translation ignoring reflect fails chaining", f"{rep.violations_of('chaining')} violations")
+
+
+class _KeyedWithoutReflect(list):
+    """The exact demon's support table with the reflect bit (the lowest bit
+    of the draw index) dropped from its key."""
+
+    def __getitem__(self, key):
+        return super().__getitem__(key & ~1)
+
+    def __setitem__(self, key, fp):
+        super().__setitem__(key & ~1, fp)
+
+
+def test_negative_control_frame_table_keyed_without_reflect(monkeypatch):
+    # a mirrored draw gets the unmirrored frame. That frame is as valid as
+    # the one drawn, so the local round still equals the global one and
+    # chaining cannot see it; the draw check against the closed-form
+    # distribution does
+    table = _KeyedWithoutReflect([None] * len(verify._EXACT_FRAMES))
+    monkeypatch.setattr(verify, "_EXACT_FRAMES", table)
+    rep, _ = verify.fuzz(20, EXACT)
+    assert rep.violations_of("chaining") == 0, rep.summary()
+    mismatches = 0
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        mismatches += verify.DEFAULT_POLICY.sample(rng, EXACT) != closed_form_frame(ref)
+    assert mismatches > 0
+    _report("negative control: frame table keyed without reflect fails the draw check", f"{mismatches}/200 draws")
 
 
 def _replay_counterexample_through_the_cli(monkeypatch, tmp_path, capsys, name, broken):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import exact_point_lists, exact_points, exact_similarities, sec_boundary
 from robogather import frames, gather2d, geometry, model
 from robogather.frames import Similarity, apply, inverse, make_frame, map_multiset, preimage
+from robogather.model import FrameParams
 from robogather.scalars import EXACT, FLOAT64, Point
 
 P = EXACT.point
@@ -15,30 +16,30 @@ IDENT = Similarity(F(1), F(1), F(0), False, F(0), F(0))
 
 
 def test_make_frame_pure_translation():
-    f = make_frame(P(5, 7), F(1), F(1), F(0), False, EXACT)
+    f = make_frame(P(5, 7), FrameParams(F(1), F(1), F(0), False), EXACT)
     assert apply(f, P(5, 7)) == P(0, 0)
     assert apply(f, P(0, 0)) == P(-5, -7)
     assert apply(f, P(6, 7)) == P(1, 0)
 
 
 def test_make_frame_rotate_and_scale():
-    f = make_frame(P(0, 0), F(2), F(0), F(1), False, EXACT)
+    f = make_frame(P(0, 0), FrameParams(F(2), F(0), F(1), False), EXACT)
     assert apply(f, P(1, 0)) == P(0, 2)
 
 
 def test_make_frame_rational_reflection():
     # 3-4-5 rotation with a mirror still sends the robot to its own origin
-    f = make_frame(P(1, 0), F(1), F(3, 5), F(4, 5), True, EXACT)
+    f = make_frame(P(1, 0), FrameParams(F(1), F(3, 5), F(4, 5), True), EXACT)
     assert apply(f, P(1, 0)) == P(0, 0)
 
 
 def test_make_frame_validation():
     with pytest.raises(frames.InvalidFrame):
-        make_frame(P(0, 0), F(0), F(1), F(0), False, EXACT)
+        make_frame(P(0, 0), FrameParams(F(0), F(1), F(0), False), EXACT)
     with pytest.raises(frames.InvalidFrame):
-        make_frame(P(0, 0), F(-1), F(1), F(0), False, EXACT)
+        make_frame(P(0, 0), FrameParams(F(-1), F(1), F(0), False), EXACT)
     with pytest.raises(frames.InvalidFrame):
-        make_frame(P(0, 0), F(1), F(1), F(1), False, EXACT)
+        make_frame(P(0, 0), FrameParams(F(1), F(1), F(1), False), EXACT)
 
 
 def test_apply_examples():
@@ -53,7 +54,7 @@ def test_inverse_examples():
     assert inverse(IDENT) == IDENT
     zoom2 = Similarity(F(2), F(1), F(0), False, F(0), F(0))
     assert apply(inverse(zoom2), P(2, 0)) == P(1, 0)
-    f = make_frame(P(5, 7), F(1), F(1), F(0), False, EXACT)
+    f = make_frame(P(5, 7), FrameParams(F(1), F(1), F(0), False), EXACT)
     assert apply(inverse(f), P(0, 0)) == P(5, 7)
 
 
@@ -72,7 +73,7 @@ def test_float_roundtrip_within_tolerance():
     import math
 
     theta = 0.7
-    f = make_frame(Point(3.0, -1.0), 2.5, math.cos(theta), math.sin(theta), True, FLOAT64)
+    f = make_frame(Point(3.0, -1.0), FrameParams(2.5, math.cos(theta), math.sin(theta), True), FLOAT64)
     p = Point(0.25, 9.5)
     back = apply(inverse(f), apply(f, p))
     assert FLOAT64.points_eq(back, p)
@@ -201,7 +202,7 @@ def test_integer_frame_map_matches_textbook_formula(f, p):
 
 @given(exact_similarities(), exact_points, exact_points)
 def test_integer_make_frame_matches_textbook_formula(f, loc, p):
-    g = make_frame(loc, f.zoom, f.c, f.s, f.reflect, EXACT)
+    g = make_frame(loc, FrameParams(f.zoom, f.c, f.s, f.reflect), EXACT)
     lx, ly = _textbook(f.zoom, f.c, f.s, f.reflect, F(0), F(0), loc)
     params = (f.zoom, f.c, f.s, f.reflect, -lx, -ly)
     assert (g.tx, g.ty) == (-lx, -ly)
@@ -215,7 +216,7 @@ def test_integer_make_frame_matches_textbook_formula(f, loc, p):
 @pytest.mark.parametrize("reflect", [False, True])
 @given(exact_similarities(), exact_points)
 def test_preimage_inverts_the_integer_form(reflect, f, q):
-    f = make_frame(f.robot, f.zoom, f.c, f.s, reflect, EXACT)
+    f = make_frame(f.robot, FrameParams(f.zoom, f.c, f.s, reflect), EXACT)
     p = preimage(f, q)
     assert apply(f, p) == q
     assert preimage(f, apply(f, q)) == q
@@ -225,7 +226,7 @@ def test_preimage_inverts_the_integer_form(reflect, f, q):
 def test_preimage_examples_with_negative_coordinates():
     # 3-4-5 rotation, zoom 2, mirrored and not, around a robot at (-3, -1/2)
     for reflect in (False, True):
-        f = make_frame(P(-3, F(-1, 2)), F(2), F(3, 5), F(4, 5), reflect, EXACT)
+        f = make_frame(P(-3, F(-1, 2)), FrameParams(F(2), F(3, 5), F(4, 5), reflect), EXACT)
         assert preimage(f, P(0, 0)) == P(-3, F(-1, 2))
         q = P(-7, F(-5, 3))
         assert preimage(f, q) == _textbook_inverse(f.zoom, f.c, f.s, reflect, f.tx, f.ty, q)
@@ -233,7 +234,7 @@ def test_preimage_examples_with_negative_coordinates():
 
 @given(exact_similarities(), exact_points, exact_points)
 def test_make_frame_hands_over_the_derived_integer_form(f, loc, p):
-    g = make_frame(loc, f.zoom, f.c, f.s, f.reflect, EXACT)
+    g = make_frame(loc, FrameParams(f.zoom, f.c, f.s, f.reflect), EXACT)
     assert g.ints is not None and g.robot == loc
     # built directly, the same similarity has no integer form and maps by
     # the generic formula; both must give the same point
@@ -246,7 +247,7 @@ def test_make_frame_hands_over_the_derived_integer_form(f, loc, p):
 def test_own_tower_maps_to_the_origin_in_key_order(f, conf):
     spec = model.spectrum_of(conf, EXACT)
     for loc in conf:
-        g = make_frame(loc, f.zoom, f.c, f.s, f.reflect, EXACT)
+        g = make_frame(loc, FrameParams(f.zoom, f.c, f.s, f.reflect), EXACT)
         mapped = map_multiset(g, spec)
         assert list(mapped.items()) == [(apply(g, p), m) for p, m in spec.items()]
         assert mapped[EXACT.origin()] == spec[loc]
@@ -269,7 +270,7 @@ def test_float_own_tower_maps_to_the_origin_and_images_still_merge():
     import math
 
     loc = Point(0.3, -1.7)
-    f = make_frame(loc, 2.5, math.cos(0.7), math.sin(0.7), True, FLOAT64)
+    f = make_frame(loc, FrameParams(2.5, math.cos(0.7), math.sin(0.7), True), FLOAT64)
     mapped = map_multiset(f, Counter({loc: 2, Point(4.0, 1.0): 1}))
     assert list(mapped) == [Point(0.0, 0.0), apply(f, Point(4.0, 1.0))]
     # 1 and 1 + 2^-52 round to the same float once shifted by 10^6

@@ -1,19 +1,23 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import (
+    closed_form_frame,
     distinct_configs,
     first_gathered_round,
     gathered_stable_stop,
     local_round_matches_global,
     local_step,
 )
-from robogather import gather2d, geometry, model, verify
+from robogather import cli, frames, gather2d, geometry, model, traceio, verify
 from robogather.gather2d import Phase
 from robogather.model import DemonicAction, FrameParams, Trace, TraceStep
 from robogather.scalars import EXACT, FLOAT64, Point
@@ -59,14 +63,14 @@ def test_strategy_frames_are_valid():
 
 def test_exact_frame_sample_matches_the_closed_form_draw():
     # the tables make the same draws, in the same order, as building each
-    # zoom and unit pair from the draws directly
+    # zoom and unit pair from the draws directly, and a support point drawn
+    # again is the same shared object
     for seed in range(1000):
         rng, ref = random.Random(seed), random.Random(seed)
         fp = verify.DEFAULT_POLICY.sample(rng, EXACT)
-        zoom = F(12 + 99 * ref.randint(0, 12), 120)
-        c, s = verify._unit_circle_point(F(ref.randint(-6, 6), ref.randint(1, 6)))
-        assert fp == FrameParams(zoom, c, s, ref.random() < 0.5)
+        assert fp == closed_form_frame(ref)
         assert rng.getstate() == ref.getstate()
+        assert verify.DEFAULT_POLICY.sample(random.Random(seed), EXACT) is fp
 
 
 def test_unfair_strategy_never_activates_zero():
@@ -85,6 +89,68 @@ def test_adversarial_requires_script():
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError):
         verify.make_strategy("nope", 3, EXACT, seed=0)
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_make_strategy_rejects_k_below_one(k):
+    # k=0 is a bound, not "not given": it must not fall back to the kind's k
+    with pytest.raises(ValueError, match="at least 1"):
+        verify.make_strategy("random_kfair", 5, EXACT, seed=0, k=k)
+    assert verify.make_strategy("random_kfair", 5, EXACT, seed=0, k=1).k == 1
+    assert verify.make_strategy("random_kfair", 5, EXACT, seed=0).k == 10
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so its calls are appended to the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_kind_of_frame_work_happens_once(monkeypatch, tmp_path):
+    # importing the demon builds no FrameParams: the support table fills on
+    # first draw
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = (
+        "import gc, robogather.model as m, robogather.verify as v; "
+        "print(sum(type(o) is m.FrameParams for o in gc.get_objects()), v._EXACT_FRAMES.count(None))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert done.stdout.split() == ["0", str(len(verify._EXACT_FRAMES))], done.stderr
+
+    # a seeded exact run validates each FrameParams object once, however
+    # many activations share it (seed 116: 115 activations, 107 objects)
+    monkeypatch.setattr(verify, "_EXACT_FRAMES", [None] * len(verify._EXACT_FRAMES))
+    checks = _counting(monkeypatch, frames, "check_params")
+    spec, trace, rep = verify.run_one(116, EXACT)
+    assert rep.ok
+    used = [fp for st in trace.steps for fp in st.action.steps if fp is not None]
+    assert len(checks) == len({id(fp) for fp in used}) < len(used)
+
+    # check of the written trace validates once per distinct frame
+    path = str(tmp_path / "run.jsonl")
+    traceio.write_trace(path, trace, EXACT, k=spec.k)
+    checks.clear()
+    assert cli.main(["check", "--trace", path]) == cli.EXIT_OK
+    assert len(checks) == len(set(used)) < len({id(fp) for fp in used})
+
+    # an activation in a gathered configuration derives no translation; a
+    # robot that sees another tower derives it once for its whole view
+    derived = _counting(monkeypatch, frames, "_with_translation")
+    rng, r = random.Random(0), gather2d.robogram(EXACT)
+    action = DemonicAction(tuple(verify.DEFAULT_POLICY.sample(rng, EXACT) for _ in range(4)))
+    gathered = (P(3, F(1, 2)),) * 4
+    assert model.round(r, action, gathered, EXACT) == gathered
+    assert derived == []
+    model.round(r, action, (P(0, 0), P(0, 0), P(5, 5), P(-2, 7)), EXACT)
+    assert len(derived) == 4
 
 
 # sha256 of the first 3·k actions of each demon at seed 11 from gen_initial(5,
