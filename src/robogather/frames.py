@@ -1,39 +1,40 @@
 """Similarities of the plane: the changes of frame a demon may impose.
 
-A similarity is translation ∘ rotation ∘ uniform scaling, optionally composed
-with a reflection (robots share no chirality, so a demon may hand a robot a
-mirrored frame). Rotations are parameterized by a unit pair (c, s) with
+A similarity is a ``FrameParams`` (a zoom, a rotation and an optional
+reflection) and a *center*, the point it sends to the origin:
+f(p) = zoom · M · (p − center). The demon hands each activated robot the
+similarity centered on the robot's own location, as in the formal model of
+the source paper. Robots share no chirality, so a demon may hand a robot a
+mirrored frame. Rotations are parameterized by a unit pair (c, s) with
 c² + s² = 1 rather than an angle, so the exact backend can use rational
 rotations built from Pythagorean triples.
 
-On the exact backend a similarity also carries an integer form
-(A, B, TX, TY, D) over one common denominator D > 0: A/D = zoom·c,
-B/D = zoom·s and (TX/D, TY/D) is the translation. ``apply`` evaluates one
-integer expression per coordinate and builds one ``Fraction`` from it,
-instead of about ten ``Fraction`` operations per point. ``linear_form``
-keeps (A, B, D) on a ``FrameParams``, so a shared frame pays for it once,
-and a frame from ``make_frame`` derives its translation, over D·xd·yd with
-the robot's denominators, on first read: a robot that sees only its own
-tower derives none. The form need not be in lowest terms, because every
-point that leaves ``apply`` or ``preimage`` is a normalized ``Fraction``;
-``preimage`` maps a point back with one integer expression, and no inverse
-frame. A ``Similarity`` built directly (an inverse, say), or on floats, has
-no integer form and maps by the generic formula, exact on ``Fraction``s too.
+On the exact backend ``linear_form`` keeps the integer form (A, B, D) of
+zoom · M on the ``FrameParams``, over one common denominator D > 0:
+A/D = zoom·c and B/D = zoom·s. A shared frame pays for it once. ``apply``
+works out p − center on the two points' integers and evaluates one integer
+expression per coordinate, and ``preimage`` returns center + (zoom·M)⁻¹·q
+the same way: one ``Fraction`` per coordinate, instead of about ten
+``Fraction`` operations per point. The form need not be in lowest terms,
+because every point that leaves ``apply`` or ``preimage`` is a normalized
+``Fraction``. A frame whose ``FrameParams`` has no form (on floats, or an
+exact frame built directly) maps by the generic formula, exact on
+``Fraction``s too. On floats, p − center is taken first, so a nearby
+tower's image stays accurate however far the robot is from the origin.
 
 A frame made for a robot sends that robot's own tower to the origin with no
-arithmetic (the identity that defines ``make_frame``), and a robot whose
-destination is its own origin stays exactly where it is (``model.round``),
-on both backends. On the exact backend ``map_multiset`` finds the own tower
-by identity, with no ``Fraction`` comparison; an equal but distinct key goes
-through ``apply``, whose integer form sends it to exactly (0, 0).
+arithmetic, and a robot whose destination is its own origin stays exactly
+where it is (``model.round``), on both backends. On the exact backend
+``map_multiset`` finds the own tower by identity, with no ``Fraction``
+comparison; an equal but distinct key goes through ``apply``, which sends
+it to exactly (0, 0).
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
 from .scalars import EXACT, FLOAT64, Backend, Point, Scalar
@@ -41,87 +42,46 @@ from .scalars import EXACT, FLOAT64, Backend, Point, Scalar
 if TYPE_CHECKING:  # pragma: no cover
     from .model import FrameParams, Spectrum
 
-_set = object.__setattr__  # fills a frozen object's slot on first use
-_params = attrgetter("zoom", "c", "s", "reflect", "tx", "ty")  # what Similarity equality compares
-
 
 class InvalidFrame(Exception):
     """Rejected frame parameters: non-positive zoom or non-unit rotation."""
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True)
 class Similarity:
-    """f(p) = zoom · M · p + translation, where M is the rotation (c, -s; s, c)
-    composed with reflection across the x-axis when ``reflect`` is set.
+    """f(p) = zoom · M · (p − center), where M is the rotation (c, -s; s, c)
+    composed with reflection across the x-axis when ``reflect`` is set, and
+    zoom, c, s and reflect are those of ``fp``.
 
     zoom > 0, c² + s² = 1; distances scale by zoom²:
-    dist_sq(f p, f q) = zoom² · dist_sq(p, q).
-
-    ``ints`` is the integer form (A, B, TX, TY, D) of an exact frame from
-    ``make_frame``, and ``robot`` the location that frame sends to the
-    origin; both are None for a similarity built directly.
+    dist_sq(f p, f q) = zoom² · dist_sq(p, q). Two similarities are equal
+    when their ``FrameParams`` values and their centers are.
     """
 
-    zoom: Scalar
-    c: Scalar
-    s: Scalar
-    reflect: bool
-    tx: Scalar
-    ty: Scalar
-    ints: Optional[tuple[int, int, int, int, int]] = field(default=None, repr=False)
-    robot: Optional[Point] = field(default=None, repr=False)
-
-    def __eq__(self, other):
-        return isinstance(other, Similarity) and _params(self) == _params(other)
-
-    def __hash__(self):
-        return hash(_params(self))
+    fp: FrameParams
+    center: Point
 
 
-class _ExactFrame(Similarity):
-    """An exact frame from ``make_frame``, set up with its ``FrameParams`` and robot only;
-    ``__getattr__`` (it slows every read, so no other class has one) derives the rest."""
-
-    __slots__ = ("fp",)
-
-    def __getattr__(self, name: str):
-        if name == "ints":
-            value = _with_translation(self.fp.form, self.reflect, self.robot)
-        elif name in ("tx", "ty"):
-            _, _, txn, tyn, den = self.ints
-            value = Fraction(txn if name == "tx" else tyn, den)
-        elif name in ("zoom", "c", "s", "reflect"):
-            value = getattr(self.fp, name)
-        else:
-            raise AttributeError(name)
-        _set(self, name, value)
-        return value
-
-
-def _image(a: int, b: int, tx: int, ty: int, d: int, reflect: bool, p: Point) -> Point:
-    """((A·x − B·y + TX)/D, (B·x + A·y + TY)/D), y negated first when
-    reflecting, over the common denominator D·xd·yd of the point."""
-    x, y = p
-    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-    if reflect:
-        yn = -yn
-    u, v, w = xn * yd, yn * xd, xd * yd
-    return Point(Fraction(a * u - b * v + tx * w, d * w), Fraction(b * u + a * v + ty * w, d * w))
-
-
-def _linear(zoom: Scalar, c: Scalar, s: Scalar, reflect: bool, p: Point) -> Point:
-    """The linear part zoom · M · p (translation not applied)."""
-    x, y = p
-    if reflect:
+def _linear(fp: "FrameParams", x: Scalar, y: Scalar) -> Point:
+    """zoom · M · (x, y), by the generic formula."""
+    if fp.reflect:
         y = -y
-    return Point(zoom * (c * x - s * y), zoom * (s * x + c * y))
+    return Point(fp.zoom * (fp.c * x - fp.s * y), fp.zoom * (fp.s * x + fp.c * y))
 
 
 def apply(f: Similarity, p: Point) -> Point:
-    if f.ints is not None:
-        return _image(*f.ints, f.reflect, p)
-    lx, ly = _linear(f.zoom, f.c, f.s, f.reflect, p)
-    return Point(lx + f.tx, ly + f.ty)
+    fp, (cx, cy), (x, y) = f.fp, f.center, p
+    if fp.form is None:
+        return _linear(fp, x - cx, y - cy)
+    a, b, d = fp.form
+    # p − center as (u/du, v/dv), y negated when reflecting
+    xd, yd, cxd, cyd = x.denominator, y.denominator, cx.denominator, cy.denominator
+    u, du = x.numerator * cxd - cx.numerator * xd, xd * cxd
+    v, dv = y.numerator * cyd - cy.numerator * yd, yd * cyd
+    if fp.reflect:
+        v = -v
+    u, v, w = u * dv, v * du, d * du * dv
+    return Point(Fraction(a * u - b * v, w), Fraction(b * u + a * v, w))
 
 
 def check_params(zoom: Scalar, c: Scalar, s: Scalar, backend: Backend) -> None:
@@ -148,88 +108,66 @@ def linear_form(fp: "FrameParams", backend: Backend) -> Optional[tuple[int, int,
             zn, zd, cd, sd = zoom.numerator, zoom.denominator, c.denominator, s.denominator
             d = zd * lcm(cd, sd)
             form = (zn * c.numerator * (d // (zd * cd)), zn * s.numerator * (d // (zd * sd)), d)
-            _set(fp, "form", form)
+            object.__setattr__(fp, "form", form)
     return form
 
 
-def _with_translation(form: tuple[int, int, int], reflect: bool, robot: Point) -> tuple[int, ...]:
-    """The integer form of the frame with (A, B, D) that sends ``robot`` to the
-    origin: the translation is minus (A·x − B·y, B·x + A·y)/D, y negated when reflecting."""
-    a, b, d = form
-    x, y = robot
-    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-    if reflect:
-        yn = -yn
-    u, v, w = xn * yd, yn * xd, xd * yd
-    return a * w, b * w, b * v - a * u, -(b * u + a * v), d * w
-
-
 def make_frame(robot_loc: Point, fp: "FrameParams", backend: Backend) -> Similarity:
-    """Build the frame of a robot at ``robot_loc``: the unique similarity with
-    the linear part of ``fp`` mapping the robot to the origin of its own
-    frame. An exact frame derives its translation on first read."""
-    if not backend.is_exact:
-        check_params(fp.zoom, fp.c, fp.s, backend)
-        lx, ly = _linear(fp.zoom, fp.c, fp.s, fp.reflect, robot_loc)
-        # Translation cancels the same linear expression, so f(robot_loc) is
-        # the exact origin (identical rounding).
-        return Similarity(fp.zoom, fp.c, fp.s, fp.reflect, -lx, -ly, None, robot_loc)
+    """The frame of a robot at ``robot_loc``: the similarity with the linear
+    part of ``fp`` centered on the robot, which it sends to the origin of its
+    own frame. Validates ``fp`` (``linear_form``) and does no arithmetic."""
     linear_form(fp, backend)
-    f = object.__new__(_ExactFrame)
-    _set(f, "fp", fp)
-    _set(f, "robot", robot_loc)
-    return f
+    return Similarity(fp, robot_loc)
 
 
 def inverse(f: Similarity) -> Similarity:
-    """The inverse similarity: apply(inverse(f), apply(f, p)) == p.
+    """The inverse similarity: apply(inverse(f), apply(f, p)) == p. It is
+    centered on f's image of the origin and has no integer form.
 
     The linear part of a reflecting similarity is an involution, so the
     inverse keeps (c, s); a pure rotation inverts to (c, -s).
     """
-    zoom_inv = 1 / f.zoom
-    if f.reflect:
-        c, s = f.c, f.s
-    else:
-        c, s = f.c, -f.s
-    lx, ly = _linear(zoom_inv, c, s, f.reflect, Point(f.tx, f.ty))
-    return Similarity(zoom_inv, c, s, f.reflect, -lx, -ly)
+    fp, (cx, cy) = f.fp, f.center
+    inv = replace(fp, zoom=1 / fp.zoom, s=fp.s if fp.reflect else -fp.s)
+    return Similarity(inv, _linear(fp, -cx, -cy))
 
 
 def preimage(f: Similarity, q: Point) -> Point:
     """The point p with apply(f, p) == q.
 
-    On the integer form, with N = A² + B², X = D·qx − TX and Y = D·qy − TY,
-    the preimage is ((A·X + B·Y)/N, ±(A·Y − B·X)/N), negated in y when
-    reflecting: one integer expression per coordinate over the common
-    denominator N·qxd·qyd, and no inverse frame. On floats it is
-    apply(inverse(f), q).
+    On the integer form, with N = A² + B², p − center is
+    (D·(A·qx + B·qy)/N, ±D·(A·qy − B·qx)/N), negated in y when reflecting,
+    so each coordinate of p is one integer expression over N·qxd·qyd times
+    the denominator of the center's coordinate, and no inverse frame is
+    built. Without a form it is apply(inverse(f), q).
     """
-    if f.ints is None:
+    fp = f.fp
+    if fp.form is None:
         return apply(inverse(f), q)
-    a, b, tx, ty, d = f.ints
-    x, y = q
-    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-    u = (d * xn - tx * xd) * yd
-    v = (d * yn - ty * yd) * xd
-    w = (a * a + b * b) * xd * yd
-    py = a * v - b * u
-    return Point(Fraction(a * u + b * v, w), Fraction(-py if f.reflect else py, w))
+    a, b, d = fp.form
+    (x, y), (cx, cy) = q, f.center
+    xd, yd = x.denominator, y.denominator
+    u, v, w = x.numerator * yd, y.numerator * xd, (a * a + b * b) * xd * yd
+    pu, pv = d * (a * u + b * v), d * (a * v - b * u)
+    if fp.reflect:
+        pv = -pv
+    cxn, cxd, cyn, cyd = cx.numerator, cx.denominator, cy.numerator, cy.denominator
+    return Point(Fraction(cxn * w + cxd * pu, cxd * w), Fraction(cyn * w + cyd * pv, cyd * w))
 
 
 def map_multiset(f: Similarity, s: "Spectrum") -> "Spectrum":
     """Apply ``f`` pointwise to a multiset of points, keeping multiplicities
-    and key order. The tower at ``f.robot`` maps to the origin with no
+    and key order. The tower at ``f.center`` maps to the origin with no
     arithmetic: on the exact backend the tower whose key *is* that point,
     on floats any key equal to it, so the own tower is never rounded."""
-    robot = f.robot
-    if type(f) is _ExactFrame:
+    center = f.center
+    if f.fp.form is not None:
         # an exact similarity is injective, so the towers stay distinct and
         # each image is hashed once
         origin = EXACT.origin()
-        return Counter({origin if p is robot else apply(f, p): mult for p, mult in s.items()})
+        return Counter({origin if p is center else apply(f, p): mult for p, mult in s.items()})
     origin = FLOAT64.origin()
     out: Counter = Counter()
     for p, mult in s.items():
-        out[origin if p == robot else apply(f, p)] += mult
+        out[origin if p == center else apply(f, p)] += mult
     return out

@@ -105,9 +105,10 @@ def round(r: Robogram, da: DemonicAction, conf: Configuration, backend: Backend)
     the global frame, so what a robot sees does not depend on the zoom of
     its frame.
 
-    Each activation builds one frame; an exact one reuses its ``FrameParams``'
-    linear form and derives a translation only to see another tower or move.
-    A robot whose destination is its own origin stays exactly where it is,
+    Each activation builds one frame, the demon's ``FrameParams`` centered on
+    the robot, with no arithmetic; an exact one reuses its ``FrameParams``'
+    linear form, and a robot pays for mapping only the towers other than its
+    own. A robot whose destination is its own origin stays exactly where it is,
     on both backends; any other destination comes back through ``preimage``.
     """
     if len(da.steps) != len(conf):

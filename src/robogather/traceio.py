@@ -329,7 +329,8 @@ class LoadedTrace:
 
 def read_trace(path: str) -> LoadedTrace:
     """Parse a trace file back into a checkable Trace with shared points and
-    frames; the k-th round record must have index k."""
+    frames; the header's nG must be at least 1 and count its initial points,
+    and the k-th round record must have index k."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
@@ -350,6 +351,9 @@ def read_trace(path: str) -> LoadedTrace:
     try:
         backend = get_backend(header["backend"], *_eps_pair(header.get("eps")))
         initial = tuple(_point_in(pair, backend, shared) for pair in header["initial"])
+        n_robots = _int(header.get("nG"), "nG")
+        if n_robots < 1 or n_robots != len(initial):
+            raise ValueError(f"nG must be at least 1 and count the {len(initial)} initial points, got {n_robots}")
         k = _int(header.get("k"), "k", optional=True)
         seed = _int(header.get("seed"), "seed", optional=True)
         if k is not None and k < 1:

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion. The fuzz-based criteria share one 1,000-run corpus (600 floating,
 400 exact) built once per session.
 """
+import dataclasses
 import math
 import random
 import re
@@ -15,6 +16,7 @@ import pytest
 from conftest import closed_form_frame, first_gathered_round, local_step
 from robogather import cli, frames, gather2d, geometry, model, verify
 from robogather.gather2d import AUDITED_ARCS, EXPECTED_ARCS
+from robogather.geometry import TriangleKind
 from robogather.model import DemonicAction, FrameParams
 from robogather.scalars import EXACT, FLOAT64, Point
 
@@ -298,18 +300,66 @@ def test_negative_control_fuzz_exercises_the_local_round(monkeypatch, name, brok
     _report(f"negative control: broken {name} fails chaining", f"{rep.violations_of('chaining')} violations")
 
 
-def _translation_ignoring_reflect(form, reflect, robot, _real=frames._with_translation):
-    return _real(form, False, robot)
+def _view_ignoring_reflect(f, p, _real=frames.apply):
+    fp = f.fp
+    return _real(frames.Similarity(FrameParams(fp.zoom, fp.c, fp.s, False), f.center), p)
 
 
-def test_negative_control_lazy_translation_ignoring_reflect(monkeypatch):
-    # a mirrored robot frame whose derived translation is the unmirrored one
-    # no longer sends the robot to its origin: the robot's view is wrong
-    monkeypatch.setattr(frames, "_with_translation", _translation_ignoring_reflect)
+def test_negative_control_view_ignoring_reflect(monkeypatch):
+    # a mirrored robot sees the other towers through the unmirrored frame but
+    # maps its destination back through the mirrored one: its move is wrong
+    monkeypatch.setattr(frames, "apply", _view_ignoring_reflect)
     rep, cex = verify.fuzz(20, EXACT)
     assert rep.violations_of("chaining") > 0, rep.summary()
     assert cex
-    _report("negative control: translation ignoring reflect fails chaining", f"{rep.violations_of('chaining')} violations")
+    _report("negative control: view ignoring reflect fails chaining", f"{rep.violations_of('chaining')} violations")
+
+
+def _target_to_barycenter(kind, _real=gather2d.target_triangle):
+    """``target_triangle`` with the target of a ``kind`` triangle moved to its
+    barycenter."""
+
+    def mutant(p1, p2, p3, backend):
+        tgt, shape = _real(p1, p2, p3, backend)
+        return (geometry.barycenter_3(p1, p2, p3) if shape is kind else tgt), shape
+
+    return mutant
+
+
+def _clean_always(clean, _real=gather2d._analyze):
+    """``_analyze`` with its clean flag fixed to ``clean``."""
+
+    def mutant(s, backend):
+        return dataclasses.replace(_real(s, backend), clean=clean)
+
+    return mutant
+
+
+# Mutants of protocol code that the local and the global round share, so
+# chaining cannot see them. Each comes with the properties that must catch
+# it and the length of a seed-0 exact fuzz that does (its first failing run
+# is the 105th, 17th, 44th and 17th).
+_PROTOCOL_MUTANTS = {
+    "isosceles-target-barycenter": (
+        "target_triangle", _target_to_barycenter(TriangleKind.ISOSCELES), 150, ("phase_transition",)
+    ),
+    "scalene-target-barycenter": (
+        "target_triangle", _target_to_barycenter(TriangleKind.SCALENE), 150, ("phase_transition",)
+    ),
+    "clean-always-true": ("_analyze", _clean_always(True), 150, ("measure_decrease", "phase_transition")),
+    "clean-always-false": ("_analyze", _clean_always(False), 30, ("gathering",)),
+}
+
+
+@pytest.mark.parametrize("name", list(_PROTOCOL_MUTANTS))
+def test_negative_control_protocol_mutant(monkeypatch, name):
+    attr, mutant, runs, killers = _PROTOCOL_MUTANTS[name]
+    monkeypatch.setattr(gather2d, attr, mutant)
+    rep, cex = verify.fuzz(runs, EXACT)
+    assert rep.violations_of("chaining") == 0, rep.summary()
+    caught = {prop: rep.violations_of(prop) for prop in killers if rep.violations_of(prop)}
+    assert caught and cex, rep.summary()
+    _report(f"negative control: protocol mutant {name} is caught", str(caught))
 
 
 class _KeyedWithoutReflect(list):

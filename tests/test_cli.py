@@ -135,6 +135,12 @@ def _set_header_initial(records):
     records[0]["initial"] = 5
 
 
+def _empty_initial(records):
+    # a header with no robots and no round records after it
+    records[0].update(initial=[], nG=0)
+    records[1:-1] = []
+
+
 def _set_header_eps(records):
     records[0]["eps"] = 3
 
@@ -241,6 +247,10 @@ _BIVALENT = {
         ("render", ["--max-panels", "0"]),
         ("trace", _list_round),
         ("trace", _set_header_initial),
+        ("trace", _empty_initial),
+        ("render-trace", _empty_initial),
+        ("trace", _set_header("nG", 7)),
+        ("trace", _set_header("nG", "3")),
         ("trace", _set_header_eps),
         ("trace", _set_header_eps_nan),
         ("trace", _set_frame("zoom", "0")),
@@ -306,6 +316,10 @@ _BIVALENT = {
         "render-max-panels-zero",
         "round-record-is-list",
         "header-initial-not-list",
+        "header-initial-empty",
+        "render-header-initial-empty",
+        "header-nG-not-initial-count",
+        "header-nG-string",
         "header-eps-not-object",
         "header-eps-nan",
         "frame-zoom-zero",
@@ -353,6 +367,8 @@ def test_malformed_input_exit_one_without_traceback(tmp_path, capsys, kind, edit
         edit(records)
         (tmp_path / "bad.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
         argv = ["check", "--trace", str(tmp_path / "bad.jsonl")]
+        if kind == "render-trace":
+            argv = ["render", "--trace", str(tmp_path / "bad.jsonl"), "--out", str(tmp_path / "t.svg")]
     capsys.readouterr()
     assert cli.main(argv) == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: ")

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction as F
 
@@ -12,7 +13,14 @@ from robogather.model import FrameParams
 from robogather.scalars import EXACT, FLOAT64, Point
 
 P = EXACT.point
-IDENT = Similarity(F(1), F(1), F(0), False, F(0), F(0))
+
+
+def _sim(zoom, c, s, reflect, center):
+    """A similarity built directly, with no integer form."""
+    return Similarity(FrameParams(zoom, c, s, reflect), center)
+
+
+IDENT = _sim(F(1), F(1), F(0), False, P(0, 0))
 
 
 def test_make_frame_pure_translation():
@@ -44,15 +52,15 @@ def test_make_frame_validation():
 
 def test_apply_examples():
     assert apply(IDENT, P(3, -2)) == P(3, -2)
-    zoom3 = Similarity(F(3), F(1), F(0), False, F(0), F(0))
+    zoom3 = _sim(F(3), F(1), F(0), False, P(0, 0))
     assert apply(zoom3, P(1, 1)) == P(3, 3)
-    mirror = Similarity(F(1), F(1), F(0), True, F(0), F(0))
+    mirror = _sim(F(1), F(1), F(0), True, P(0, 0))
     assert apply(mirror, P(1, 2)) == P(1, -2)
 
 
 def test_inverse_examples():
     assert inverse(IDENT) == IDENT
-    zoom2 = Similarity(F(2), F(1), F(0), False, F(0), F(0))
+    zoom2 = _sim(F(2), F(1), F(0), False, P(0, 0))
     assert apply(inverse(zoom2), P(2, 0)) == P(1, 0)
     f = make_frame(P(5, 7), FrameParams(F(1), F(1), F(0), False), EXACT)
     assert apply(inverse(f), P(0, 0)) == P(5, 7)
@@ -66,12 +74,10 @@ def test_inverse_roundtrip_exact(f, p):
 
 @given(exact_similarities(), exact_points, exact_points)
 def test_distances_scale_by_zoom_squared(f, p, q):
-    assert geometry.dist_sq(apply(f, p), apply(f, q)) == f.zoom**2 * geometry.dist_sq(p, q)
+    assert geometry.dist_sq(apply(f, p), apply(f, q)) == f.fp.zoom**2 * geometry.dist_sq(p, q)
 
 
 def test_float_roundtrip_within_tolerance():
-    import math
-
     theta = 0.7
     f = make_frame(Point(3.0, -1.0), FrameParams(2.5, math.cos(theta), math.sin(theta), True), FLOAT64)
     p = Point(0.25, 9.5)
@@ -81,10 +87,10 @@ def test_float_roundtrip_within_tolerance():
 
 def test_map_multiset_examples():
     s = Counter({P(1, 0): 2})
-    shift = Similarity(F(1), F(1), F(0), False, F(-1), F(0))
+    shift = _sim(F(1), F(1), F(0), False, P(1, 0))
     assert map_multiset(shift, s) == Counter({P(0, 0): 2})
     s = Counter({P(1, 0): 1, P(0, 1): 3})
-    zoom2 = Similarity(F(2), F(1), F(0), False, F(0), F(0))
+    zoom2 = _sim(F(2), F(1), F(0), False, P(0, 0))
     assert map_multiset(zoom2, s) == Counter({P(2, 0): 1, P(0, 2): 3})
     assert map_multiset(IDENT, s) == s
 
@@ -121,7 +127,7 @@ def test_sec_commutes_with_similarity(f, pts):
     direct = geometry.sec([apply(f, p) for p in pts], EXACT)[0]
     base = geometry.sec(pts, EXACT)[0]
     assert direct.center == apply(f, base.center)
-    assert direct.radius_sq == f.zoom**2 * base.radius_sq
+    assert direct.radius_sq == f.fp.zoom**2 * base.radius_sq
 
 
 @given(exact_similarities(), exact_point_lists)
@@ -169,45 +175,44 @@ def test_target_commutes_with_similarity(f, pts):
     assert lhs == apply(f, gather2d.target(s, EXACT))
 
 
-# --- the integer form against the textbook formula ----------------------------
+# --- the center form against the textbook formula -----------------------------
 
 
-def _textbook(zoom, c, s, reflect, tx, ty, p):
-    """zoom · M · p + t in Fraction arithmetic, M = rotation (c, -s; s, c)
-    after the reflection y -> -y."""
-    x, y = p
-    if reflect:
+def _textbook(fp, center, p):
+    """zoom · M · (p − center) in Fraction arithmetic (floats converted
+    exactly), M = rotation (c, -s; s, c) after the reflection y -> -y."""
+    zoom, c, s = F(fp.zoom), F(fp.c), F(fp.s)
+    x, y = F(p.x) - F(center.x), F(p.y) - F(center.y)
+    if fp.reflect:
         y = -y
-    return Point(zoom * (c * x - s * y) + tx, zoom * (s * x + c * y) + ty)
+    return Point(zoom * (c * x - s * y), zoom * (s * x + c * y))
 
 
-def _textbook_inverse(zoom, c, s, reflect, tx, ty, q):
-    """p with zoom · M · p + t = q: undo t, rotate by (c, s; -s, c), undo
-    the reflection, divide by zoom."""
-    x, y = q.x - tx, q.y - ty
-    x, y = c * x + s * y, -s * x + c * y
-    if reflect:
+def _textbook_inverse(fp, center, q):
+    """p with zoom · M · (p − center) = q: rotate q by (c, s; -s, c), undo
+    the reflection, divide by zoom and add the center."""
+    zoom, c, s = fp.zoom, fp.c, fp.s
+    x, y = c * q.x + s * q.y, -s * q.x + c * q.y
+    if fp.reflect:
         y = -y
-    return Point(x / zoom, y / zoom)
+    return Point(x / zoom + center.x, y / zoom + center.y)
 
 
 @given(exact_similarities(), exact_points)
 def test_integer_frame_map_matches_textbook_formula(f, p):
-    assert f.ints is not None
-    params = (f.zoom, f.c, f.s, f.reflect, f.tx, f.ty)
-    assert apply(f, p) == _textbook(*params, p)
-    assert apply(inverse(f), p) == _textbook_inverse(*params, p)
-    assert map_multiset(f, Counter({p: 2})) == Counter({_textbook(*params, p): 2})
+    assert f.fp.form is not None
+    assert apply(f, p) == _textbook(f.fp, f.center, p)
+    assert apply(inverse(f), p) == _textbook_inverse(f.fp, f.center, p)
+    assert map_multiset(f, Counter({p: 2})) == Counter({_textbook(f.fp, f.center, p): 2})
 
 
 @given(exact_similarities(), exact_points, exact_points)
 def test_integer_make_frame_matches_textbook_formula(f, loc, p):
-    g = make_frame(loc, FrameParams(f.zoom, f.c, f.s, f.reflect), EXACT)
-    lx, ly = _textbook(f.zoom, f.c, f.s, f.reflect, F(0), F(0), loc)
-    params = (f.zoom, f.c, f.s, f.reflect, -lx, -ly)
-    assert (g.tx, g.ty) == (-lx, -ly)
-    assert apply(g, p) == _textbook(*params, p)
-    assert apply(inverse(g), p) == _textbook_inverse(*params, p)
+    fp = FrameParams(f.fp.zoom, f.fp.c, f.fp.s, f.fp.reflect)
+    g = make_frame(loc, fp, EXACT)
+    assert g.center is loc and apply(g, loc) == P(0, 0)
+    assert apply(g, p) == _textbook(fp, loc, p)
+    assert apply(inverse(g), p) == _textbook_inverse(fp, loc, p)
 
 
 # --- one integer form per frame: preimage and the robot's own tower -----------
@@ -216,11 +221,11 @@ def test_integer_make_frame_matches_textbook_formula(f, loc, p):
 @pytest.mark.parametrize("reflect", [False, True])
 @given(exact_similarities(), exact_points)
 def test_preimage_inverts_the_integer_form(reflect, f, q):
-    f = make_frame(f.robot, FrameParams(f.zoom, f.c, f.s, reflect), EXACT)
+    f = make_frame(f.center, FrameParams(f.fp.zoom, f.fp.c, f.fp.s, reflect), EXACT)
     p = preimage(f, q)
     assert apply(f, p) == q
     assert preimage(f, apply(f, q)) == q
-    assert p == _textbook_inverse(f.zoom, f.c, f.s, f.reflect, f.tx, f.ty, q)
+    assert p == _textbook_inverse(f.fp, f.center, q)
 
 
 def test_preimage_examples_with_negative_coordinates():
@@ -229,25 +234,28 @@ def test_preimage_examples_with_negative_coordinates():
         f = make_frame(P(-3, F(-1, 2)), FrameParams(F(2), F(3, 5), F(4, 5), reflect), EXACT)
         assert preimage(f, P(0, 0)) == P(-3, F(-1, 2))
         q = P(-7, F(-5, 3))
-        assert preimage(f, q) == _textbook_inverse(f.zoom, f.c, f.s, reflect, f.tx, f.ty, q)
+        assert preimage(f, q) == _textbook_inverse(f.fp, f.center, q)
 
 
-@given(exact_similarities(), exact_points, exact_points)
-def test_make_frame_hands_over_the_derived_integer_form(f, loc, p):
-    g = make_frame(loc, FrameParams(f.zoom, f.c, f.s, f.reflect), EXACT)
-    assert g.ints is not None and g.robot == loc
+@given(exact_similarities(), exact_points, exact_points, exact_points)
+def test_frames_are_equal_exactly_when_params_and_centers_are(f, loc, other, p):
+    fp = f.fp
+    g = make_frame(loc, FrameParams(fp.zoom, fp.c, fp.s, fp.reflect), EXACT)
     # built directly, the same similarity has no integer form and maps by
     # the generic formula; both must give the same point
-    rebuilt = Similarity(g.zoom, g.c, g.s, g.reflect, g.tx, g.ty)
-    assert rebuilt.ints is None and rebuilt.robot is None
-    assert g == rebuilt and apply(g, p) == apply(rebuilt, p)
+    rebuilt = _sim(fp.zoom, fp.c, fp.s, fp.reflect, loc)
+    assert g.fp.form is not None and rebuilt.fp.form is None
+    assert g == rebuilt and hash(g) == hash(rebuilt) and apply(g, p) == apply(rebuilt, p)
+    assert (g == _sim(fp.zoom, fp.c, fp.s, fp.reflect, other)) == (other == loc)
+    assert g != _sim(fp.zoom, fp.c, fp.s, not fp.reflect, loc)
+    assert g != _sim(2 * fp.zoom, fp.c, fp.s, fp.reflect, loc)
 
 
 @given(exact_similarities(), _configs_with_towers())
 def test_own_tower_maps_to_the_origin_in_key_order(f, conf):
     spec = model.spectrum_of(conf, EXACT)
     for loc in conf:
-        g = make_frame(loc, FrameParams(f.zoom, f.c, f.s, f.reflect), EXACT)
+        g = make_frame(loc, FrameParams(f.fp.zoom, f.fp.c, f.fp.s, f.fp.reflect), EXACT)
         mapped = map_multiset(g, spec)
         assert list(mapped.items()) == [(apply(g, p), m) for p, m in spec.items()]
         assert mapped[EXACT.origin()] == spec[loc]
@@ -257,7 +265,7 @@ def test_own_tower_maps_to_the_origin_in_key_order(f, conf):
 def test_own_tower_key_equal_but_distinct_maps_to_the_origin(f, pts):
     # map_multiset finds the own tower by identity; a key equal to the
     # robot's point but a distinct object goes through the integer form
-    robot = f.robot
+    robot = f.center
     twin = Point(F(robot.x.numerator, robot.x.denominator), F(robot.y.numerator, robot.y.denominator))
     assert twin == robot and twin is not robot
     spec = Counter([twin, twin] + [p for p in pts if p != robot])
@@ -267,13 +275,36 @@ def test_own_tower_key_equal_but_distinct_maps_to_the_origin(f, pts):
 
 
 def test_float_own_tower_maps_to_the_origin_and_images_still_merge():
-    import math
-
     loc = Point(0.3, -1.7)
     f = make_frame(loc, FrameParams(2.5, math.cos(0.7), math.sin(0.7), True), FLOAT64)
     mapped = map_multiset(f, Counter({loc: 2, Point(4.0, 1.0): 1}))
     assert list(mapped) == [Point(0.0, 0.0), apply(f, Point(4.0, 1.0))]
     # 1 and 1 + 2^-52 round to the same float once shifted by 10^6
-    shift = Similarity(1.0, 1.0, 0.0, False, 1e6, 0.0)
+    shift = _sim(1.0, 1.0, 0.0, False, Point(-1e6, 0.0))
     collide = Counter({Point(1.0, 0.0): 1, Point(1.0 + 2**-52, 0.0): 2})
     assert map_multiset(shift, collide) == Counter({Point(1e6 + 1, 0.0): 3})
+
+
+# offsets of a nearby tower from the robot: 0, or at least 1e-12, so no
+# product in the view underflows into the subnormals
+_offsets = st.floats(-1e-2, 1e-2).filter(lambda v: v == 0 or abs(v) >= 1e-12)
+
+
+@given(
+    st.floats(-2e6, 2e6),
+    st.floats(-2e6, 2e6),
+    _offsets,
+    _offsets,
+    st.floats(0.1, 10),
+    st.floats(-math.pi, math.pi),
+    st.booleans(),
+)
+def test_float_view_of_a_nearby_tower_is_accurate_far_from_the_origin(cx, cy, dx, dy, zoom, theta, reflect):
+    # the view takes p − center first, so the relative error of a nearby
+    # tower's image does not grow with the robot's distance from the origin
+    center, p = Point(cx, cy), Point(cx + dx, cy + dy)
+    fp = FrameParams(zoom, math.cos(theta), math.sin(theta), reflect)
+    got = apply(make_frame(center, fp, FLOAT64), p)
+    want = _textbook(fp, center, p)
+    err_sq = (F(got.x) - want.x) ** 2 + (F(got.y) - want.y) ** 2
+    assert err_sq <= F(1e-15) ** 2 * (want.x**2 + want.y**2)

@@ -141,16 +141,22 @@ def test_each_kind_of_frame_work_happens_once(monkeypatch, tmp_path):
     assert cli.main(["check", "--trace", path]) == cli.EXIT_OK
     assert len(checks) == len(set(used)) < len({id(fp) for fp in used})
 
-    # an activation in a gathered configuration derives no translation; a
-    # robot that sees another tower derives it once for its whole view
-    derived = _counting(monkeypatch, frames, "_with_translation")
+    # an activation in a gathered configuration maps no point either way; a
+    # robot that sees m other towers maps each of them once
+    applied = _counting(monkeypatch, frames, "apply")
+    mapped_back = _counting(monkeypatch, frames, "preimage")
     rng, r = random.Random(0), gather2d.robogram(EXACT)
-    action = DemonicAction(tuple(verify.DEFAULT_POLICY.sample(rng, EXACT) for _ in range(4)))
+    frame_params = [verify.DEFAULT_POLICY.sample(rng, EXACT) for _ in range(4)]
     gathered = (P(3, F(1, 2)),) * 4
-    assert model.round(r, action, gathered, EXACT) == gathered
-    assert derived == []
-    model.round(r, action, (P(0, 0), P(0, 0), P(5, 5), P(-2, 7)), EXACT)
-    assert len(derived) == 4
+    assert model.round(r, DemonicAction(tuple(frame_params)), gathered, EXACT) == gathered
+    assert applied == [] and mapped_back == []
+    shared = P(0, 0)  # a tower's key is the point of its first robot
+    conf = (shared, shared, P(5, 5), P(-2, 7))
+    for i, fp in enumerate(frame_params):
+        applied.clear()
+        steps = tuple(fp if j == i else None for j in range(4))
+        model.round(r, DemonicAction(steps), conf, EXACT)
+        assert len(applied) == 2  # three towers, one of them the robot's own
 
 
 # sha256 of the first 3·k actions of each demon at seed 11 from gen_initial(5,
