@@ -32,19 +32,29 @@ it to exactly (0, 0).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .scalars import EXACT, FLOAT64, Backend, Point, Scalar
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .model import FrameParams, Spectrum
 
 
 class InvalidFrame(Exception):
     """Rejected frame parameters: non-positive zoom or non-unit rotation."""
+
+
+@dataclass(frozen=True, slots=True)
+class FrameParams:
+    """The linear part of a frame a demon hands to an activated robot: a
+    zoom, a unit pair (c, s) and a reflection (see ``make_frame``). ``form``
+    is the integer form ``linear_form`` keeps on an exact one."""
+
+    zoom: Scalar
+    c: Scalar
+    s: Scalar
+    reflect: bool
+    form: Optional[tuple[int, int, int]] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,7 +72,7 @@ class Similarity:
     center: Point
 
 
-def _linear(fp: "FrameParams", x: Scalar, y: Scalar) -> Point:
+def _linear(fp: FrameParams, x: Scalar, y: Scalar) -> Point:
     """zoom · M · (x, y), by the generic formula."""
     if fp.reflect:
         y = -y
@@ -85,19 +95,15 @@ def apply(f: Similarity, p: Point) -> Point:
 
 
 def check_params(zoom: Scalar, c: Scalar, s: Scalar, backend: Backend) -> None:
-    """Raise InvalidFrame unless zoom > 0 and c² + s² = 1."""
+    """Raise InvalidFrame unless zoom > 0 and c² + s² = 1 (exactly on
+    ``Fraction``s, within the tolerance on floats)."""
     if not zoom > 0:
         raise InvalidFrame(f"zoom must be positive, got {zoom}")
-    if backend.is_exact:
-        cd, sd = c.denominator, s.denominator
-        unit = (c.numerator * sd) ** 2 + (s.numerator * cd) ** 2 == (cd * sd) ** 2
-    else:
-        unit = backend.eq(c * c + s * s, backend.scalar(1))
-    if not unit:
+    if not backend.eq(c * c + s * s, 1):
         raise InvalidFrame(f"(c, s) = ({c}, {s}) is not a unit pair")
 
 
-def linear_form(fp: "FrameParams", backend: Backend) -> Optional[tuple[int, int, int]]:
+def linear_form(fp: FrameParams, backend: Backend) -> Optional[tuple[int, int, int]]:
     """Validate ``fp`` and return its (A, B, D), A/D = zoom·c, B/D = zoom·s, kept
     on ``fp`` so each exact ``FrameParams`` is validated once; None on floats."""
     form = fp.form
@@ -112,7 +118,7 @@ def linear_form(fp: "FrameParams", backend: Backend) -> Optional[tuple[int, int,
     return form
 
 
-def make_frame(robot_loc: Point, fp: "FrameParams", backend: Backend) -> Similarity:
+def make_frame(robot_loc: Point, fp: FrameParams, backend: Backend) -> Similarity:
     """The frame of a robot at ``robot_loc``: the similarity with the linear
     part of ``fp`` centered on the robot, which it sends to the origin of its
     own frame. Validates ``fp`` (``linear_form``) and does no arithmetic."""
@@ -155,9 +161,9 @@ def preimage(f: Similarity, q: Point) -> Point:
     return Point(Fraction(cxn * w + cxd * pu, cxd * w), Fraction(cyn * w + cyd * pv, cyd * w))
 
 
-def map_multiset(f: Similarity, s: "Spectrum") -> "Spectrum":
-    """Apply ``f`` pointwise to a multiset of points, keeping multiplicities
-    and key order. The tower at ``f.center`` maps to the origin with no
+def map_multiset(f: Similarity, s: Counter) -> Counter:
+    """Apply ``f`` pointwise to a spectrum, keeping multiplicities and key
+    order. The tower at ``f.center`` maps to the origin with no
     arithmetic: on the exact backend the tower whose key *is* that point,
     on floats any key equal to it, so the own tower is never rounded."""
     center = f.center

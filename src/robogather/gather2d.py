@@ -97,16 +97,15 @@ def target_triangle(p1: Point, p2: Point, p3: Point, backend: Backend) -> tuple[
     """Destination when exactly three towers sit on the SEC, and the kind of
     their triangle.
 
-    Equilateral: the barycenter. Isosceles (excluding equilateral): the apex.
-    Scalene: the vertex opposite the longest side. Permutation-invariant.
+    Equilateral: the barycenter. Otherwise the apex ``classify_triangle``
+    finds: for isosceles (excluding equilateral) the vertex shared by the
+    two equal sides, for scalene the vertex opposite the longest side.
+    Permutation-invariant.
     """
     shape = geometry.classify_triangle(p1, p2, p3, backend)
-    if shape.kind is TriangleKind.EQUILATERAL:
+    if shape.apex is None:
         return geometry.barycenter_3(p1, p2, p3), shape.kind
-    if shape.kind is TriangleKind.ISOSCELES:
-        assert shape.apex is not None
-        return shape.apex, shape.kind
-    return geometry.opposite_of_max_side(p1, p2, p3, backend), shape.kind
+    return shape.apex, shape.kind
 
 
 # The (clean, dirty) phases of each shape the SEC towers form: a diameter,

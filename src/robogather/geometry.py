@@ -51,10 +51,6 @@ class CollinearInput(GeometryError):
     """Three collinear points admit no circumcircle."""
 
 
-class AmbiguousLongestSide(GeometryError):
-    """No unique longest side exists (the triangle is not scalene)."""
-
-
 class InputTooLarge(GeometryError):
     """Brute-force oracle refused an input beyond its size cap."""
 
@@ -72,10 +68,11 @@ class TriangleKind(Enum):
 
 @dataclass(frozen=True)
 class TriangleShape:
-    """Classification result; ``apex`` is set for isosceles triangles only.
-
-    The apex is the vertex shared by the two equal sides, i.e. the vertex
-    opposite the base. Here isosceles excludes equilateral.
+    """Classification result. ``apex`` is the vertex the protocol aims at:
+    the vertex opposite the base, where the base of an isosceles triangle is
+    its unequal side and that of a scalene one its strictly longest side. An
+    equilateral triangle has no apex (None). Here isosceles excludes
+    equilateral.
     """
 
     kind: TriangleKind
@@ -90,9 +87,12 @@ def dist_sq(p: Point, q: Point) -> Scalar:
 
 
 def classify_triangle(p1: Point, p2: Point, p3: Point, backend: Backend) -> TriangleShape:
-    """Classify a triangle by its squared side lengths.
+    """Classify a triangle by its squared side lengths, and find its apex
+    from them (``TriangleShape``).
 
-    Invariant under any permutation of the inputs. Collinear-but-distinct
+    Invariant under any permutation of the inputs. A scalene triangle has no
+    two sides equal, even within the tolerance, so its longest side is
+    strictly the longest and its apex is unique. Collinear-but-distinct
     points are still classified (purely by side lengths); callers that need
     a genuine triangle must check collinearity themselves.
     """
@@ -115,25 +115,13 @@ def classify_triangle(p1: Point, p2: Point, p3: Point, backend: Backend) -> Tria
         return TriangleShape(TriangleKind.ISOSCELES, apex=p2)
     if bc:
         return TriangleShape(TriangleKind.ISOSCELES, apex=p1)
-    return TriangleShape(TriangleKind.SCALENE)
+    apex = p1 if a2 > b2 and a2 > c2 else p2 if b2 > c2 else p3
+    return TriangleShape(TriangleKind.SCALENE, apex)
 
 
 def barycenter_3(p1: Point, p2: Point, p3: Point) -> Point:
     """Mean of three points; the minimizer of the sum of squared distances."""
     return Point((p1.x + p2.x + p3.x) / 3, (p1.y + p2.y + p3.y) / 3)
-
-
-def opposite_of_max_side(p1: Point, p2: Point, p3: Point, backend: Backend) -> Point:
-    """Vertex not incident to the strictly longest side (scalene triangles)."""
-    sides = [
-        (dist_sq(p2, p3), p1),
-        (dist_sq(p1, p3), p2),
-        (dist_sq(p1, p2), p3),
-    ]
-    sides.sort(key=lambda sv: sv[0], reverse=True)
-    if backend.eq(sides[0][0], sides[1][0]):
-        raise AmbiguousLongestSide("two sides tie for maximum length")
-    return sides[0][1]
 
 
 def _cross(o: Point, a: Point, b: Point) -> Scalar:

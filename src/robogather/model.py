@@ -11,11 +11,12 @@ global frame.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import frames
-from .scalars import Backend, Point, Scalar
+from .frames import FrameParams
+from .scalars import Backend, Point
 
 Configuration = tuple[Point, ...]
 Spectrum = Counter  # Counter[Point] -> positive multiplicity
@@ -32,18 +33,6 @@ Demon = Callable[[int, Configuration], "DemonicAction"]
 Step = Callable[["DemonicAction", Configuration], Configuration]
 
 
-@dataclass(frozen=True, slots=True)
-class FrameParams:
-    """Frame a demon hands to an activated robot (see frames.make_frame and,
-    for ``form``, frames.linear_form)."""
-
-    zoom: Scalar
-    c: Scalar
-    s: Scalar
-    reflect: bool
-    form: Optional[tuple[int, int, int]] = field(default=None, init=False, repr=False, compare=False)
-
-
 @dataclass(frozen=True)
 class DemonicAction:
     """One round of demonic choices: per robot either None (inactive) or the
@@ -58,26 +47,13 @@ class DemonicAction:
 def spectrum_of(conf: Configuration, backend: Backend) -> Spectrum:
     """Multiset of robot locations; invariant under identifier permutations.
 
-    On the floating backend, locations equal under the tolerance are merged
-    into one tower (first-seen location is the representative).
-
-    On the exact backend robots are counted on the integer key (x.numerator,
-    x.denominator, y.numerator, y.denominator) of their normalized
-    coordinates, so only the first-seen point of each tower is hashed as a
-    ``Fraction`` pair; the result equals ``Counter(conf)``, key order
-    included.
+    On the exact backend it is ``Counter(conf)``: towers in first-seen order,
+    each keyed by the first robot seen there. On the floating backend,
+    locations equal under the tolerance are merged into one tower (first-seen
+    location is the representative).
     """
     if backend.is_exact:
-        towers: dict = {}
-        for loc in conf:
-            x, y = loc
-            key = (x.numerator, x.denominator, y.numerator, y.denominator)
-            tower = towers.get(key)
-            if tower is None:
-                towers[key] = [loc, 1]
-            else:
-                tower[1] += 1
-        return Counter({loc: mult for loc, mult in towers.values()})
+        return Counter(conf)
     spec: Spectrum = Counter()
     for loc in conf:
         rep = next((k for k in spec if backend.points_eq(k, loc)), None)

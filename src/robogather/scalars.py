@@ -61,9 +61,6 @@ class ExactBackend:
     def points_eq(self, p: Point, q: Point) -> bool:
         return p == q
 
-    def format(self, a: Scalar) -> str:
-        return str(a)
-
     def parse(self, text) -> Fraction:
         return Fraction(str(text))
 
@@ -102,9 +99,6 @@ class FloatBackend:
 
     def points_eq(self, p: Point, q: Point) -> bool:
         return self.eq(p.x, q.x) and self.eq(p.y, q.y)
-
-    def format(self, a: Scalar) -> str:
-        return repr(float(a))
 
     def parse(self, text) -> float:
         """A coordinate or frame parameter read from a scenario or a trace;

@@ -34,7 +34,7 @@ class TraceFormatError(Exception):
 
 
 def _coord_out(value, backend: Backend):
-    return backend.format(value) if backend.is_exact else float(value)
+    return str(value) if backend.is_exact else float(value)
 
 
 def _point_out(p: Point, backend: Backend) -> list:
@@ -395,10 +395,13 @@ def read_trace(path: str) -> LoadedTrace:
 
 
 def scenario_for_run(spec: verify.RunSpec, backend: Backend) -> Scenario:
-    """Freeze a fuzz run into a replayable scenario with explicit coordinates."""
+    """Freeze a fuzz run into a replayable scenario with explicit coordinates
+    and, on floats, the run's tolerance."""
     return Scenario(
         n_robots=spec.n_robots,
         backend_name=spec.backend_name,
+        eps_abs=None if backend.is_exact else backend.eps_abs,
+        eps_rel=None if backend.is_exact else backend.eps_rel,
         initial=[_point_out(p, backend) for p in spec.initial],
         demon={"kind": spec.strategy_kind, "seed": spec.strategy_seed, "k": spec.k},
         horizon=spec.horizon,

@@ -62,13 +62,10 @@ def _unit_circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
 
 
 # The exact frame distribution's support: zoom
-# _ZOOM_LO + (_ZOOM_HI - _ZOOM_LO) · i/12 for i = 0..12, the unit pair of each
-# half-angle parameter p/q keyed by the draws (p, q), and reflect: one shared
-# FrameParams per point, built on first draw, so its form is derived once.
-_EXACT_ZOOMS = tuple(Fraction(12 + 99 * i, 120) for i in range(13))
-_EXACT_UNIT_PAIRS = {
-    (p, q): _unit_circle_point(Fraction(p, q)) for p in range(-6, 7) for q in range(1, 7)
-}
+# _ZOOM_LO + (_ZOOM_HI - _ZOOM_LO) · i/12 = (12 + 99·i)/120 for i = 0..12, the
+# unit pair of the half-angle parameter p/q of the draws (p, q), and reflect:
+# one shared FrameParams per point, built on first draw, so its form is
+# derived once.
 _EXACT_FRAMES: list[Optional[FrameParams]] = [None] * (13 * 13 * 6 * 2)
 _LOG_ZOOM_RANGE = (math.log(float(_ZOOM_LO)), math.log(float(_ZOOM_HI)))
 
@@ -85,7 +82,8 @@ class FramePolicy:
             key = ((i * 13 + p + 6) * 6 + q - 1) * 2 + reflect
             fp = _EXACT_FRAMES[key]
             if fp is None:
-                fp = _EXACT_FRAMES[key] = FrameParams(_EXACT_ZOOMS[i], *_EXACT_UNIT_PAIRS[p, q], reflect)
+                zoom = Fraction(12 + 99 * i, 120)
+                fp = _EXACT_FRAMES[key] = FrameParams(zoom, *_unit_circle_point(Fraction(p, q)), reflect)
             return fp
         zoom = math.exp(rng.uniform(*_LOG_ZOOM_RANGE))
         theta = rng.uniform(0.0, 2.0 * math.pi)

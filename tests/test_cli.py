@@ -494,6 +494,19 @@ def test_round_robin_counterexample_replays(tmp_path, capsys):
     assert (header["strategy"], header["k"], header["horizon"]) == ("round_robin", data["nG"], 0)
 
 
+def test_float_counterexample_replays_at_its_own_tolerance(tmp_path, capsys):
+    outdir = tmp_path / "cex"
+    argv = ["fuzz", "--runs", "5", "--seed", "0", "--backend", "floating", "--eps", "1e-6"]
+    argv += ["--strategies", "unfair_skip0", "--out", str(outdir)]
+    assert cli.main(argv) == cli.EXIT_VIOLATION
+    out = tmp_path / "replay.jsonl"
+    scenario = outdir / "counterexample_0_scenario.json"
+    assert cli.main(["run", "--scenario", str(scenario), "--out", str(out)]) == cli.EXIT_HORIZON
+    fuzz_header = json.loads((outdir / "counterexample_0_trace.jsonl").read_text().splitlines()[0])
+    replay_header = json.loads(out.read_text().splitlines()[0])
+    assert replay_header["eps"] == fuzz_header["eps"] == {"abs": 1e-6, "rel": 1e-6}
+
+
 def test_run_unwritable_out_exit_one(tmp_path, capsys):
     out = str(tmp_path / "missing-dir" / "t.jsonl")
     assert cli.main(["run", "--scenario", _write_scenario(tmp_path), "--out", out]) == cli.EXIT_INPUT

@@ -149,15 +149,13 @@ def test_classification_invariant_under_similarity(f, p1, p2, p3):
 
 
 @given(exact_similarities(), exact_points, exact_points, exact_points)
-def test_opposite_of_max_side_commutes_with_similarity(f, p1, p2, p3):
-    try:
-        base = geometry.opposite_of_max_side(p1, p2, p3, EXACT)
-    except geometry.AmbiguousLongestSide:
+def test_triangle_target_commutes_with_similarity(f, p1, p2, p3):
+    # the apex classify_triangle finds (for scalene, the vertex opposite the
+    # longest side) and the equilateral barycenter both move with the frame
+    if len({p1, p2, p3}) < 3:
         return
-    mapped = geometry.opposite_of_max_side(
-        apply(f, p1), apply(f, p2), apply(f, p3), EXACT
-    )
-    assert mapped == apply(f, base)
+    tgt, kind = gather2d.target_triangle(p1, p2, p3, EXACT)
+    assert gather2d.target_triangle(apply(f, p1), apply(f, p2), apply(f, p3), EXACT) == (apply(f, tgt), kind)
 
 
 @given(exact_similarities(), exact_points, exact_points, exact_points)

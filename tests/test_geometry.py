@@ -14,6 +14,7 @@ from conftest import (
     exact_point_lists,
     exact_points,
     float_point_lists,
+    float_points,
     rational,
     sec_boundary,
 )
@@ -50,7 +51,7 @@ def test_classify_isosceles_apex():
 def test_classify_scalene():
     shape = g.classify_triangle(P(0, 0), P(4, 0), P(1, 1), EXACT)
     assert shape.kind is g.TriangleKind.SCALENE
-    assert shape.apex is None
+    assert shape.apex == P(1, 1)  # opposite the longest side, (0,0)-(4,0)
 
 
 def test_classify_equilateral_floating():
@@ -127,29 +128,51 @@ def test_barycenter_permutation_invariant(p1, p2, p3, perm):
     assert g.barycenter_3(*pts) == g.barycenter_3(*(pts[i] for i in perm))
 
 
-# --- longest side ---------------------------------------------------------------
+# --- scalene apex: the vertex opposite the longest side -------------------------
 
 
-def test_opposite_of_max_side_examples():
-    assert g.opposite_of_max_side(P(0, 0), P(4, 0), P(1, 1), EXACT) == P(1, 1)
-    assert g.opposite_of_max_side(P(0, 0), P(1, 1), P(4, 0), EXACT) == P(1, 1)
+def test_classify_scalene_apex_examples():
+    assert g.classify_triangle(P(0, 0), P(1, 1), P(4, 0), EXACT).apex == P(1, 1)
     # hand oracle: squared sides 25 vs 5 vs 20, max side joins (0,0)-(5,0)
-    assert g.opposite_of_max_side(P(0, 0), P(5, 0), P(1, 2), EXACT) == P(1, 2)
+    assert g.classify_triangle(P(0, 0), P(5, 0), P(1, 2), EXACT).apex == P(1, 2)
+    # squared sides 18 (opposite (0,0)), 10 (opposite (4,0)) and 16 (opposite
+    # (1,3)): the longest side is (4,0)-(1,3), not the one on the x-axis
+    assert g.classify_triangle(P(0, 0), P(4, 0), P(1, 3), EXACT).apex == P(0, 0)
+    shape = g.classify_triangle(Point(0.0, 0.0), Point(5.0, 0.0), Point(1.0, 2.0), FLOAT64)
+    assert shape.kind is g.TriangleKind.SCALENE and shape.apex == Point(1.0, 2.0)
 
 
-def test_opposite_of_max_side_rejects_ties():
-    with pytest.raises(g.AmbiguousLongestSide):
-        g.opposite_of_max_side(P(0, 0), P(2, 0), P(1, 5), EXACT)
-
-
-@given(exact_points, exact_points, exact_points, st.permutations([0, 1, 2]))
-def test_opposite_of_max_side_permutation_invariant(p1, p2, p3, perm):
+@given(float_points, float_points, float_points, st.permutations([0, 1, 2]))
+def test_classify_scalene_apex_permutation_invariant(p1, p2, p3, perm):
+    # the exact case is test_classify_permutation_invariant; on floats the
+    # apex is picked by raw comparisons, which must not depend on order
     pts = [p1, p2, p3]
     try:
-        base = g.opposite_of_max_side(*pts, EXACT)
-    except g.AmbiguousLongestSide:
+        a = g.classify_triangle(*pts, FLOAT64)
+    except g.DegenerateInput:
         return
-    assert g.opposite_of_max_side(*(pts[i] for i in perm), EXACT) == base
+    b = g.classify_triangle(*(pts[i] for i in perm), FLOAT64)
+    assert a.kind is b.kind
+    assert a.apex == b.apex
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "float"])
+@given(data=st.data())
+def test_classify_scalene_apex_is_opposite_the_strictly_longest_side(backend, data):
+    points = exact_points if backend.is_exact else float_points
+    pts = [data.draw(points) for _ in range(3)]
+    try:
+        shape = g.classify_triangle(*pts, backend)
+    except g.DegenerateInput:
+        return
+    if shape.kind is not g.TriangleKind.SCALENE:
+        return
+    others = [p for p in pts if p is not shape.apex]
+    assert len(others) == 2
+    longest = g.dist_sq(*others)
+    for q in others:
+        assert longest > g.dist_sq(shape.apex, q)
+        assert not backend.eq(longest, g.dist_sq(shape.apex, q))
 
 
 # --- circumcircle ----------------------------------------------------------------

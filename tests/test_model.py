@@ -239,7 +239,7 @@ def test_check_k_fair_short_stream_is_vacuous():
 
 # values that pairwise share a numerator (1/2, 1/3, 1; 2/3, 2/5) or a
 # denominator (1/2, -1/2; 1/3, 2/3), so distinct points often differ in just
-# one of the four integers of their key
+# one of the four integers of their coordinates
 _small_rationals = st.sampled_from([F(1, 2), F(1, 3), F(1), F(-1, 2), F(2, 3), F(2, 5)])
 
 
@@ -257,8 +257,12 @@ def _exact_configs(draw):
 
 @given(_exact_configs())
 def test_exact_spectrum_equals_counter_with_key_order(conf):
+    # an oracle by scanning, not by hashing: the towers are the robots equal
+    # to no earlier robot, in robot order, each keyed by that first robot
+    # object and counting the robots equal to it
     spec = model.spectrum_of(conf, EXACT)
-    expected = Counter(conf)
-    assert list(spec.items()) == list(expected.items())
-    # each tower is keyed by the first robot seen there, as Counter(conf) is
-    assert all(a is b for a, b in zip(spec, expected))
+    firsts = [p for i, p in enumerate(conf) if all(q != p for q in conf[:i])]
+    assert len(spec) == len(firsts)
+    for key, first in zip(spec, firsts):
+        assert key is first
+        assert spec[key] == sum(q == first for q in conf)

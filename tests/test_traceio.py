@@ -6,7 +6,7 @@ import pytest
 
 from conftest import local_step
 from robogather import gather2d, model, traceio, verify
-from robogather.scalars import EXACT, FLOAT64, Point
+from robogather.scalars import EXACT, FLOAT64, FloatBackend, Point
 
 P = EXACT.point
 
@@ -171,6 +171,15 @@ def test_scenario_for_run_replays_identically(tmp_path):
     for a, b in zip(replay.steps, trace.steps):
         assert a.action == b.action
         assert a.config == b.config
+
+
+def test_float_scenario_for_run_keeps_the_run_tolerance():
+    # a frozen float run replays at its own tolerance, not the default one
+    backend = FloatBackend(1e-6, 1e-6)
+    spec, _trace, _rep = verify.run_one(7, backend)
+    scenario = traceio.scenario_for_run(spec, backend)
+    assert scenario.build()[0] == backend
+    assert traceio.Scenario.from_dict(scenario.to_dict()).build()[0] == backend
 
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "float"])
