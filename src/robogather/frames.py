@@ -11,23 +11,34 @@ rotations built from Pythagorean triples.
 
 On the exact backend ``linear_form`` keeps the integer form (A, B, D) of
 zoom · M on the ``FrameParams``, over one common denominator D > 0:
-A/D = zoom·c and B/D = zoom·s. A shared frame pays for it once. ``apply``
-works out p − center on the two points' integers and evaluates one integer
-expression per coordinate, and ``preimage`` returns center + (zoom·M)⁻¹·q
-the same way: one ``Fraction`` per coordinate, instead of about ten
-``Fraction`` operations per point. The form need not be in lowest terms,
-because every point that leaves ``apply`` or ``preimage`` is a normalized
-``Fraction``. A frame whose ``FrameParams`` has no form (on floats, or an
-exact frame built directly) maps by the generic formula, exact on
-``Fraction``s too. On floats, p − center is taken first, so a nearby
-tower's image stays accurate however far the robot is from the origin.
+A/D = zoom·c and B/D = zoom·s. A shared frame pays for it once. ``view``
+maps a whole spectrum with it, and ``preimage`` returns center + (zoom·M)⁻¹·q
+with one integer expression and one ``Fraction`` per coordinate, instead of
+about ten ``Fraction`` operations per point. The form need not be in lowest
+terms, because every point that leaves ``view`` or ``preimage`` is a
+normalized ``Fraction``. ``apply`` maps a single point by the generic
+formula, exact on ``Fraction``s too, as does every frame whose
+``FrameParams`` has no form (on floats, or an exact frame built directly).
+On floats, p − center is taken first, so a nearby tower's image stays
+accurate however far the robot is from the origin.
 
-A frame made for a robot sends that robot's own tower to the origin with no
-arithmetic, and a robot whose destination is its own origin stays exactly
-where it is (``model.round``), on both backends. On the exact backend
-``map_multiset`` finds the own tower by identity, with no ``Fraction``
-comparison; an equal but distinct key goes through ``apply``, which sends
-it to exactly (0, 0).
+A robot's *view* is the spectrum mapped into its frame: a multiset of
+towers that a robogram reads only by iteration (the towers), ``items()``
+(tower, multiplicity pairs), ``values()`` (the multiplicities) and ``len``
+(the tower count), in the spectrum's key order. On the exact backend it is
+a ``View``, built by ``view`` from the ``IntegerSpectrum`` of the spectrum,
+which is made once per round: the towers as integers over one common
+denominator L. Each tower then costs one integer expression in the frame's
+(A, B, D) and one ``Fraction(n, D·L)`` per coordinate, and no image is
+hashed. On floats a view is the ``Counter`` ``map_multiset`` builds, tower
+by tower through ``apply``, so images that round to the same float merge.
+
+A frame made for a robot sends that robot's own tower to exactly the
+origin, and a robot whose destination is its own origin stays exactly where
+it is (``model.round``), on both backends. On the exact
+backend the own tower is found by value, as the one at integer offset
+(0, 0) from the center, so an equal but distinct key maps to the shared
+``EXACT.origin()`` too; on floats it is any key equal to the center.
 """
 from __future__ import annotations
 
@@ -35,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .scalars import EXACT, FLOAT64, Backend, Point, Scalar
 
@@ -80,18 +91,10 @@ def _linear(fp: FrameParams, x: Scalar, y: Scalar) -> Point:
 
 
 def apply(f: Similarity, p: Point) -> Point:
+    """f(p), by the generic formula: exact on ``Fraction``s, and on floats
+    p − center is taken first."""
     fp, (cx, cy), (x, y) = f.fp, f.center, p
-    if fp.form is None:
-        return _linear(fp, x - cx, y - cy)
-    a, b, d = fp.form
-    # p − center as (u/du, v/dv), y negated when reflecting
-    xd, yd, cxd, cyd = x.denominator, y.denominator, cx.denominator, cy.denominator
-    u, du = x.numerator * cxd - cx.numerator * xd, xd * cxd
-    v, dv = y.numerator * cyd - cy.numerator * yd, yd * cyd
-    if fp.reflect:
-        v = -v
-    u, v, w = u * dv, v * du, d * du * dv
-    return Point(Fraction(a * u - b * v, w), Fraction(b * u + a * v, w))
+    return _linear(fp, x - cx, y - cy)
 
 
 def check_params(zoom: Scalar, c: Scalar, s: Scalar, backend: Backend) -> None:
@@ -161,17 +164,88 @@ def preimage(f: Similarity, q: Point) -> Point:
     return Point(Fraction(cxn * w + cxd * pu, cxd * w), Fraction(cyn * w + cyd * pv, cyd * w))
 
 
-def map_multiset(f: Similarity, s: Counter) -> Counter:
-    """Apply ``f`` pointwise to a spectrum, keeping multiplicities and key
-    order. The tower at ``f.center`` maps to the origin with no
-    arithmetic: on the exact backend the tower whose key *is* that point,
-    on floats any key equal to it, so the own tower is never rounded."""
-    center = f.center
+class IntegerSpectrum(NamedTuple):
+    """The towers of an exact spectrum over one common denominator, the
+    form every view of a round is built from: tower i is
+    (coords[i][0] / den, coords[i][1] / den), of multiplicity ``mults[i]``,
+    in the spectrum's key order."""
+
+    coords: list[tuple[int, int]]
+    den: int
+    mults: tuple[int, ...]
+
+
+def integer_spectrum(s: Counter) -> IntegerSpectrum:
+    """The ``IntegerSpectrum`` of an exact spectrum, with den the lcm of its
+    coordinates' denominators."""
+    den = lcm(*(v.denominator for p in s for v in p))
+    coords = [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)) for x, y in s]
+    return IntegerSpectrum(coords, den, tuple(s.values()))
+
+
+class View:
+    """A robot's view on the exact backend: a read-only multiset held as two
+    sequences, ``towers`` and ``mults``, in the spectrum's key order. It
+    offers what a robogram may read: iteration, ``items()``, ``values()`` and
+    ``len``."""
+
+    __slots__ = ("towers", "mults")
+
+    def __init__(self, towers: list[Point], mults: tuple[int, ...]):
+        self.towers = towers
+        self.mults = mults
+
+    def __len__(self) -> int:
+        return len(self.towers)
+
+    def __iter__(self):
+        return iter(self.towers)
+
+    def items(self):
+        return zip(self.towers, self.mults)
+
+    def values(self) -> tuple[int, ...]:
+        return self.mults
+
+    def __repr__(self) -> str:
+        return f"View({list(self.items())!r})"
+
+
+def view(f: Similarity, spec: IntegerSpectrum) -> View:
+    """The view of ``spec`` through the exact frame ``f``.
+
+    With p − center = (u, v), zoom·M·(u, v) is (A·u − B·v, B·u + A·v)/D, or
+    (A·u + B·v, B·u − A·v)/D when reflecting. Over the denominator
+    L = lcm(den, the center's denominators), each tower (X, Y)/den gives
+    u = (k·X − OX)/L and v = (k·Y − OY)/L for k = L/den and integers OX, OY,
+    so the terms in the center fold into one integer per coordinate: each
+    tower costs four products and one ``Fraction(n, D·L)`` per coordinate.
+    The tower at offset (0, 0), the robot's own, maps to the shared
+    ``EXACT.origin()``."""
+    fp, (cx, cy) = f.fp, f.center
+    a, b, d = fp.form
+    m11, m12, m21, m22 = (a, b, b, -a) if fp.reflect else (a, -b, b, a)
+    den = lcm(spec.den, cx.denominator, cy.denominator)
+    ox, oy = cx.numerator * (den // cx.denominator), cy.numerator * (den // cy.denominator)
+    ex, ey = m11 * ox + m12 * oy, m21 * ox + m22 * oy
+    k = den // spec.den
+    m11, m12, m21, m22, w = m11 * k, m12 * k, m21 * k, m22 * k, d * den
+    origin = EXACT.origin()
+    towers = []
+    for x, y in spec.coords:
+        nx, ny = m11 * x + m12 * y - ex, m21 * x + m22 * y - ey
+        towers.append(Point(Fraction(nx, w), Fraction(ny, w)) if nx or ny else origin)
+    return View(towers, spec.mults)
+
+
+def map_multiset(f: Similarity, s: Counter) -> View | Counter:
+    """The view of spectrum ``s`` through ``f``: through ``view`` for an
+    exact frame with an integer form, otherwise a ``Counter`` built tower by
+    tower through ``apply``, with the tower at ``f.center`` (any key equal to
+    it) sent to the origin and images that collide merged."""
     if f.fp.form is not None:
-        # an exact similarity is injective, so the towers stay distinct and
-        # each image is hashed once
-        origin = EXACT.origin()
-        return Counter({origin if p is center else apply(f, p): mult for p, mult in s.items()})
+        return view(f, integer_spectrum(s))
+    center = f.center
     origin = FLOAT64.origin()
     out: Counter = Counter()
     for p, mult in s.items():

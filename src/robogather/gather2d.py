@@ -35,7 +35,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from . import geometry, model
 from .geometry import Circle, TriangleKind
-from .model import Configuration, Robogram, Spectrum
+from .model import Configuration, Robogram, Spectrum, View
 from .scalars import Backend, Point
 
 
@@ -129,7 +129,7 @@ class _Analysis:
     phases: tuple[Phase, Phase]  # (clean, dirty), from the shape of the boundary
 
 
-def _analyze(s: Spectrum, backend: Backend) -> _Analysis:
+def _analyze(s: View, backend: Backend) -> _Analysis:
     """The SEC of the towers of ``s``, with its boundary as ``geometry.sec``
     returns it (one integer pass on the exact backend), the target, the
     points a robot may hold still on, the clean flag, and the phases of the
@@ -161,8 +161,9 @@ def target(s: Spectrum, backend: Backend) -> Point:
     return _analyze(s, backend).tgt
 
 
-def pgm(s: Spectrum, backend: Backend) -> Point:
-    """Destination computed by a robot observing local spectrum ``s``.
+def pgm(s: View, backend: Backend) -> Point:
+    """Destination computed by a robot from its view ``s``, which it reads
+    only by iteration, ``items()``, ``values()`` and ``len`` (``model.View``).
 
     The observer sits at the origin of its own frame. Total by construction:
     the unreachable no-robot branch returns the origin.

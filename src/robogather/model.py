@@ -2,17 +2,17 @@
 
 Robots are anonymous: a configuration maps identifiers to locations, but a
 robogram only ever sees a *spectrum* -- the multiset of inhabited locations
-(strong global multiplicity). Each round the demon activates an arbitrary
-subset of robots and hands each one a fresh local frame; an activated robot
-observes the configuration through its frame, runs the robogram (a callable
-from spectrum to destination), and its destination is mapped back to the
-global frame.
+(strong global multiplicity) -- through its own frame. Each round the demon
+activates an arbitrary subset of robots and hands each one a fresh local
+frame; an activated robot observes the spectrum through its frame (its
+*view*), runs the robogram (a callable from view to destination), and its
+destination is mapped back to the global frame.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from . import frames
 from .frames import FrameParams
@@ -21,9 +21,16 @@ from .scalars import Backend, Point
 Configuration = tuple[Point, ...]
 Spectrum = Counter  # Counter[Point] -> positive multiplicity
 
-# A protocol: a pure function from spectrum to destination. Taking only a
-# spectrum enforces anonymity; purity gives compatibility.
-Robogram = Callable[[Spectrum], Point]
+# What an activated robot sees: the spectrum mapped into its frame, a
+# multiset of towers in the spectrum's key order. A robogram reads a view
+# only by iteration (its towers), items() (tower, multiplicity pairs),
+# values() (multiplicities) and len (the tower count): a frames.View on the
+# exact backend, a Counter on floats, and any spectrum can stand for one.
+View = Union[frames.View, Spectrum]
+
+# A protocol: a pure function from view to destination. Taking only a view
+# enforces anonymity; purity gives compatibility.
+Robogram = Callable[[View], Point]
 
 # A demon is a lazily evaluated stream of demonic actions; adversarial
 # strategies may inspect the current configuration when choosing one.
@@ -61,8 +68,9 @@ def spectrum_of(conf: Configuration, backend: Backend) -> Spectrum:
     return spec
 
 
-def max_support(s: Spectrum) -> list[Point]:
-    """Locations of maximal multiplicity (the highest towers)."""
+def max_support(s: View) -> list[Point]:
+    """Locations of maximal multiplicity (the highest towers), in key order;
+    reads ``s`` only by ``len``, ``values()`` and ``items()``."""
     if not s:
         return []
     top = max(s.values())
@@ -71,25 +79,32 @@ def max_support(s: Spectrum) -> list[Point]:
 
 def round(r: Robogram, da: DemonicAction, conf: Configuration, backend: Backend) -> Configuration:
     """One SSYNC round: every activated robot atomically Looks (through its
-    frame), Computes (the robogram on its local spectrum) and Moves (the
-    destination mapped back to the global frame). Inactive robots stay put.
+    frame), Computes (the robogram on its view) and Moves (the destination
+    mapped back to the global frame). Inactive robots stay put.
 
-    A frame is a bijection, so a robot's local spectrum is the image of the
-    global one: the global spectrum is built once per round and each robot
-    maps its towers (``frames.map_multiset``), its own tower to exactly the
-    origin. On floats this also means the tolerance merges robots once, in
-    the global frame, so what a robot sees does not depend on the zoom of
-    its frame.
+    A frame is a bijection, so a robot's view is the image of the global
+    spectrum: the spectrum is built once per round and each robot maps its
+    towers, its own tower to exactly the origin, keeping the spectrum's key
+    order. On the exact backend the spectrum is also turned into integer form
+    once (``frames.integer_spectrum``: its towers over one common
+    denominator), and each robot's view is built from that form
+    (``frames.view``), a read-only ``frames.View`` whose towers are never
+    hashed. On floats each view is the ``Counter`` of
+    ``frames.map_multiset``, and the tolerance merges robots once, in the
+    global frame, so what a robot sees does not depend on the zoom of its
+    frame. The robogram reads a view only by iteration, ``items()``,
+    ``values()`` and ``len``.
 
     Each activation builds one frame, the demon's ``FrameParams`` centered on
     the robot, with no arithmetic; an exact one reuses its ``FrameParams``'
-    linear form, and a robot pays for mapping only the towers other than its
-    own. A robot whose destination is its own origin stays exactly where it is,
-    on both backends; any other destination comes back through ``preimage``.
+    linear form. A robot whose destination is its own origin stays exactly
+    where it is, on both backends; any other destination comes back through
+    ``preimage``.
     """
     if len(da.steps) != len(conf):
         raise ValueError(f"action for {len(da.steps)} robots applied to {len(conf)}")
     global_spec = spectrum_of(conf, backend)
+    towers = frames.integer_spectrum(global_spec) if backend.is_exact else None
     origin = backend.origin()
     out: list[Point] = []
     for loc, fp in zip(conf, da.steps):
@@ -97,7 +112,8 @@ def round(r: Robogram, da: DemonicAction, conf: Configuration, backend: Backend)
             out.append(loc)
             continue
         f = frames.make_frame(loc, fp, backend)
-        dest = r(frames.map_multiset(f, global_spec))
+        seen = frames.map_multiset(f, global_spec) if towers is None else frames.view(f, towers)
+        dest = r(seen)
         out.append(loc if dest == origin else frames.preimage(f, dest))
     return tuple(out)
 

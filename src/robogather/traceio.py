@@ -45,10 +45,10 @@ def _point_in(pair, backend: Backend, shared: dict) -> Point:
     """The point of an [x, y] pair, from the document's memo ``shared``."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise TraceFormatError(f"expected an [x, y] pair, got {pair!r}")
-    x, y = pair
-    key = (x, y) if type(x) is str and type(y) is str else repr(pair)
+    key = repr(pair)
     p = shared.get(key)
     if p is None:
+        x, y = pair
         p = shared[key] = Point(backend.parse(x), backend.parse(y))
     return p
 

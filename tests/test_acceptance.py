@@ -300,15 +300,15 @@ def test_negative_control_fuzz_exercises_the_local_round(monkeypatch, name, brok
     _report(f"negative control: broken {name} fails chaining", f"{rep.violations_of('chaining')} violations")
 
 
-def _view_ignoring_reflect(f, p, _real=frames.apply):
+def _view_ignoring_reflect(f, spec, _real=frames.view):
     fp = f.fp
-    return _real(frames.Similarity(FrameParams(fp.zoom, fp.c, fp.s, False), f.center), p)
+    return _real(frames.make_frame(f.center, FrameParams(fp.zoom, fp.c, fp.s, False), EXACT), spec)
 
 
 def test_negative_control_view_ignoring_reflect(monkeypatch):
     # a mirrored robot sees the other towers through the unmirrored frame but
     # maps its destination back through the mirrored one: its move is wrong
-    monkeypatch.setattr(frames, "apply", _view_ignoring_reflect)
+    monkeypatch.setattr(frames, "view", _view_ignoring_reflect)
     rep, cex = verify.fuzz(20, EXACT)
     assert rep.violations_of("chaining") > 0, rep.summary()
     assert cex

@@ -201,7 +201,7 @@ def test_integer_frame_map_matches_textbook_formula(f, p):
     assert f.fp.form is not None
     assert apply(f, p) == _textbook(f.fp, f.center, p)
     assert apply(inverse(f), p) == _textbook_inverse(f.fp, f.center, p)
-    assert map_multiset(f, Counter({p: 2})) == Counter({_textbook(f.fp, f.center, p): 2})
+    assert list(map_multiset(f, Counter({p: 2})).items()) == [(_textbook(f.fp, f.center, p), 2)]
 
 
 @given(exact_similarities(), exact_points, exact_points)
@@ -256,20 +256,67 @@ def test_own_tower_maps_to_the_origin_in_key_order(f, conf):
         g = make_frame(loc, FrameParams(f.fp.zoom, f.fp.c, f.fp.s, f.fp.reflect), EXACT)
         mapped = map_multiset(g, spec)
         assert list(mapped.items()) == [(apply(g, p), m) for p, m in spec.items()]
-        assert mapped[EXACT.origin()] == spec[loc]
+        assert dict(mapped.items())[EXACT.origin()] == spec[loc]
+
+
+def _counting_points(monkeypatch):
+    """Count the points ``frames`` builds: one per tower a view maps."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Point(*args)
+
+    monkeypatch.setattr(frames, "Point", counted)
+    return built
 
 
 @given(exact_similarities(), exact_point_lists)
 def test_own_tower_key_equal_but_distinct_maps_to_the_origin(f, pts):
-    # map_multiset finds the own tower by identity; a key equal to the
-    # robot's point but a distinct object goes through the integer form
+    # the own tower is found by value: a key equal to the robot's point but
+    # a distinct object maps to the shared origin, and no point is built for it
     robot = f.center
     twin = Point(F(robot.x.numerator, robot.x.denominator), F(robot.y.numerator, robot.y.denominator))
     assert twin == robot and twin is not robot
     spec = Counter([twin, twin] + [p for p in pts if p != robot])
-    mapped = map_multiset(f, spec)
-    assert list(mapped.items()) == [(EXACT.origin() if p == robot else apply(f, p), m) for p, m in spec.items()]
-    assert next(iter(mapped)) == (0, 0) and mapped[EXACT.origin()] == 2
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        built = _counting_points(monkeypatch)
+        mapped = map_multiset(f, spec)
+    assert mapped.towers[0] is EXACT.origin() and mapped.mults[0] == 2
+    assert len(built) == len(spec) - 1
+    assert list(mapped.items())[1:] == [(apply(f, p), m) for p, m in list(spec.items())[1:]]
+
+
+_mixed_denominators = st.builds(
+    F, st.integers(-60, 60), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 15, 49, 210])
+)
+
+
+@given(
+    st.lists(st.builds(Point, _mixed_denominators, _mixed_denominators), min_size=1, max_size=10),
+    st.data(),
+    st.booleans(),
+    exact_similarities(),
+)
+def test_view_is_the_textbook_image_of_the_spectrum(pts, data, reflect, f):
+    # every view of a round is built from one integer form of its spectrum:
+    # towers in the spectrum's key order, each the textbook image of its key,
+    # with the key's multiplicity, for a robot at a key object or at an equal
+    # but distinct point
+    conf = tuple(data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=16)))
+    spec = model.spectrum_of(conf, EXACT)
+    form = frames.integer_spectrum(spec)
+    fp = FrameParams(f.fp.zoom, f.fp.c, f.fp.s, reflect)
+    loc = data.draw(st.sampled_from(conf))
+    for robot in (loc, Point(F(loc.x.numerator, loc.x.denominator), F(loc.y.numerator, loc.y.denominator))):
+        seen = frames.view(make_frame(robot, fp, EXACT), form)
+        assert len(seen) == len(spec)
+        assert list(seen.items()) == [(_textbook(fp, robot, p), m) for p, m in spec.items()]
+        assert seen.towers[list(spec).index(loc)] is EXACT.origin()
+    # a gathered configuration is seen as exactly one tower at the origin
+    gathered = model.spectrum_of((loc,) * len(conf), EXACT)
+    seen = frames.view(make_frame(loc, fp, EXACT), frames.integer_spectrum(gathered))
+    assert list(seen.items()) == [(EXACT.origin(), len(conf))]
 
 
 def test_float_own_tower_maps_to_the_origin_and_images_still_merge():

@@ -142,21 +142,25 @@ def test_each_kind_of_frame_work_happens_once(monkeypatch, tmp_path):
     assert len(checks) == len(set(used)) < len({id(fp) for fp in used})
 
     # an activation in a gathered configuration maps no point either way; a
-    # robot that sees m other towers maps each of them once
-    applied = _counting(monkeypatch, frames, "apply")
+    # robot that sees m other towers maps each of them once (the view and
+    # preimage build their points through frames.Point)
+    built = _counting(monkeypatch, frames, "Point")
     mapped_back = _counting(monkeypatch, frames, "preimage")
     rng, r = random.Random(0), gather2d.robogram(EXACT)
     frame_params = [verify.DEFAULT_POLICY.sample(rng, EXACT) for _ in range(4)]
     gathered = (P(3, F(1, 2)),) * 4
     assert model.round(r, DemonicAction(tuple(frame_params)), gathered, EXACT) == gathered
-    assert applied == [] and mapped_back == []
+    assert built == [] and mapped_back == []
     shared = P(0, 0)  # a tower's key is the point of its first robot
     conf = (shared, shared, P(5, 5), P(-2, 7))
     for i, fp in enumerate(frame_params):
-        applied.clear()
+        built.clear()
+        mapped_back.clear()
         steps = tuple(fp if j == i else None for j in range(4))
         model.round(r, DemonicAction(steps), conf, EXACT)
-        assert len(applied) == 2  # three towers, one of them the robot's own
+        # three towers, one of them the robot's own, plus one point per
+        # destination mapped back
+        assert len(built) == 2 + len(mapped_back)
 
 
 # sha256 of the first 3·k actions of each demon at seed 11 from gen_initial(5,
