@@ -23,15 +23,16 @@ On floats, p − center is taken first, so a nearby tower's image stays
 accurate however far the robot is from the origin.
 
 A robot's *view* is the spectrum mapped into its frame: a multiset of
-towers that a robogram reads only by iteration (the towers), ``items()``
-(tower, multiplicity pairs), ``values()`` (the multiplicities) and ``len``
-(the tower count), in the spectrum's key order. On the exact backend it is
-a ``View``, built by ``view`` from the ``IntegerSpectrum`` of the spectrum,
-which is made once per round: the towers as integers over one common
-denominator L. Each tower then costs one integer expression in the frame's
-(A, B, D) and one ``Fraction(n, D·L)`` per coordinate, and no image is
-hashed. On floats a view is the ``Counter`` ``map_multiset`` builds, tower
-by tower through ``apply``, so images that round to the same float merge.
+towers in the spectrum's key order, which a robogram reads as
+``model.View`` says. On the exact backend it is a ``View``, built by
+``view`` from the ``IntegerSpectrum`` of the spectrum, which is made once
+per round: the towers as integers over one common denominator L. Each
+tower then costs one integer expression in the frame's (A, B, D), and the
+view keeps the results as integers over D·L: it hashes no image, and
+builds a tower's ``Point`` only when the robogram reads that tower, while
+``geometry.sec`` reads the integers themselves. On floats a view is the
+``Counter`` ``map_multiset`` builds, tower by tower through ``apply``, so
+images that round to the same float merge.
 
 A frame made for a robot sends that robot's own tower to exactly the
 origin, and a robot whose destination is its own origin stays exactly where
@@ -184,25 +185,39 @@ def integer_spectrum(s: Counter) -> IntegerSpectrum:
 
 
 class View:
-    """A robot's view on the exact backend: a read-only multiset held as two
-    sequences, ``towers`` and ``mults``, in the spectrum's key order. It
-    offers what a robogram may read: iteration, ``items()``, ``values()`` and
-    ``len``."""
+    """A robot's view on the exact backend: a read-only multiset of towers in
+    the spectrum's key order, held as integers over one denominator: tower i
+    is (coords[i][0] / den, coords[i][1] / den), of multiplicity
+    ``mults[i]``. Indexing builds tower i's ``Point`` (the shared
+    ``EXACT.origin()`` for (0, 0)) each time it is read, so a reader that
+    wants few towers builds few points; ``geometry.sec`` reads the integers.
+    It offers what a robogram may read: ``len``, ``values()``, ``in``,
+    indexing, iteration and ``items()``."""
 
-    __slots__ = ("towers", "mults")
+    __slots__ = ("coords", "den", "mults")
 
-    def __init__(self, towers: list[Point], mults: tuple[int, ...]):
-        self.towers = towers
+    def __init__(self, coords: list[tuple[int, int]], den: int, mults: tuple[int, ...]):
+        self.coords = coords
+        self.den = den
         self.mults = mults
 
     def __len__(self) -> int:
-        return len(self.towers)
+        return len(self.coords)
+
+    def __getitem__(self, i: int) -> Point:
+        x, y = self.coords[i]
+        return Point(Fraction(x, self.den), Fraction(y, self.den)) if x or y else EXACT.origin()
 
     def __iter__(self):
-        return iter(self.towers)
+        return map(self.__getitem__, range(len(self.coords)))
+
+    def __contains__(self, p: Point) -> bool:
+        """Is ``p`` a tower? Decided on the integers, building no point."""
+        (xn, xd), (yn, yd), w = p.x.as_integer_ratio(), p.y.as_integer_ratio(), self.den
+        return (xn * w) % xd == 0 and (yn * w) % yd == 0 and (xn * w // xd, yn * w // yd) in self.coords
 
     def items(self):
-        return zip(self.towers, self.mults)
+        return zip(self, self.mults)
 
     def values(self) -> tuple[int, ...]:
         return self.mults
@@ -212,15 +227,15 @@ class View:
 
 
 def view(f: Similarity, spec: IntegerSpectrum) -> View:
-    """The view of ``spec`` through the exact frame ``f``.
+    """The view of ``spec`` through the exact frame ``f``, as integers.
 
     With p − center = (u, v), zoom·M·(u, v) is (A·u − B·v, B·u + A·v)/D, or
     (A·u + B·v, B·u − A·v)/D when reflecting. Over the denominator
     L = lcm(den, the center's denominators), each tower (X, Y)/den gives
     u = (k·X − OX)/L and v = (k·Y − OY)/L for k = L/den and integers OX, OY,
     so the terms in the center fold into one integer per coordinate: each
-    tower costs four products and one ``Fraction(n, D·L)`` per coordinate.
-    The tower at offset (0, 0), the robot's own, maps to the shared
+    tower costs four products, and its image is that pair over D·L. The
+    tower at offset (0, 0), the robot's own, reads as the shared
     ``EXACT.origin()``."""
     fp, (cx, cy) = f.fp, f.center
     a, b, d = fp.form
@@ -229,13 +244,9 @@ def view(f: Similarity, spec: IntegerSpectrum) -> View:
     ox, oy = cx.numerator * (den // cx.denominator), cy.numerator * (den // cy.denominator)
     ex, ey = m11 * ox + m12 * oy, m21 * ox + m22 * oy
     k = den // spec.den
-    m11, m12, m21, m22, w = m11 * k, m12 * k, m21 * k, m22 * k, d * den
-    origin = EXACT.origin()
-    towers = []
-    for x, y in spec.coords:
-        nx, ny = m11 * x + m12 * y - ex, m21 * x + m22 * y - ey
-        towers.append(Point(Fraction(nx, w), Fraction(ny, w)) if nx or ny else origin)
-    return View(towers, spec.mults)
+    m11, m12, m21, m22 = m11 * k, m12 * k, m21 * k, m22 * k
+    coords = [(m11 * x + m12 * y - ex, m21 * x + m22 * y - ey) for x, y in spec.coords]
+    return View(coords, d * den, spec.mults)
 
 
 def map_multiset(f: Similarity, s: Counter) -> View | Counter:

@@ -22,9 +22,14 @@ calls ``_analyze`` alone. ``round_global`` reads everything from a summary
 stays, even one activated at its destination, as its own ``Point`` object.
 So ``verify.execute_global`` (fuzz, ``robogather run``) and ``check`` (on
 the shared points of ``traceio.read_trace``) reuse the summary of a round
-that moves no robot, by identity. The local-frame ``model.round`` is never
-given a summary: it builds its own spectrum and runs ``pgm`` in every
-robot's frame.
+that moves no robot, by identity. In a dirty round it decides whether a
+robot holds still once per location object. The local-frame
+``model.round`` is never given a summary: ``verify.check_trace`` hands it
+at most the spectrum of a summary that records the very configuration, and
+it runs ``pgm`` in every robot's frame. On an exact view (``frames.View``)
+``pgm`` reads the integers: ``geometry.sec`` takes the view's own integer
+form, and a tower's ``Point`` is built only for the unique highest tower
+or the SEC boundary.
 """
 from __future__ import annotations
 
@@ -33,7 +38,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
-from . import geometry, model
+from . import frames, geometry, model
 from .geometry import Circle, TriangleKind
 from .model import Configuration, Robogram, Spectrum, View
 from .scalars import Backend, Point
@@ -120,7 +125,6 @@ _SHAPE_PHASES = {
 class _Analysis:
     """Shared per-spectrum geometry, computed once."""
 
-    sup: list[Point]
     boundary: list[Point]  # towers on the SEC
     circle: Circle
     tgt: Point
@@ -131,13 +135,19 @@ class _Analysis:
 
 def _analyze(s: View, backend: Backend) -> _Analysis:
     """The SEC of the towers of ``s``, with its boundary as ``geometry.sec``
-    returns it (one integer pass on the exact backend), the target, the
-    points a robot may hold still on, the clean flag, and the phases of the
-    boundary's shape, recorded while the target is picked."""
+    returns it (one integer pass on the exact backend, from the view's own
+    integer form for a ``frames.View``), the target, the points a robot may
+    hold still on, the clean flag, and the phases of the boundary's shape,
+    recorded while the target is picked.
+
+    Exact towers are distinct, so a clean exact spectrum has at most one
+    tower off the SEC, at a target that is no boundary tower; ``in`` finds
+    it, and a view builds no point off its boundary."""
     if not s:
         raise EmptySpectrum("cannot analyze an empty spectrum")
-    sup = list(s)
-    circle, boundary = geometry.sec(sup, backend)
+    towers = model.towers(s)
+    form = (s.coords, s.den) if isinstance(s, frames.View) else None
+    circle, boundary = geometry.sec(towers, backend, form)
     if len(boundary) == 1:
         tgt, phases = boundary[0], (Phase.GATHERED, Phase.GATHERED)
     elif len(boundary) == 3:
@@ -150,8 +160,12 @@ def _analyze(s: View, backend: Backend) -> _Analysis:
     sect_pts = list(boundary)
     if not any(backend.points_eq(tgt, p) for p in sect_pts):
         sect_pts.insert(0, tgt)
-    clean = all(any(backend.points_eq(p, q) for q in sect_pts) for p in sup)
-    return _Analysis(sup, boundary, circle, tgt, sect_pts, clean, phases)
+    if backend.is_exact:
+        off = len(towers) - len(boundary)
+        clean = off == 0 or (off == 1 and len(sect_pts) > len(boundary) and tgt in s)
+    else:
+        clean = all(any(backend.points_eq(p, q) for q in sect_pts) for p in towers)
+    return _Analysis(boundary, circle, tgt, sect_pts, clean, phases)
 
 
 def target(s: Spectrum, backend: Backend) -> Point:
@@ -171,9 +185,10 @@ def pgm(s: View, backend: Backend) -> Point:
     origin = backend.origin()
     if not s:
         return origin
-    towers = model.max_support(s)
-    if len(towers) == 1:
-        return towers[0]
+    mults = list(s.values())
+    top = max(mults)
+    if mults.count(top) == 1:  # read only the unique highest tower
+        return model.towers(s)[mults.index(top)]
     ana = _analyze(s, backend)
     if ana.clean:
         return ana.tgt
@@ -212,6 +227,7 @@ def round_global(
     # an exact robot activated at its destination keeps its own Point (on
     # floats -0.0 == 0.0, but the two print differently in a trace)
     exact = backend.is_exact
+    holds: dict[int, bool] = {}  # id of a location object -> it is on the SEC or the target
     out: list[Point] = []
     for i, loc in enumerate(conf):
         if i not in act:
@@ -220,10 +236,11 @@ def round_global(
             out.append(loc if exact and loc == majority else majority)
         elif ana.clean:
             out.append(loc if exact and loc == ana.tgt else ana.tgt)
-        elif any(backend.points_eq(loc, q) for q in ana.sect_pts):
-            out.append(loc)
         else:
-            out.append(ana.tgt)
+            hold = holds.get(id(loc))
+            if hold is None:
+                hold = holds[id(loc)] = any(backend.points_eq(loc, q) for q in ana.sect_pts)
+            out.append(loc if hold else ana.tgt)
     return tuple(out)
 
 
@@ -239,7 +256,7 @@ def _classify(s: Spectrum, backend: Backend) -> tuple[Phase, Optional[_Analysis]
     ana = _analyze(s, backend)
     n = len(ana.boundary)
     if n < 2:
-        raise InternalInvariant(f"{len(ana.sup)} towers but {n} on the SEC")
+        raise InternalInvariant(f"{len(s)} towers but {n} on the SEC")
     return ana.phases[not ana.clean], ana
 
 
@@ -337,8 +354,8 @@ def allowed_transition(before: Phase, after: Phase) -> bool:
 @dataclass(frozen=True)
 class RoundSummary:
     """Derived, per-configuration annotations recorded in traces, with the
-    spectrum and the analysis they were read from (None for the gathered and
-    majority phases)."""
+    configuration they describe, and the spectrum and the analysis they were
+    read from (None for the gathered and majority phases)."""
 
     phase: Phase
     measure: Measure
@@ -347,6 +364,7 @@ class RoundSummary:
     spectrum: Spectrum = field(compare=False, repr=False)
     analysis: Optional[_Analysis] = field(compare=False, repr=False)
     backend: Backend = field(compare=False, repr=False)
+    conf: Configuration = field(compare=False, repr=False)
 
     @cached_property
     def sec_analysis(self) -> _Analysis:
@@ -374,7 +392,7 @@ def summarize(conf: Configuration, backend: Backend) -> RoundSummary:
     phase, ana = _classify(s, backend)
     if phase is Phase.GATHERED:
         # one tower means every robot is at the first one's location
-        return RoundSummary(phase, Measure(0, 0), False, next(iter(s)), s, None, backend)
+        return RoundSummary(phase, Measure(0, 0), False, next(iter(s)), s, None, backend, conf)
     if phase is Phase.MAJORITY:
         top = model.max_support(s)[0]
         residual = sum(s.values()) - s[top]
@@ -395,4 +413,5 @@ def summarize(conf: Configuration, backend: Backend) -> RoundSummary:
         spectrum=s,
         analysis=ana,
         backend=backend,
+        conf=conf,
     )

@@ -4,16 +4,22 @@ smallest enclosing circle (SEC).
 Circles store their radius *squared* so the exact backend stays closed under
 rational arithmetic; every comparison the callers need is monotone in the
 squared radius. Constructions are exact and only yes/no predicates such as
-``on_circle`` use the float tolerance. The SEC is computed with Welzl's
-move-to-front algorithm (expected linear time) behind a deterministic,
-seed-driven shuffle, on integers on both backends: a float is a dyadic
-rational, so ``sec`` scales the points by the lcm L of the denominators of
-their exact values to integer pairs. A circle is then an integer tuple
+``on_circle`` use the float tolerance. The SEC is computed on integers on
+both backends, from an integer form of the points: integer pairs over one
+common denominator. ``sec`` scales the points by the lcm L of the
+denominators of their exact values (``integer_form``; a float is a dyadic
+rational), unless its caller passes the form it already has, as an exact
+view does (``frames.View``). The kernel keeps only the vertices of the
+convex hull of the distinct integer pairs (Andrew's monotone chain on the
+sorted pairs), whose SEC is that of the whole set, and runs Welzl's
+move-to-front algorithm (expected linear time) on them behind a
+deterministic, seed-driven shuffle. A circle is an integer tuple
 (ux, uy, d, rn) with d ≠ 0, center (ux/d, uy/d) and squared radius rn/d² in
-scaled units, and every enclosure test is one integer comparison. Only the
+scaled units, and every enclosure test is one integer comparison. The SEC is
+unique, so the circle does not depend on the form or on the order; only the
 result is converted back, to ``Fraction``s or to correctly rounded floats.
 ``sec`` also returns the circle's boundary, the input points on it: on the
-exact backend each is decided on the same scaled integers, on floats by
+exact backend each is decided on the same integers, on floats by
 ``on_circle``'s tolerance test on the rounded circle.
 
 The brute-force oracle ``sec_bruteforce`` is one integer search on both
@@ -164,25 +170,40 @@ def _shuffle_order(n: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def sec(points: Sequence[Point], backend: Backend) -> tuple[Circle, list[Point]]:
+def integer_form(points: Sequence[Point]) -> tuple[list[tuple[int, int]], int]:
+    """The integer form (ints, scale) of a point list: point i is
+    (ints[i][0] / scale, ints[i][1] / scale), with scale the lcm of the
+    denominators of the coordinates' exact values (``as_integer_ratio``
+    reads a ``Fraction``'s and a float's alike)."""
+    ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in points]
+    scale = lcm(*[d for r in ratios for _, d in r])
+    return [(xn * (scale // xd), yn * (scale // yd)) for (xn, xd), (yn, yd) in ratios], scale
+
+
+def sec(
+    points: Sequence[Point], backend: Backend, form: Optional[tuple[Sequence[tuple[int, int]], int]] = None
+) -> tuple[Circle, list[Point]]:
     """Smallest enclosing circle of a point list, and its boundary: the input
     points on the circle, in input order, repeats kept.
 
     The circle is permutation- and duplication-invariant; ``sec([])`` is the
     zero circle at the origin, with no boundary. Welzl's move-to-front scheme
-    on lcm-scaled integers, on both backends: ``as_integer_ratio`` reads a
-    ``Fraction``'s and a float's exact value alike. On floats the circle is
-    rounded once, by int true division, which is correctly rounded, and the
-    boundary is ``on_circle``'s tolerance test on that rounded circle. On
-    the exact backend each point is decided on the scaled integers:
-    (x·d − ux)² + (y·d − uy)² = rn.
+    on the hull vertices of an integer form of the points, on both backends:
+    ``form`` when the caller has one (a ``frames.View`` keeps its towers over
+    one denominator), else ``integer_form(points)``. The form need not be in
+    lowest terms. On floats the circle is rounded once, by int true
+    division, which is correctly rounded, and the boundary is
+    ``on_circle``'s tolerance test on that rounded circle. On the exact
+    backend each point is decided on the integers,
+    (x·d − ux)² + (y·d − uy)² = rn, so only the boundary's items of
+    ``points`` are read.
     """
-    ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in points]
-    scale = lcm(*[d for r in ratios for _, d in r])
-    ints = [(xn * (scale // xd), yn * (scale // yd)) for (xn, xd), (yn, yd) in ratios]
-    pts = sorted(set(ints))
-    if not pts:
+    ints, scale = integer_form(points) if form is None else form
+    if not ints:
         return Circle(backend.origin(), backend.scalar(0)), []
+    # the SEC of a set is that of its hull vertices, and it is unique, so
+    # the circle depends neither on the filter nor on the shuffled order
+    pts = _hull_vertices(sorted(set(ints)))
     pts = [pts[i] for i in _shuffle_order(len(pts))]
     ux, uy, d, rn = pts[0][0], pts[0][1], 1, 0
     for i, (x, y) in enumerate(pts):
@@ -193,10 +214,37 @@ def sec(points: Sequence[Point], backend: Backend) -> tuple[Circle, list[Point]]
         ux, uy, d = -ux, -uy, -d
     den = d * scale
     if backend.is_exact:
-        boundary = [p for p, (x, y) in zip(points, ints) if (x * d - ux) ** 2 + (y * d - uy) ** 2 == rn]
+        boundary = [points[i] for i, (x, y) in enumerate(ints) if (x * d - ux) ** 2 + (y * d - uy) ** 2 == rn]
         return Circle(Point(Fraction(ux, den), Fraction(uy, den)), Fraction(rn, den * den)), boundary
     circle = Circle(Point(ux / den, uy / den), rn / (den * den))
     return circle, [p for p in points if on_circle(circle, p, backend)]
+
+
+def _hull_vertices(pts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The vertices of the convex hull of ``pts``, sorted distinct integer
+    pairs, counterclockwise from the first: Andrew's monotone chain, which
+    drops every point inside the hull or inside one of its edges. Only the
+    points strictly below the line from the first point to the last can be
+    on the lower chain, and only those strictly above it on the upper one,
+    so each point is scanned by one chain. Collinear input gives its two
+    ends."""
+    if len(pts) < 3:
+        return list(pts)
+    first, last = pts[0], pts[-1]
+    (lx, ly), ex, ey = first, last[0] - first[0], last[1] - first[1]
+    below = [p for p in pts if ex * (p[1] - ly) < ey * (p[0] - lx)]
+    above = [p for p in reversed(pts) if ex * (p[1] - ly) > ey * (p[0] - lx)]
+    hull: list[tuple[int, int]] = []
+    for chain, seq in (([first], below + [last]), ([last], above + [first])):
+        for x, y in seq:
+            while len(chain) >= 2:
+                (ax, ay), (bx, by) = chain[-2], chain[-1]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
+                    break
+                chain.pop()
+            chain.append((x, y))
+        hull += chain[:-1]
+    return hull
 
 
 def _int_sec_one_point(pts: Sequence[tuple[int, int]], px: int, py: int) -> tuple[int, int, int, int]:

@@ -23,9 +23,11 @@ Spectrum = Counter  # Counter[Point] -> positive multiplicity
 
 # What an activated robot sees: the spectrum mapped into its frame, a
 # multiset of towers in the spectrum's key order. A robogram reads a view
-# only by iteration (its towers), items() (tower, multiplicity pairs),
-# values() (multiplicities) and len (the tower count): a frames.View on the
-# exact backend, a Counter on floats, and any spectrum can stand for one.
+# by len (the tower count), values() (multiplicities), in, and its towers
+# as a sequence (``towers``), or by iteration and items() (tower,
+# multiplicity pairs): a frames.View on the exact backend, which builds a
+# tower's point only when it is read, a Counter on floats, and any
+# spectrum can stand for one.
 View = Union[frames.View, Spectrum]
 
 # A protocol: a pure function from view to destination. Taking only a view
@@ -77,23 +79,37 @@ def max_support(s: View) -> list[Point]:
     return [p for p, mult in s.items() if mult == top]
 
 
-def round(r: Robogram, da: DemonicAction, conf: Configuration, backend: Backend) -> Configuration:
+def towers(s: View) -> Sequence[Point]:
+    """The towers of ``s`` in key order, as a sequence: a ``frames.View`` is
+    one, which builds a tower's point only when it is read."""
+    return s if isinstance(s, frames.View) else list(s)
+
+
+def round(
+    r: Robogram,
+    da: DemonicAction,
+    conf: Configuration,
+    backend: Backend,
+    spectrum: Optional[Spectrum] = None,
+) -> Configuration:
     """One SSYNC round: every activated robot atomically Looks (through its
     frame), Computes (the robogram on its view) and Moves (the destination
     mapped back to the global frame). Inactive robots stay put.
 
     A frame is a bijection, so a robot's view is the image of the global
-    spectrum: the spectrum is built once per round and each robot maps its
-    towers, its own tower to exactly the origin, keeping the spectrum's key
-    order. On the exact backend the spectrum is also turned into integer form
-    once (``frames.integer_spectrum``: its towers over one common
-    denominator), and each robot's view is built from that form
-    (``frames.view``), a read-only ``frames.View`` whose towers are never
-    hashed. On floats each view is the ``Counter`` of
-    ``frames.map_multiset``, and the tolerance merges robots once, in the
-    global frame, so what a robot sees does not depend on the zoom of its
-    frame. The robogram reads a view only by iteration, ``items()``,
-    ``values()`` and ``len``.
+    spectrum: the spectrum is built once per round, or given as
+    ``spectrum``, which must be ``spectrum_of(conf, backend)``, and each
+    robot maps its towers, its own tower to exactly the origin, keeping the
+    spectrum's key order. On the exact backend the spectrum is also turned
+    into integer form once (``frames.integer_spectrum``: its towers over one
+    common denominator), and each robot's view is that form mapped through
+    its frame (``frames.view``): a read-only ``frames.View`` that holds its
+    towers as integers over one denominator, hashes none, and builds a
+    tower's point only when the robogram reads it. On floats each view is
+    the ``Counter`` of ``frames.map_multiset``, and the tolerance merges
+    robots once, in the global frame, so what a robot sees does not depend
+    on the zoom of its frame. The robogram reads a view only as ``View``
+    above says.
 
     Each activation builds one frame, the demon's ``FrameParams`` centered on
     the robot, with no arithmetic; an exact one reuses its ``FrameParams``'
@@ -103,8 +119,8 @@ def round(r: Robogram, da: DemonicAction, conf: Configuration, backend: Backend)
     """
     if len(da.steps) != len(conf):
         raise ValueError(f"action for {len(da.steps)} robots applied to {len(conf)}")
-    global_spec = spectrum_of(conf, backend)
-    towers = frames.integer_spectrum(global_spec) if backend.is_exact else None
+    global_spec = spectrum_of(conf, backend) if spectrum is None else spectrum
+    form = frames.integer_spectrum(global_spec) if backend.is_exact else None
     origin = backend.origin()
     out: list[Point] = []
     for loc, fp in zip(conf, da.steps):
@@ -112,7 +128,7 @@ def round(r: Robogram, da: DemonicAction, conf: Configuration, backend: Backend)
             out.append(loc)
             continue
         f = frames.make_frame(loc, fp, backend)
-        seen = frames.map_multiset(f, global_spec) if towers is None else frames.view(f, towers)
+        seen = frames.map_multiset(f, global_spec) if form is None else frames.view(f, form)
         dest = r(seen)
         out.append(loc if dest == origin else frames.preimage(f, dest))
     return tuple(out)

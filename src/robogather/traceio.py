@@ -8,10 +8,9 @@ floating coordinates serialize as JSON numbers (repr round-trips exactly).
 A document is parsed with one memo: each distinct [x, y] pair is parsed once
 and every later occurrence is the same ``Point``, so an unchanged
 configuration is summarized once (``verify.summaries_of``), and each
-distinct frame is parsed and checked once. A frame's memo key, and a
-point's unless both coordinates are strings, is the repr of its JSON
-values, which keeps ``true``, ``1``, ``1.0`` and ``-0.0`` apart (they are
-equal as dict keys).
+distinct frame is parsed and checked once. The memo key of a frame and of
+a point is the repr of its JSON values, which keeps ``true``, ``1``, ``1.0``
+and ``-0.0`` apart (they are equal as dict keys).
 """
 from __future__ import annotations
 

@@ -402,12 +402,18 @@ def _configs_eq(a: Configuration, b: Configuration, backend: Backend) -> bool:
     return len(a) == len(b) and all(backend.points_eq(p, q) for p, q in zip(a, b))
 
 
+def _same_points(a: Configuration, b: Configuration) -> bool:
+    """Does ``a`` hold the very ``Point`` objects of ``b``, in order: the same
+    configuration bit for bit?"""
+    return len(a) == len(b) and all(map(operator.is_, a, b))
+
+
 def _summarize_after(
     conf: Configuration, prev: Configuration, prev_sum: RoundSummary | None, backend: Backend
 ) -> RoundSummary:
     """``gather2d.summarize(conf)``, or ``prev_sum`` when ``conf`` holds the very
-    ``Point`` objects of ``prev``: the same configuration bit for bit."""
-    if prev_sum is not None and len(conf) == len(prev) and all(map(operator.is_, conf, prev)):
+    ``Point`` objects of ``prev``."""
+    if prev_sum is not None and _same_points(conf, prev):
         return prev_sum
     return gather2d.summarize(conf, backend)
 
@@ -453,6 +459,10 @@ def check_trace(
     executed round. A ``GeometryError`` the local round raises is a
     ``chaining`` violation that names it. A fuzz run passes the ``summaries``
     (see ``summaries_of``) of its execution; ``robogather check`` none.
+    The local round is handed the spectrum of the previous configuration's
+    summary only when that summary records the very ``Point`` objects of the
+    configuration; otherwise it builds its own, so a stale summary cannot
+    make it repeat a wrong global round.
     """
     summary_of = summaries_of(trace, backend, summaries)
     rep = CheckReport()
@@ -468,8 +478,9 @@ def check_trace(
         def rec(prop: str, ok: bool, detail: str, _prev=prev, _cur=cur, _idx=idx):
             rep.record(prop, ok, run_seed, _idx, detail, before=_prev, after=_cur)
 
+        spec = prev_sum.spectrum if _same_points(prev_sum.conf, prev) else None
         try:
-            chained = _configs_eq(model.round(r, step.action, prev, backend), cur, backend)
+            chained = _configs_eq(model.round(r, step.action, prev, backend, spec), cur, backend)
             detail = "recorded configuration does not match the local-frame round"
         except geometry.GeometryError as exc:
             chained, detail = False, f"the local-frame round raised {type(exc).__name__}: {exc}"

@@ -315,6 +315,36 @@ def test_negative_control_view_ignoring_reflect(monkeypatch):
     _report("negative control: view ignoring reflect fails chaining", f"{rep.violations_of('chaining')} violations")
 
 
+def _executed_with_a_stale_summary(backend):
+    """A fuzz run as an executor would record it had it used, in one round,
+    the summary of the configuration before: the trace follows that round,
+    and its summaries hold the stale one in the round's place (its
+    neighbour's entry)."""
+    for run_seed in range(100):
+        spec, _, _ = verify.run_one(run_seed, backend)
+        strat = verify.make_strategy(spec.strategy_kind, spec.n_robots, backend, seed=spec.strategy_seed)
+        trace, summaries = verify.execute_global(strat, spec.initial, backend, spec.horizon, keep=spec.k)
+        configs = trace.configs()
+        for j in range(1, len(trace.steps)):
+            stale, action = summaries[j - 1], trace.steps[j].action
+            wrong = gather2d.round_global(action.activated(), configs[j], backend, stale)
+            if stale.conf != configs[j] and wrong != configs[j + 1]:
+                steps = trace.steps[:j] + [model.TraceStep(j, action, wrong)]
+                return model.Trace(trace.initial, steps), summaries[:j] + [stale, gather2d.summarize(wrong, backend)]
+    raise AssertionError("no run has a round that a stale summary changes")
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "floating"])
+def test_negative_control_stale_summary_still_fails_chaining(backend):
+    # check_trace hands the local round a summary's spectrum only when the
+    # summary records the very configuration; a stale one must not let the
+    # local round repeat the executor's wrong round
+    trace, summaries = _executed_with_a_stale_summary(backend)
+    rep = verify.check_trace(trace, backend, summaries=summaries)
+    assert rep.violations_of("chaining") > 0, rep.summary()
+    _report(f"negative control: stale summary fails chaining ({backend.name})", f"{rep.violations_of('chaining')} violations")
+
+
 def _target_to_barycenter(kind, _real=gather2d.target_triangle):
     """``target_triangle`` with the target of a ``kind`` triangle moved to its
     barycenter."""

@@ -367,9 +367,9 @@ def test_majority_summary_computes_no_sec_until_clean_is_read(monkeypatch, conf)
     calls = []
     sec = geometry.sec
 
-    def counting_sec(points, backend):
+    def counting_sec(points, backend, form=None):
         calls.append(len(points))
-        return sec(points, backend)
+        return sec(points, backend, form)
 
     monkeypatch.setattr(geometry, "sec", counting_sec)
     summary = gather2d.summarize(conf, EXACT)

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -12,12 +13,14 @@ from conftest import (
     bounded_fractions,
     circles_eq,
     exact_point_lists,
+    exact_similarities,
     exact_points,
     float_point_lists,
     float_points,
     rational,
     sec_boundary,
 )
+from robogather import frames
 from robogather import geometry as g
 from robogather.scalars import EXACT, FLOAT64, Point
 
@@ -437,3 +440,76 @@ def test_cached_shuffle_order_is_the_seeded_shuffle():
         order = list(range(n))
         random.Random(0x5EC).shuffle(order)
         assert g._shuffle_order(n) == tuple(order)
+
+
+# --- the integer form and the hull filter ------------------------------------
+
+# well past the brute-force oracle's cap, so only certificates can check them
+_large_exact_lists = st.lists(exact_points, min_size=13, max_size=300)
+_large_float_lists = st.lists(float_points, min_size=13, max_size=300)
+
+
+def _dot(o, a, b):
+    return (a.x - o.x) * (b.x - o.x) + (a.y - o.y) * (b.y - o.y)
+
+
+def _certified_minimal(circle, boundary) -> bool:
+    """Is ``circle`` the smallest circle through its ``boundary``, on
+    Fractions: one point at radius 0, two antipodal points, or three that
+    form a non-obtuse triangle (which then holds the center)?"""
+    pts = sorted(set(boundary))
+    c = circle.center
+    if len(pts) == 1:
+        return circle.radius_sq == 0 and pts[0] == c
+    if any(P((a.x + b.x) / 2, (a.y + b.y) / 2) == c for a, b in combinations(pts, 2)):
+        return True
+    return any(
+        _dot(a, b, e) >= 0 and _dot(b, a, e) >= 0 and _dot(e, a, b) >= 0 for a, b, e in combinations(pts, 3)
+    )
+
+
+@given(_large_exact_lists, st.integers(1, 12))
+@settings(max_examples=40)
+def test_exact_sec_of_many_points_is_enclosing_and_certified_by_its_boundary(pts, k):
+    c, boundary = g.sec(pts, EXACT)
+    assert all(g.dist_sq(c.center, p) <= c.radius_sq for p in pts)
+    assert boundary == [p for p in pts if g.dist_sq(c.center, p) == c.radius_sq]
+    assert _certified_minimal(c, boundary)
+    # a form that is not in lowest terms gives the same circle and boundary
+    ints, scale = g.integer_form(pts)
+    assert g.sec(pts, EXACT, ([(x * k, y * k) for x, y in ints], scale * k)) == (c, boundary)
+
+
+@given(_large_float_lists, st.integers(1, 12))
+@settings(max_examples=40)
+def test_float_sec_from_the_integer_form_equals_sec_from_the_points(pts, k):
+    c, boundary = g.sec(pts, FLOAT64)
+    ints, scale = g.integer_form(pts)
+    assert g.sec(pts, FLOAT64, ([(x * k, y * k) for x, y in ints], scale * k)) == (c, boundary)
+    assert all(g.dist_sq(c.center, p) <= c.radius_sq or g.on_circle(c, p, FLOAT64) for p in pts)
+    # the rounded circle is the exact SEC of the floats, rounded once
+    exact = g.sec([P(F(x), F(y)) for x, y in pts], EXACT)[0]
+    assert c == g.Circle(Point(float(exact.center.x), float(exact.center.y)), float(exact.radius_sq))
+
+
+@given(_large_exact_lists)
+@settings(max_examples=40)
+def test_hull_filter_keeps_input_points_that_enclose_the_rest(pts):
+    ints, _ = g.integer_form(pts)
+    hull = g._hull_vertices(sorted(set(ints)))
+    assert set(hull) <= set(ints)
+    # counterclockwise, no point outside an edge, no vertex inside one
+    n = len(hull)
+    for i in range(n if n > 2 else 0):
+        (ax, ay), (bx, by), (cx, cy) = hull[i], hull[(i + 1) % n], hull[(i + 2) % n]
+        assert (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0
+        assert all((bx - ax) * (y - ay) - (by - ay) * (x - ax) >= 0 for x, y in ints)
+
+
+@given(exact_similarities(), _large_exact_lists)
+@settings(max_examples=40)
+def test_sec_of_a_view_from_its_own_form_equals_sec_of_its_points(f, pts):
+    fp = f.fp
+    robot = pts[0]
+    seen = frames.view(frames.make_frame(robot, fp, EXACT), frames.integer_spectrum(Counter(pts)))
+    assert g.sec(seen, EXACT, (seen.coords, seen.den)) == g.sec(list(seen), EXACT)

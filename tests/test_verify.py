@@ -141,9 +141,9 @@ def test_each_kind_of_frame_work_happens_once(monkeypatch, tmp_path):
     assert cli.main(["check", "--trace", path]) == cli.EXIT_OK
     assert len(checks) == len(set(used)) < len({id(fp) for fp in used})
 
-    # an activation in a gathered configuration maps no point either way; a
-    # robot that sees m other towers maps each of them once (the view and
-    # preimage build their points through frames.Point)
+    # an activation in a gathered configuration builds no point either way;
+    # a view builds a point only for a tower the robogram reads (the view
+    # and preimage build their points through frames.Point)
     built = _counting(monkeypatch, frames, "Point")
     mapped_back = _counting(monkeypatch, frames, "preimage")
     rng, r = random.Random(0), gather2d.robogram(EXACT)
@@ -158,9 +158,24 @@ def test_each_kind_of_frame_work_happens_once(monkeypatch, tmp_path):
         mapped_back.clear()
         steps = tuple(fp if j == i else None for j in range(4))
         model.round(r, DemonicAction(steps), conf, EXACT)
-        # three towers, one of them the robot's own, plus one point per
+        # a majority view builds exactly one point, its highest tower, unless
+        # that is the robot's own (the origin), plus one point per
         # destination mapped back
-        assert len(built) == 2 + len(mapped_back)
+        assert len(built) == (conf[i] is not shared) + len(mapped_back)
+        assert len(mapped_back) == (conf[i] is not shared)
+
+    # an analysed view builds its boundary, less the robot's own tower, plus
+    # at most one other tower: here four corners on the SEC around three
+    # inner towers (dirty), or around one tower at the SEC center (clean)
+    corners = (P(0, 0), P(4, 0), P(0, 4), P(4, 4))
+    for conf in (corners + (P(1, 1), P(2, 1), P(1, 2)), corners + (P(2, 2),)):
+        for i in range(len(conf)):
+            built.clear()
+            mapped_back.clear()
+            steps = tuple(frame_params[i % 4] if j == i else None for j in range(len(conf)))
+            model.round(r, DemonicAction(steps), conf, EXACT)
+            others_on_sec = len(corners) - (conf[i] in corners)
+            assert others_on_sec <= len(built) - len(mapped_back) <= others_on_sec + 1
 
 
 # sha256 of the first 3·k actions of each demon at seed 11 from gen_initial(5,
