@@ -12,7 +12,7 @@ rotations built from Pythagorean triples.
 On the exact backend ``linear_form`` keeps the integer form (A, B, D) of
 zoom · M on the ``FrameParams``, over one common denominator D > 0:
 A/D = zoom·c and B/D = zoom·s. A shared frame pays for it once. ``view``
-maps a whole spectrum with it, and ``preimage`` returns center + (zoom·M)⁻¹·q
+maps a whole view with it, and ``preimage`` returns center + (zoom·M)⁻¹·q
 with one integer expression and one ``Fraction`` per coordinate, instead of
 about ten ``Fraction`` operations per point. The form need not be in lowest
 terms, because every point that leaves ``view`` or ``preimage`` is a
@@ -22,17 +22,17 @@ formula, exact on ``Fraction``s too, as does every frame whose
 On floats, p − center is taken first, so a nearby tower's image stays
 accurate however far the robot is from the origin.
 
-A robot's *view* is the spectrum mapped into its frame: a multiset of
-towers in the spectrum's key order, which a robogram reads as
-``model.View`` says. On the exact backend it is a ``View``, built by
-``view`` from the ``IntegerSpectrum`` of the spectrum, which is made once
-per round: the towers as integers over one common denominator L. Each
-tower then costs one integer expression in the frame's (A, B, D), and the
-view keeps the results as integers over D·L: it hashes no image, and
-builds a tower's ``Point`` only when the robogram reads that tower, while
-``geometry.sec`` reads the integers themselves. On floats a view is the
-``Counter`` ``map_multiset`` builds, tower by tower through ``apply``, so
-images that round to the same float merge.
+A robot's *view* is the spectrum mapped into its frame: one record on both
+backends, ``View``, with the towers in the spectrum's key order and their
+multiplicities, index-aligned. ``View.of`` builds the round's global view
+once per round, and ``view`` maps it through one robot's frame. On the
+exact backend the towers are ``geometry.IntegerPoints``, integers over one
+common denominator L: each tower then costs one integer expression in the
+frame's (A, B, D), and the view keeps the results as integers over D·L. It
+hashes no image and builds a tower's ``Point`` only when the robogram reads
+that tower, while ``geometry.sec`` reads the integers themselves. On floats
+the towers are mapped one by one through ``apply``, and images that round
+to the same float merge.
 
 A frame made for a robot sends that robot's own tower to exactly the
 origin, and a robot whose destination is its own origin stays exactly where
@@ -47,8 +47,9 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Optional
+from typing import Optional, Sequence
 
+from .geometry import IntegerPoints, integer_form
 from .scalars import EXACT, FLOAT64, Backend, Point, Scalar
 
 
@@ -165,100 +166,65 @@ def preimage(f: Similarity, q: Point) -> Point:
     return Point(Fraction(cxn * w + cxd * pu, cxd * w), Fraction(cyn * w + cyd * pv, cyd * w))
 
 
-class IntegerSpectrum(NamedTuple):
-    """The towers of an exact spectrum over one common denominator, the
-    form every view of a round is built from: tower i is
-    (coords[i][0] / den, coords[i][1] / den), of multiplicity ``mults[i]``,
-    in the spectrum's key order."""
-
-    coords: list[tuple[int, int]]
-    den: int
-    mults: tuple[int, ...]
-
-
-def integer_spectrum(s: Counter) -> IntegerSpectrum:
-    """The ``IntegerSpectrum`` of an exact spectrum, with den the lcm of its
-    coordinates' denominators."""
-    den = lcm(*(v.denominator for p in s for v in p))
-    coords = [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)) for x, y in s]
-    return IntegerSpectrum(coords, den, tuple(s.values()))
-
-
 class View:
-    """A robot's view on the exact backend: a read-only multiset of towers in
-    the spectrum's key order, held as integers over one denominator: tower i
-    is (coords[i][0] / den, coords[i][1] / den), of multiplicity
-    ``mults[i]``. Indexing builds tower i's ``Point`` (the shared
-    ``EXACT.origin()`` for (0, 0)) each time it is read, so a reader that
-    wants few towers builds few points; ``geometry.sec`` reads the integers.
-    It offers what a robogram may read: ``len``, ``values()``, ``in``,
-    indexing, iteration and ``items()``."""
+    """What a robot sees: the towers of the spectrum mapped into its frame,
+    in the spectrum's key order, and their multiplicities, index-aligned:
+    tower ``towers[i]`` holds ``mults[i]`` robots. On the exact backend
+    ``towers`` is ``geometry.IntegerPoints``, which builds a tower's point
+    only when it is read; on floats it is a list of points. A view is a
+    record, not a multiset: ``len`` and iteration are left undefined, so
+    that no caller reads its two fields where it meant the towers."""
 
-    __slots__ = ("coords", "den", "mults")
+    __slots__ = ("towers", "mults")
 
-    def __init__(self, coords: list[tuple[int, int]], den: int, mults: tuple[int, ...]):
-        self.coords = coords
-        self.den = den
+    def __init__(self, towers: Sequence[Point], mults: tuple[int, ...]):
+        self.towers = towers
         self.mults = mults
 
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __getitem__(self, i: int) -> Point:
-        x, y = self.coords[i]
-        return Point(Fraction(x, self.den), Fraction(y, self.den)) if x or y else EXACT.origin()
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.coords)))
-
-    def __contains__(self, p: Point) -> bool:
-        """Is ``p`` a tower? Decided on the integers, building no point."""
-        (xn, xd), (yn, yd), w = p.x.as_integer_ratio(), p.y.as_integer_ratio(), self.den
-        return (xn * w) % xd == 0 and (yn * w) % yd == 0 and (xn * w // xd, yn * w // yd) in self.coords
-
-    def items(self):
-        return zip(self, self.mults)
-
-    def values(self) -> tuple[int, ...]:
-        return self.mults
+    @classmethod
+    def of(cls, spectrum: Counter, backend: Backend) -> View:
+        """The view of ``spectrum`` in the global frame, the one every view
+        of a round is mapped from: on the exact backend its towers are their
+        ``geometry.integer_form``, over the lcm of their denominators."""
+        towers = list(spectrum)
+        return cls(integer_form(towers) if backend.is_exact else towers, tuple(spectrum.values()))
 
     def __repr__(self) -> str:
-        return f"View({list(self.items())!r})"
+        return f"View({list(self.towers)!r}, {self.mults!r})"
 
 
-def view(f: Similarity, spec: IntegerSpectrum) -> View:
-    """The view of ``spec`` through the exact frame ``f``, as integers.
+def view(f: Similarity, g: View) -> View:
+    """The view ``g`` (a view in the global frame, ``View.of``) seen through
+    ``f``, the tower at ``f.center`` read as the origin.
 
-    With p − center = (u, v), zoom·M·(u, v) is (A·u − B·v, B·u + A·v)/D, or
+    A frame with an integer form maps the integers of exact towers. With
+    p − center = (u, v), zoom·M·(u, v) is (A·u − B·v, B·u + A·v)/D, or
     (A·u + B·v, B·u − A·v)/D when reflecting. Over the denominator
     L = lcm(den, the center's denominators), each tower (X, Y)/den gives
     u = (k·X − OX)/L and v = (k·Y − OY)/L for k = L/den and integers OX, OY,
     so the terms in the center fold into one integer per coordinate: each
     tower costs four products, and its image is that pair over D·L. The
     tower at offset (0, 0), the robot's own, reads as the shared
-    ``EXACT.origin()``."""
-    fp, (cx, cy) = f.fp, f.center
+    ``EXACT.origin()``.
+
+    Any other frame maps tower by tower through ``apply``, sending the tower
+    equal to the center to the origin, and merges images that collide (on
+    floats, images that round to the same point)."""
+    fp, center = f.fp, f.center
+    if fp.form is None:
+        origin = FLOAT64.origin() if type(center.x) is float else EXACT.origin()
+        merged: dict[Point, int] = {}
+        for p, mult in zip(g.towers, g.mults):
+            q = origin if p == center else apply(f, p)
+            merged[q] = merged.get(q, 0) + mult
+        return View(list(merged), tuple(merged.values()))
     a, b, d = fp.form
     m11, m12, m21, m22 = (a, b, b, -a) if fp.reflect else (a, -b, b, a)
-    den = lcm(spec.den, cx.denominator, cy.denominator)
+    towers, (cx, cy) = g.towers, center
+    den = lcm(towers.den, cx.denominator, cy.denominator)
     ox, oy = cx.numerator * (den // cx.denominator), cy.numerator * (den // cy.denominator)
     ex, ey = m11 * ox + m12 * oy, m21 * ox + m22 * oy
-    k = den // spec.den
+    k = den // towers.den
     m11, m12, m21, m22 = m11 * k, m12 * k, m21 * k, m22 * k
-    coords = [(m11 * x + m12 * y - ex, m21 * x + m22 * y - ey) for x, y in spec.coords]
-    return View(coords, d * den, spec.mults)
-
-
-def map_multiset(f: Similarity, s: Counter) -> View | Counter:
-    """The view of spectrum ``s`` through ``f``: through ``view`` for an
-    exact frame with an integer form, otherwise a ``Counter`` built tower by
-    tower through ``apply``, with the tower at ``f.center`` (any key equal to
-    it) sent to the origin and images that collide merged."""
-    if f.fp.form is not None:
-        return view(f, integer_spectrum(s))
-    center = f.center
-    origin = FLOAT64.origin()
-    out: Counter = Counter()
-    for p, mult in s.items():
-        out[origin if p == center else apply(f, p)] += mult
-    return out
+    coords = [(m11 * x + m12 * y - ex, m21 * x + m22 * y - ey) for x, y in towers.coords]
+    return View(IntegerPoints(coords, d * den), g.mults)

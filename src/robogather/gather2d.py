@@ -26,19 +26,21 @@ that moves no robot, by identity. In a dirty round it decides whether a
 robot holds still once per location object. The local-frame
 ``model.round`` is never given a summary: ``verify.check_trace`` hands it
 at most the spectrum of a summary that records the very configuration, and
-it runs ``pgm`` in every robot's frame. On an exact view (``frames.View``)
-``pgm`` reads the integers: ``geometry.sec`` takes the view's own integer
-form, and a tower's ``Point`` is built only for the unique highest tower
-or the SEC boundary.
+it runs ``pgm`` in every robot's frame. ``pgm`` reads a view's towers and
+multiplicities (``frames.View``), and ``_analyze`` takes a tower sequence:
+a view's towers, or the keys of a spectrum. On an exact view the towers are
+integers (``geometry.IntegerPoints``): ``geometry.sec`` reads them as they
+are, and a tower's ``Point`` is built only for the unique highest tower or
+the SEC boundary.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from . import frames, geometry, model
+from . import geometry, model
 from .geometry import Circle, TriangleKind
 from .model import Configuration, Robogram, Spectrum, View
 from .scalars import Backend, Point
@@ -133,21 +135,19 @@ class _Analysis:
     phases: tuple[Phase, Phase]  # (clean, dirty), from the shape of the boundary
 
 
-def _analyze(s: View, backend: Backend) -> _Analysis:
-    """The SEC of the towers of ``s``, with its boundary as ``geometry.sec``
-    returns it (one integer pass on the exact backend, from the view's own
-    integer form for a ``frames.View``), the target, the points a robot may
-    hold still on, the clean flag, and the phases of the boundary's shape,
-    recorded while the target is picked.
+def _analyze(towers: Sequence[Point], backend: Backend) -> _Analysis:
+    """The SEC of ``towers``, with its boundary as ``geometry.sec`` returns
+    it (one integer pass on the exact backend, on the integers themselves
+    for an exact view's ``geometry.IntegerPoints``), the target, the points a
+    robot may hold still on, the clean flag, and the phases of the
+    boundary's shape, recorded while the target is picked.
 
     Exact towers are distinct, so a clean exact spectrum has at most one
     tower off the SEC, at a target that is no boundary tower; ``in`` finds
     it, and a view builds no point off its boundary."""
-    if not s:
+    if not towers:
         raise EmptySpectrum("cannot analyze an empty spectrum")
-    towers = model.towers(s)
-    form = (s.coords, s.den) if isinstance(s, frames.View) else None
-    circle, boundary = geometry.sec(towers, backend, form)
+    circle, boundary = geometry.sec(towers, backend)
     if len(boundary) == 1:
         tgt, phases = boundary[0], (Phase.GATHERED, Phase.GATHERED)
     elif len(boundary) == 3:
@@ -162,7 +162,7 @@ def _analyze(s: View, backend: Backend) -> _Analysis:
         sect_pts.insert(0, tgt)
     if backend.is_exact:
         off = len(towers) - len(boundary)
-        clean = off == 0 or (off == 1 and len(sect_pts) > len(boundary) and tgt in s)
+        clean = off == 0 or (off == 1 and len(sect_pts) > len(boundary) and tgt in towers)
     else:
         clean = all(any(backend.points_eq(p, q) for q in sect_pts) for p in towers)
     return _Analysis(boundary, circle, tgt, sect_pts, clean, phases)
@@ -172,24 +172,24 @@ def target(s: Spectrum, backend: Backend) -> Point:
     """The common destination of a multi-tower spectrum: the single SEC tower
     when there is only one (already gathered), the triangle rule for exactly
     three, and the SEC center otherwise."""
-    return _analyze(s, backend).tgt
+    return _analyze(list(s), backend).tgt
 
 
 def pgm(s: View, backend: Backend) -> Point:
-    """Destination computed by a robot from its view ``s``, which it reads
-    only by iteration, ``items()``, ``values()`` and ``len`` (``model.View``).
+    """Destination computed by a robot from its view ``s``: its towers and
+    their multiplicities (``model.View``).
 
     The observer sits at the origin of its own frame. Total by construction:
     the unreachable no-robot branch returns the origin.
     """
     origin = backend.origin()
-    if not s:
+    mults = s.mults
+    if not mults:
         return origin
-    mults = list(s.values())
     top = max(mults)
     if mults.count(top) == 1:  # read only the unique highest tower
-        return model.towers(s)[mults.index(top)]
-    ana = _analyze(s, backend)
+        return s.towers[mults.index(top)]
+    ana = _analyze(s.towers, backend)
     if ana.clean:
         return ana.tgt
     if any(backend.points_eq(origin, q) for q in ana.sect_pts):
@@ -253,7 +253,7 @@ def _classify(s: Spectrum, backend: Backend) -> tuple[Phase, Optional[_Analysis]
         return Phase.GATHERED, None
     if len(model.max_support(s)) == 1:
         return Phase.MAJORITY, None
-    ana = _analyze(s, backend)
+    ana = _analyze(list(s), backend)
     n = len(ana.boundary)
     if n < 2:
         raise InternalInvariant(f"{len(s)} towers but {n} on the SEC")
@@ -371,7 +371,7 @@ class RoundSummary:
         """``analysis``, or for the gathered and majority phases one made on
         first need, for ``clean`` and ``render`` (a frozen dataclass still
         has the ``__dict__`` that caches it)."""
-        return self.analysis or _analyze(self.spectrum, self.backend)
+        return self.analysis or _analyze(list(self.spectrum), self.backend)
 
     @property
     def clean(self) -> bool:

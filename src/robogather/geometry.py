@@ -6,10 +6,11 @@ rational arithmetic; every comparison the callers need is monotone in the
 squared radius. Constructions are exact and only yes/no predicates such as
 ``on_circle`` use the float tolerance. The SEC is computed on integers on
 both backends, from an integer form of the points: integer pairs over one
-common denominator. ``sec`` scales the points by the lcm L of the
-denominators of their exact values (``integer_form``; a float is a dyadic
-rational), unless its caller passes the form it already has, as an exact
-view does (``frames.View``). The kernel keeps only the vertices of the
+common denominator (``IntegerPoints``, which is also the one form of an
+exact view's towers, ``frames.View``). ``sec`` reads the integers of
+``IntegerPoints`` as they are, and scales any other points by the lcm L of
+the denominators of their exact values (``integer_form``; a float is a
+dyadic rational). The kernel keeps only the vertices of the
 convex hull of the distinct integer pairs (Andrew's monotone chain on the
 sorted pairs), whose SEC is that of the whole set, and runs Welzl's
 move-to-front algorithm (expected linear time) on them behind a
@@ -42,7 +43,7 @@ from itertools import combinations
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .scalars import Backend, Point, Scalar
+from .scalars import EXACT, Backend, Point, Scalar
 
 
 class GeometryError(Exception):
@@ -170,35 +171,62 @@ def _shuffle_order(n: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def integer_form(points: Sequence[Point]) -> tuple[list[tuple[int, int]], int]:
-    """The integer form (ints, scale) of a point list: point i is
-    (ints[i][0] / scale, ints[i][1] / scale), with scale the lcm of the
-    denominators of the coordinates' exact values (``as_integer_ratio``
-    reads a ``Fraction``'s and a float's alike)."""
+class IntegerPoints:
+    """A read-only sequence of points held as integers over one common
+    denominator: point i is (coords[i][0] / den, coords[i][1] / den), and
+    ``den`` need not make the pairs lowest terms. Indexing builds point i as
+    ``Fraction``s (the shared ``EXACT.origin()`` for (0, 0)) each time it is
+    read, so a reader that wants few points builds few, and ``in`` is decided
+    on the integers; ``sec`` reads the integers themselves."""
+
+    __slots__ = ("coords", "den")
+
+    def __init__(self, coords: list[tuple[int, int]], den: int):
+        self.coords = coords
+        self.den = den
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __getitem__(self, i: int) -> Point:
+        x, y = self.coords[i]
+        return Point(Fraction(x, self.den), Fraction(y, self.den)) if x or y else EXACT.origin()
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.coords)))
+
+    def __contains__(self, p: Point) -> bool:
+        """Is ``p`` one of the points? Decided on the integers, building no point."""
+        (xn, xd), (yn, yd), w = p.x.as_integer_ratio(), p.y.as_integer_ratio(), self.den
+        return (xn * w) % xd == 0 and (yn * w) % yd == 0 and (xn * w // xd, yn * w // yd) in self.coords
+
+
+def integer_form(points: Sequence[Point]) -> IntegerPoints:
+    """The exact values of ``points`` as ``IntegerPoints``, over the lcm of
+    the denominators of their coordinates (``as_integer_ratio`` reads a
+    ``Fraction``'s and a float's alike)."""
     ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in points]
-    scale = lcm(*[d for r in ratios for _, d in r])
-    return [(xn * (scale // xd), yn * (scale // yd)) for (xn, xd), (yn, yd) in ratios], scale
+    den = lcm(*[d for r in ratios for _, d in r])
+    return IntegerPoints([(xn * (den // xd), yn * (den // yd)) for (xn, xd), (yn, yd) in ratios], den)
 
 
-def sec(
-    points: Sequence[Point], backend: Backend, form: Optional[tuple[Sequence[tuple[int, int]], int]] = None
-) -> tuple[Circle, list[Point]]:
+def sec(points: Sequence[Point], backend: Backend) -> tuple[Circle, list[Point]]:
     """Smallest enclosing circle of a point list, and its boundary: the input
     points on the circle, in input order, repeats kept.
 
     The circle is permutation- and duplication-invariant; ``sec([])`` is the
     zero circle at the origin, with no boundary. Welzl's move-to-front scheme
     on the hull vertices of an integer form of the points, on both backends:
-    ``form`` when the caller has one (a ``frames.View`` keeps its towers over
-    one denominator), else ``integer_form(points)``. The form need not be in
-    lowest terms. On floats the circle is rounded once, by int true
-    division, which is correctly rounded, and the boundary is
+    ``points`` itself when it is ``IntegerPoints`` (an exact view's towers),
+    else ``integer_form(points)``. On floats the circle is rounded once, by
+    int true division, which is correctly rounded, and the boundary is
     ``on_circle``'s tolerance test on that rounded circle. On the exact
     backend each point is decided on the integers,
     (x·d − ux)² + (y·d − uy)² = rn, so only the boundary's items of
     ``points`` are read.
     """
-    ints, scale = integer_form(points) if form is None else form
+    form = points if isinstance(points, IntegerPoints) else integer_form(points)
+    ints, scale = form.coords, form.den
     if not ints:
         return Circle(backend.origin(), backend.scalar(0)), []
     # the SEC of a set is that of its hull vertices, and it is unique, so

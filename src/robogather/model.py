@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from . import frames
 from .frames import FrameParams
@@ -21,14 +21,12 @@ from .scalars import Backend, Point
 Configuration = tuple[Point, ...]
 Spectrum = Counter  # Counter[Point] -> positive multiplicity
 
-# What an activated robot sees: the spectrum mapped into its frame, a
-# multiset of towers in the spectrum's key order. A robogram reads a view
-# by len (the tower count), values() (multiplicities), in, and its towers
-# as a sequence (``towers``), or by iteration and items() (tower,
-# multiplicity pairs): a frames.View on the exact backend, which builds a
-# tower's point only when it is read, a Counter on floats, and any
-# spectrum can stand for one.
-View = Union[frames.View, Spectrum]
+# What an activated robot sees: the spectrum mapped into its frame, one
+# record on both backends. A robogram reads a view's towers (``towers``, a
+# sequence in the spectrum's key order) and their multiplicities (``mults``,
+# index-aligned); on the exact backend a tower's point is built only when
+# it is read.
+View = frames.View
 
 # A protocol: a pure function from view to destination. Taking only a view
 # enforces anonymity; purity gives compatibility.
@@ -70,19 +68,12 @@ def spectrum_of(conf: Configuration, backend: Backend) -> Spectrum:
     return spec
 
 
-def max_support(s: View) -> list[Point]:
-    """Locations of maximal multiplicity (the highest towers), in key order;
-    reads ``s`` only by ``len``, ``values()`` and ``items()``."""
+def max_support(s: Spectrum) -> list[Point]:
+    """Locations of maximal multiplicity (the highest towers), in key order."""
     if not s:
         return []
     top = max(s.values())
     return [p for p, mult in s.items() if mult == top]
-
-
-def towers(s: View) -> Sequence[Point]:
-    """The towers of ``s`` in key order, as a sequence: a ``frames.View`` is
-    one, which builds a tower's point only when it is read."""
-    return s if isinstance(s, frames.View) else list(s)
 
 
 def round(
@@ -98,18 +89,15 @@ def round(
 
     A frame is a bijection, so a robot's view is the image of the global
     spectrum: the spectrum is built once per round, or given as
-    ``spectrum``, which must be ``spectrum_of(conf, backend)``, and each
-    robot maps its towers, its own tower to exactly the origin, keeping the
-    spectrum's key order. On the exact backend the spectrum is also turned
-    into integer form once (``frames.integer_spectrum``: its towers over one
-    common denominator), and each robot's view is that form mapped through
-    its frame (``frames.view``): a read-only ``frames.View`` that holds its
-    towers as integers over one denominator, hashes none, and builds a
-    tower's point only when the robogram reads it. On floats each view is
-    the ``Counter`` of ``frames.map_multiset``, and the tolerance merges
-    robots once, in the global frame, so what a robot sees does not depend
-    on the zoom of its frame. The robogram reads a view only as ``View``
-    above says.
+    ``spectrum``, which must be ``spectrum_of(conf, backend)``, and so is
+    its view in the global frame (``frames.View.of``: on the exact backend
+    its towers over one common denominator). Each robot's view is that one
+    mapped through its frame (``frames.view``), its own tower to exactly the
+    origin, in the spectrum's key order: on the exact backend it holds its
+    towers as integers, hashes none, and builds a tower's point only when
+    the robogram reads it. On floats the tolerance merges robots once, in
+    the global frame, so what a robot sees does not depend on the zoom of
+    its frame. The robogram reads a view only as ``View`` above says.
 
     Each activation builds one frame, the demon's ``FrameParams`` centered on
     the robot, with no arithmetic; an exact one reuses its ``FrameParams``'
@@ -120,7 +108,7 @@ def round(
     if len(da.steps) != len(conf):
         raise ValueError(f"action for {len(da.steps)} robots applied to {len(conf)}")
     global_spec = spectrum_of(conf, backend) if spectrum is None else spectrum
-    form = frames.integer_spectrum(global_spec) if backend.is_exact else None
+    global_view = frames.View.of(global_spec, backend)
     origin = backend.origin()
     out: list[Point] = []
     for loc, fp in zip(conf, da.steps):
@@ -128,8 +116,7 @@ def round(
             out.append(loc)
             continue
         f = frames.make_frame(loc, fp, backend)
-        seen = frames.map_multiset(f, global_spec) if form is None else frames.view(f, form)
-        dest = r(seen)
+        dest = r(frames.view(f, global_view))
         out.append(loc if dest == origin else frames.preimage(f, dest))
     return tuple(out)
 

@@ -408,21 +408,19 @@ def _same_points(a: Configuration, b: Configuration) -> bool:
     return len(a) == len(b) and all(map(operator.is_, a, b))
 
 
-def _summarize_after(
-    conf: Configuration, prev: Configuration, prev_sum: RoundSummary | None, backend: Backend
-) -> RoundSummary:
+def _summarize_after(conf: Configuration, prev_sum: RoundSummary | None, backend: Backend) -> RoundSummary:
     """``gather2d.summarize(conf)``, or ``prev_sum`` when ``conf`` holds the very
-    ``Point`` objects of ``prev``."""
-    if prev_sum is not None and _same_points(conf, prev):
+    ``Point`` objects of the configuration it records."""
+    if prev_sum is not None and _same_points(conf, prev_sum.conf):
         return prev_sum
     return gather2d.summarize(conf, backend)
 
 
 def _summaries_by_identity(trace: Trace, backend: Backend) -> Iterator[RoundSummary]:
-    prev, prev_sum = (), None
+    summary = None
     for conf in trace.configs():
-        prev, prev_sum = conf, _summarize_after(conf, prev, prev_sum, backend)
-        yield prev_sum
+        summary = _summarize_after(conf, summary, backend)
+        yield summary
 
 
 def summaries_of(
@@ -585,8 +583,8 @@ def execute_global(
         if streak > keep or len(steps) == horizon + keep:
             return Trace(conf, steps, stopped_early=streak > keep), summaries
         da = strat(len(steps), cur, cur_sum)
-        prev, cur = cur, gather2d.round_global(da.activated(), cur, backend, cur_sum)
-        cur_sum = _summarize_after(cur, prev, cur_sum, backend)
+        cur = gather2d.round_global(da.activated(), cur, backend, cur_sum)
+        cur_sum = _summarize_after(cur, cur_sum, backend)
         steps.append(TraceStep(len(steps), da, cur))
         summaries.append(cur_sum)
 

@@ -237,7 +237,7 @@ def test_target_morph_5k_pairs():
         reflect = rng.random() < 0.5
         # built as production builds frames, so the integer form is exercised
         f = frames.make_frame(_rational_point(rng), FrameParams(zoom, c, sn, reflect), EXACT)
-        lhs = gather2d.target(frames.map_multiset(f, s), EXACT)
+        lhs = gather2d._analyze(frames.view(f, frames.View.of(s, EXACT)).towers, EXACT).tgt
         rhs = frames.apply(f, gather2d.target(s, EXACT))
         assert lhs == rhs, (dict(s), f)
     _report("target_morph equivariance", f"{n_pairs} exact pairs")
@@ -300,9 +300,9 @@ def test_negative_control_fuzz_exercises_the_local_round(monkeypatch, name, brok
     _report(f"negative control: broken {name} fails chaining", f"{rep.violations_of('chaining')} violations")
 
 
-def _view_ignoring_reflect(f, spec, _real=frames.view):
+def _view_ignoring_reflect(f, g, _real=frames.view):
     fp = f.fp
-    return _real(frames.make_frame(f.center, FrameParams(fp.zoom, fp.c, fp.s, False), EXACT), spec)
+    return _real(frames.make_frame(f.center, FrameParams(fp.zoom, fp.c, fp.s, False), EXACT), g)
 
 
 def test_negative_control_view_ignoring_reflect(monkeypatch):
@@ -359,8 +359,8 @@ def _target_to_barycenter(kind, _real=gather2d.target_triangle):
 def _clean_always(clean, _real=gather2d._analyze):
     """``_analyze`` with its clean flag fixed to ``clean``."""
 
-    def mutant(s, backend):
-        return dataclasses.replace(_real(s, backend), clean=clean)
+    def mutant(towers, backend):
+        return dataclasses.replace(_real(towers, backend), clean=clean)
 
     return mutant
 

@@ -405,7 +405,7 @@ def test_check_reusing_summaries_prints_the_reference_report(tmp_path, capsys, m
         calls["summarize"] += 1
         return summarize(*args, **kwargs)
 
-    def no_reuse(conf, prev, prev_sum, backend):
+    def no_reuse(conf, prev_sum, backend):
         return gather2d.summarize(conf, backend)
 
     monkeypatch.setattr(gather2d, "summarize", counted_summarize)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import exact_point_lists, exact_points, exact_similarities, sec_boundary
 from robogather import frames, gather2d, geometry, model
-from robogather.frames import Similarity, apply, inverse, make_frame, map_multiset, preimage
+from robogather.frames import Similarity, View, apply, inverse, make_frame, preimage, view
 from robogather.model import FrameParams
 from robogather.scalars import EXACT, FLOAT64, Point
 
@@ -21,6 +21,12 @@ def _sim(zoom, c, s, reflect, center):
 
 
 IDENT = _sim(F(1), F(1), F(0), False, P(0, 0))
+
+
+def _mapped(f, s, backend=EXACT):
+    """The (tower, multiplicity) pairs of spectrum ``s`` seen through ``f``."""
+    v = view(f, View.of(s, backend))
+    return list(zip(v.towers, v.mults))
 
 
 def test_make_frame_pure_translation():
@@ -85,21 +91,32 @@ def test_float_roundtrip_within_tolerance():
     assert FLOAT64.points_eq(back, p)
 
 
-def test_map_multiset_examples():
+def test_view_through_a_frame_without_integer_form_examples():
     s = Counter({P(1, 0): 2})
     shift = _sim(F(1), F(1), F(0), False, P(1, 0))
-    assert map_multiset(shift, s) == Counter({P(0, 0): 2})
+    assert _mapped(shift, s) == [(P(0, 0), 2)]
+    assert _mapped(shift, s)[0][0] is EXACT.origin()
     s = Counter({P(1, 0): 1, P(0, 1): 3})
     zoom2 = _sim(F(2), F(1), F(0), False, P(0, 0))
-    assert map_multiset(zoom2, s) == Counter({P(2, 0): 1, P(0, 2): 3})
-    assert map_multiset(IDENT, s) == s
+    assert _mapped(zoom2, s) == [(P(2, 0), 1), (P(0, 2), 3)]
+    assert _mapped(IDENT, s) == list(s.items())
+
+
+def test_a_view_is_a_record_not_a_multiset():
+    # a view has no len and no iteration, so no reader takes its two fields
+    # for its towers
+    v = View.of(Counter({P(1, 0): 2, P(0, 1): 1}), EXACT)
+    assert list(v.towers) == [P(1, 0), P(0, 1)] and v.mults == (2, 1)
+    with pytest.raises(TypeError):
+        len(v)
+    with pytest.raises(TypeError):
+        list(v)
 
 
 @given(exact_similarities(), exact_point_lists)
-def test_map_multiset_preserves_cardinality(f, pts):
+def test_view_preserves_cardinality(f, pts):
     s = Counter(pts)
-    mapped = map_multiset(f, s)
-    assert sum(mapped.values()) == sum(s.values())
+    assert sum(m for _, m in _mapped(f, s)) == sum(s.values())
 
 
 # --- equivariance with the geometry kernel -----------------------------------
@@ -115,9 +132,9 @@ def _configs_with_towers(draw):
 def test_mapped_towers_equal_spectrum_of_mapped_robots(f, conf):
     # model.round relies on this identity on the exact backend; the key order
     # matters because pgm reads max_support and the SEC boundary in it
-    towers = map_multiset(f, model.spectrum_of(conf, EXACT))
+    towers = _mapped(f, model.spectrum_of(conf, EXACT))
     robots = model.spectrum_of(tuple(apply(f, q) for q in conf), EXACT)
-    assert list(towers.items()) == list(robots.items())
+    assert towers == list(robots.items())
 
 
 @given(exact_similarities(), exact_point_lists)
@@ -169,7 +186,7 @@ def test_target_commutes_with_similarity(f, pts):
     s = Counter(pts)
     if not s:
         return
-    lhs = gather2d.target(frames.map_multiset(f, s), EXACT)
+    lhs = gather2d._analyze(view(f, View.of(s, EXACT)).towers, EXACT).tgt
     assert lhs == apply(f, gather2d.target(s, EXACT))
 
 
@@ -201,7 +218,7 @@ def test_integer_frame_map_matches_textbook_formula(f, p):
     assert f.fp.form is not None
     assert apply(f, p) == _textbook(f.fp, f.center, p)
     assert apply(inverse(f), p) == _textbook_inverse(f.fp, f.center, p)
-    assert list(map_multiset(f, Counter({p: 2})).items()) == [(_textbook(f.fp, f.center, p), 2)]
+    assert _mapped(f, Counter({p: 2})) == [(_textbook(f.fp, f.center, p), 2)]
 
 
 @given(exact_similarities(), exact_points, exact_points)
@@ -254,20 +271,21 @@ def test_own_tower_maps_to_the_origin_in_key_order(f, conf):
     spec = model.spectrum_of(conf, EXACT)
     for loc in conf:
         g = make_frame(loc, FrameParams(f.fp.zoom, f.fp.c, f.fp.s, f.fp.reflect), EXACT)
-        mapped = map_multiset(g, spec)
-        assert list(mapped.items()) == [(apply(g, p), m) for p, m in spec.items()]
-        assert dict(mapped.items())[EXACT.origin()] == spec[loc]
+        mapped = _mapped(g, spec)
+        assert mapped == [(apply(g, p), m) for p, m in spec.items()]
+        assert dict(mapped)[EXACT.origin()] == spec[loc]
 
 
 def _counting_points(monkeypatch):
-    """Count the points ``frames`` builds: one per tower a view maps."""
+    """Count the points ``geometry`` builds: an exact view's towers are
+    ``geometry.IntegerPoints``, which build one per tower read."""
     built = []
 
     def counted(*args):
         built.append(args)
         return Point(*args)
 
-    monkeypatch.setattr(frames, "Point", counted)
+    monkeypatch.setattr(geometry, "Point", counted)
     return built
 
 
@@ -282,11 +300,11 @@ def test_own_tower_key_equal_but_distinct_maps_to_the_origin(f, pts):
     spec = Counter([twin, twin] + [p for p in pts if p != robot])
     with pytest.MonkeyPatch.context() as monkeypatch:
         built = _counting_points(monkeypatch)
-        mapped = map_multiset(f, spec)
+        mapped = view(f, View.of(spec, EXACT))
         assert built == []
-        assert mapped[0] is EXACT.origin() and mapped.mults[0] == 2
+        assert mapped.towers[0] is EXACT.origin() and mapped.mults[0] == 2
         assert built == []
-        others = list(mapped.items())[1:]
+        others = list(zip(mapped.towers, mapped.mults))[1:]
         assert len(built) == len(spec) - 1
     assert others == [(apply(f, p), m) for p, m in list(spec.items())[1:]]
 
@@ -309,29 +327,28 @@ def test_view_is_the_textbook_image_of_the_spectrum(pts, data, reflect, f):
     # but distinct point
     conf = tuple(data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=16)))
     spec = model.spectrum_of(conf, EXACT)
-    form = frames.integer_spectrum(spec)
+    form = View.of(spec, EXACT)
     fp = FrameParams(f.fp.zoom, f.fp.c, f.fp.s, reflect)
     loc = data.draw(st.sampled_from(conf))
     for robot in (loc, Point(F(loc.x.numerator, loc.x.denominator), F(loc.y.numerator, loc.y.denominator))):
-        seen = frames.view(make_frame(robot, fp, EXACT), form)
-        assert len(seen) == len(spec)
-        assert list(seen.items()) == [(_textbook(fp, robot, p), m) for p, m in spec.items()]
-        assert seen[list(spec).index(loc)] is EXACT.origin()
+        seen = view(make_frame(robot, fp, EXACT), form)
+        assert len(seen.towers) == len(spec)
+        assert list(zip(seen.towers, seen.mults)) == [(_textbook(fp, robot, p), m) for p, m in spec.items()]
+        assert seen.towers[list(spec).index(loc)] is EXACT.origin()
     # a gathered configuration is seen as exactly one tower at the origin
     gathered = model.spectrum_of((loc,) * len(conf), EXACT)
-    seen = frames.view(make_frame(loc, fp, EXACT), frames.integer_spectrum(gathered))
-    assert list(seen.items()) == [(EXACT.origin(), len(conf))]
+    assert _mapped(make_frame(loc, fp, EXACT), gathered) == [(EXACT.origin(), len(conf))]
 
 
 def test_float_own_tower_maps_to_the_origin_and_images_still_merge():
     loc = Point(0.3, -1.7)
     f = make_frame(loc, FrameParams(2.5, math.cos(0.7), math.sin(0.7), True), FLOAT64)
-    mapped = map_multiset(f, Counter({loc: 2, Point(4.0, 1.0): 1}))
-    assert list(mapped) == [Point(0.0, 0.0), apply(f, Point(4.0, 1.0))]
+    mapped = _mapped(f, Counter({loc: 2, Point(4.0, 1.0): 1}), FLOAT64)
+    assert mapped == [(Point(0.0, 0.0), 2), (apply(f, Point(4.0, 1.0)), 1)]
     # 1 and 1 + 2^-52 round to the same float once shifted by 10^6
     shift = _sim(1.0, 1.0, 0.0, False, Point(-1e6, 0.0))
     collide = Counter({Point(1.0, 0.0): 1, Point(1.0 + 2**-52, 0.0): 2})
-    assert map_multiset(shift, collide) == Counter({Point(1e6 + 1, 0.0): 3})
+    assert _mapped(shift, collide, FLOAT64) == [(Point(1e6 + 1, 0.0), 3)]
 
 
 # offsets of a nearby tower from the robot: 0, or at least 1e-12, so no

@@ -2,8 +2,9 @@ import math
 from collections import Counter
 from fractions import Fraction as F
 
+import hypothesis
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bounded_fractions, exact_points, exact_similarities, float_points
@@ -18,6 +19,11 @@ P = EXACT.point
 
 def spectrum(*pts):
     return Counter(pts)
+
+
+def view_of(s, backend=EXACT):
+    """The view of spectrum ``s`` in the frame it is given in."""
+    return frames.View.of(s, backend)
 
 
 # --- target_triangle -------------------------------------------------------------
@@ -80,41 +86,41 @@ def test_is_clean_examples():
 
 
 def test_pgm_gathered_stays():
-    assert gather2d.pgm(spectrum(*(P(0, 0),) * 5), EXACT) == P(0, 0)
+    assert gather2d.pgm(view_of(spectrum(*(P(0, 0),) * 5)), EXACT) == P(0, 0)
 
 
 def test_pgm_unique_highest_tower():
     s = Counter({P(0, 0): 1, P(3, 0): 2})
-    assert gather2d.pgm(s, EXACT) == P(3, 0)
+    assert gather2d.pgm(view_of(s), EXACT) == P(3, 0)
 
 
 def test_pgm_clean_diameter_observer_at_target_stays():
     s = spectrum(P(-1, 0), P(1, 0), P(0, 0))
-    assert gather2d.pgm(s, EXACT) == P(0, 0)
+    assert gather2d.pgm(view_of(s), EXACT) == P(0, 0)
 
 
 def test_pgm_dirty_observer_on_sect_stays():
     # dirty: (1/2, 0) is neither on the SEC nor at the target (1,0); the
     # observer at the origin is on the SEC so it holds still
     s = spectrum(P(0, 0), P(2, 0), P(F(1, 2), 0))
-    assert gather2d.pgm(s, EXACT) == P(0, 0)
+    assert gather2d.pgm(view_of(s), EXACT) == P(0, 0)
 
 
 def test_pgm_dirty_off_sect_observer_moves_to_target():
     # same spectrum seen by the robot at (1/2, 0): shifted so the observer
     # is the origin; it must move to the target
     s = spectrum(P(F(-1, 2), 0), P(F(3, 2), 0), P(0, 0))
-    assert gather2d.pgm(s, EXACT) == P(F(1, 2), 0)
+    assert gather2d.pgm(view_of(s), EXACT) == P(F(1, 2), 0)
 
 
 def test_pgm_empty_spectrum_returns_origin():
-    assert gather2d.pgm(Counter(), EXACT) == P(0, 0)
+    assert gather2d.pgm(view_of(Counter()), EXACT) == P(0, 0)
 
 
 def test_robogram_is_pure():
     r = gather2d.robogram(EXACT)
     s = Counter({P(0, 0): 2, P(5, 5): 3})
-    assert r(s) == r(Counter(s))
+    assert r(view_of(s)) == r(view_of(Counter(s)))
 
 
 # --- round_global ------------------------------------------------------------------
@@ -229,7 +235,8 @@ def test_classify_empty_raises():
 @given(exact_similarities())
 def test_classify_invariant_under_similarity(f):
     base = spectrum(P(0, 0), P(2, 0), P(F(1, 2), 0), P(2, 0))
-    mapped = frames.map_multiset(f, base)
+    seen = frames.view(f, view_of(base))
+    mapped = Counter(dict(zip(seen.towers, seen.mults)))
     assert gather2d.classify_phase(base, EXACT) is gather2d.classify_phase(mapped, EXACT)
 
 
@@ -278,7 +285,7 @@ def test_summarize_agrees_with_standalone_predicates(pts):
     assert summary.phase is gather2d.classify_phase(s, EXACT)
     assert summary.forbidden == gather2d.forbidden(conf, EXACT)
     assert summary.gathered_pt == gather2d.gathering_point(conf, EXACT)
-    assert summary.clean == (summary.phase is Phase.GATHERED or gather2d._analyze(s, EXACT).clean)
+    assert summary.clean == (summary.phase is Phase.GATHERED or gather2d._analyze(list(s), EXACT).clean)
     assert summary.sec_analysis.circle == geometry.sec(list(s), EXACT)[0]
 
 
@@ -305,6 +312,96 @@ def test_gathered_at_examples():
     assert not gather2d.gathered_at(P(2, 3), (P(2, 3), P(2, 3), P(0, 0)), EXACT)
     assert gather2d.gathering_point(conf, EXACT) == P(2, 3)
     assert gather2d.gathering_point((P(2, 3), P(0, 0), P(2, 3)), EXACT) is None
+
+
+# --- pgm reads a view as a multiset ----------------------------------------------------
+
+
+@st.composite
+def observed_views(draw, backend):
+    """A robot's view of a spectrum, through a drawn frame centered on one of
+    its towers: a random spectrum, or at least four towers on one circle (a
+    rational parameterization, rounded on floats) with at most its center
+    and one more point inside. Every multiplicity is 1 or 2, so highest
+    towers often tie. Float coordinates are the values of small rationals,
+    far apart against the tolerance."""
+    exact = backend.is_exact
+    if draw(st.booleans()):
+        (ox, oy), r = draw(exact_points), draw(st.integers(1, 20))
+        ts = draw(st.lists(bounded_fractions(-5, 5, 6), min_size=4, max_size=6, unique=True))
+        pool = [Point(ox + r * (1 - t * t) / (1 + t * t), oy + r * 2 * t / (1 + t * t)) for t in ts]
+        pool += draw(st.lists(st.sampled_from([Point(ox, oy), Point(ox + F(r, 3), oy)]), max_size=2, unique=True))
+    else:
+        pool = draw(st.lists(exact_points, min_size=1, max_size=6, unique=True))
+    if not exact:
+        pool = [Point(float(x), float(y)) for x, y in pool]
+    conf = tuple(p for p in pool for _ in range(draw(st.integers(1, 2))))
+    f = draw(exact_similarities())
+    fp = FrameParams(f.fp.zoom, f.fp.c, f.fp.s, f.fp.reflect)
+    if not exact:
+        theta = draw(st.floats(-math.pi, math.pi))
+        fp = FrameParams(draw(st.floats(0.5, 2)), math.cos(theta), math.sin(theta), fp.reflect)
+    robot = draw(st.sampled_from(conf))
+    return frames.view(frames.make_frame(robot, fp, backend), view_of(model.spectrum_of(conf, backend), backend))
+
+
+def _permuted(v, order):
+    """``v`` with its towers and multiplicities permuted jointly."""
+    towers = v.towers
+    if isinstance(towers, geometry.IntegerPoints):
+        towers = geometry.IntegerPoints([towers.coords[i] for i in order], towers.den)
+    else:
+        towers = [towers[i] for i in order]
+    return frames.View(towers, tuple(v.mults[i] for i in order))
+
+
+def _pgm_ignores_order(backend, **options):
+    """The property that ``pgm`` gives the same destination under every joint
+    permutation of a view's towers and multiplicities: bit for bit on the
+    exact backend, and within the tolerance on floats, where
+    ``barycenter_3``'s sum depends on the order. ``options`` are Hypothesis
+    settings."""
+
+    @settings(**options)
+    @given(observed_views(backend), st.data())
+    def prop(v, data):
+        order = data.draw(st.permutations(range(len(v.mults))))
+        got, want = gather2d.pgm(_permuted(v, order), backend), gather2d.pgm(v, backend)
+        assert got == want if backend.is_exact else backend.points_eq(got, want), (v, order)
+
+    return prop
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "floating"])
+def test_pgm_ignores_the_order_of_a_view(backend):
+    _pgm_ignores_order(backend)()
+
+
+def _target_first_boundary_tower(on_sec, _real=geometry.sec):
+    """``geometry.sec`` with the circle's center moved to the first boundary
+    tower when ``on_sec(len(boundary))``. ``_analyze`` aims a diameter (2
+    towers on the SEC) or a general polygon (4 or more) at the center, so
+    this is the mutant whose target there is ``boundary[0]``: the first of
+    the view's towers on the SEC, which the order of the view decides."""
+
+    def mutant(points, backend):
+        circle, boundary = _real(points, backend)
+        return (circle._replace(center=boundary[0]) if on_sec(len(boundary)) else circle), boundary
+
+    return mutant
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "floating"])
+@pytest.mark.parametrize(
+    "on_sec", [lambda n: n == 2, lambda n: n >= 4], ids=["diameter-target-first", "general-target-first"]
+)
+def test_negative_control_order_mutant_fails_pgm_order_property(monkeypatch, backend, on_sec):
+    # both rounds share _analyze, so chaining cannot see these mutants; a
+    # robogram that reads the view's order must fail the order property
+    # (no shrinking: the first failing example is enough)
+    monkeypatch.setattr(geometry, "sec", _target_first_boundary_tower(on_sec))
+    with pytest.raises(AssertionError):
+        _pgm_ignores_order(backend, phases=[hypothesis.Phase.generate])()
 
 
 # --- local/global equivalence property ------------------------------------------------
@@ -367,9 +464,9 @@ def test_majority_summary_computes_no_sec_until_clean_is_read(monkeypatch, conf)
     calls = []
     sec = geometry.sec
 
-    def counting_sec(points, backend, form=None):
+    def counting_sec(points, backend):
         calls.append(len(points))
-        return sec(points, backend, form)
+        return sec(points, backend)
 
     monkeypatch.setattr(geometry, "sec", counting_sec)
     summary = gather2d.summarize(conf, EXACT)
@@ -377,7 +474,7 @@ def test_majority_summary_computes_no_sec_until_clean_is_read(monkeypatch, conf)
     assert calls == []
     clean = summary.clean
     assert len(calls) == 1
-    assert clean == gather2d._analyze(model.spectrum_of(conf, EXACT), EXACT).clean
+    assert clean == gather2d._analyze(list(model.spectrum_of(conf, EXACT)), EXACT).clean
 
 
 # --- phase transition bookkeeping -----------------------------------------------------

@@ -475,17 +475,21 @@ def test_exact_sec_of_many_points_is_enclosing_and_certified_by_its_boundary(pts
     assert all(g.dist_sq(c.center, p) <= c.radius_sq for p in pts)
     assert boundary == [p for p in pts if g.dist_sq(c.center, p) == c.radius_sq]
     assert _certified_minimal(c, boundary)
-    # a form that is not in lowest terms gives the same circle and boundary
-    ints, scale = g.integer_form(pts)
-    assert g.sec(pts, EXACT, ([(x * k, y * k) for x, y in ints], scale * k)) == (c, boundary)
+    # the integer form, even one not in lowest terms, gives the same circle
+    # and boundary
+    form = g.integer_form(pts)
+    assert list(form) == pts
+    assert g.sec(form, EXACT) == (c, boundary)
+    assert g.sec(g.IntegerPoints([(x * k, y * k) for x, y in form.coords], form.den * k), EXACT) == (c, boundary)
 
 
 @given(_large_float_lists, st.integers(1, 12))
 @settings(max_examples=40)
 def test_float_sec_from_the_integer_form_equals_sec_from_the_points(pts, k):
     c, boundary = g.sec(pts, FLOAT64)
-    ints, scale = g.integer_form(pts)
-    assert g.sec(pts, FLOAT64, ([(x * k, y * k) for x, y in ints], scale * k)) == (c, boundary)
+    # the form holds the floats' exact values, which compare equal to them
+    form = g.integer_form(pts)
+    assert g.sec(g.IntegerPoints([(x * k, y * k) for x, y in form.coords], form.den * k), FLOAT64) == (c, boundary)
     assert all(g.dist_sq(c.center, p) <= c.radius_sq or g.on_circle(c, p, FLOAT64) for p in pts)
     # the rounded circle is the exact SEC of the floats, rounded once
     exact = g.sec([P(F(x), F(y)) for x, y in pts], EXACT)[0]
@@ -495,7 +499,7 @@ def test_float_sec_from_the_integer_form_equals_sec_from_the_points(pts, k):
 @given(_large_exact_lists)
 @settings(max_examples=40)
 def test_hull_filter_keeps_input_points_that_enclose_the_rest(pts):
-    ints, _ = g.integer_form(pts)
+    ints = g.integer_form(pts).coords
     hull = g._hull_vertices(sorted(set(ints)))
     assert set(hull) <= set(ints)
     # counterclockwise, no point outside an edge, no vertex inside one
@@ -511,5 +515,6 @@ def test_hull_filter_keeps_input_points_that_enclose_the_rest(pts):
 def test_sec_of_a_view_from_its_own_form_equals_sec_of_its_points(f, pts):
     fp = f.fp
     robot = pts[0]
-    seen = frames.view(frames.make_frame(robot, fp, EXACT), frames.integer_spectrum(Counter(pts)))
-    assert g.sec(seen, EXACT, (seen.coords, seen.den)) == g.sec(list(seen), EXACT)
+    seen = frames.view(frames.make_frame(robot, fp, EXACT), frames.View.of(Counter(pts), EXACT))
+    assert isinstance(seen.towers, g.IntegerPoints)
+    assert g.sec(seen.towers, EXACT) == g.sec(list(seen.towers), EXACT)

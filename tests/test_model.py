@@ -139,7 +139,7 @@ def test_pgm_compatibility_equal_spectra_equal_outputs():
     s1 = Counter([P(0, 0), P(1, 1), P(1, 1)])
     s2 = Counter([P(1, 1), P(0, 0), P(1, 1)])
     assert s1 == s2
-    assert r(s1) == r(s2)
+    assert r(model.View.of(s1, EXACT)) == r(model.View.of(s2, EXACT))
 
 
 # --- moving ----------------------------------------------------------------------

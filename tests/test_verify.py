@@ -142,9 +142,10 @@ def test_each_kind_of_frame_work_happens_once(monkeypatch, tmp_path):
     assert len(checks) == len(set(used)) < len({id(fp) for fp in used})
 
     # an activation in a gathered configuration builds no point either way;
-    # a view builds a point only for a tower the robogram reads (the view
-    # and preimage build their points through frames.Point)
-    built = _counting(monkeypatch, frames, "Point")
+    # a view builds a point only for a tower the robogram reads (an exact
+    # view's towers, geometry.IntegerPoints, build theirs through
+    # geometry.Point, as does the SEC's center)
+    built = _counting(monkeypatch, geometry, "Point")
     mapped_back = _counting(monkeypatch, frames, "preimage")
     rng, r = random.Random(0), gather2d.robogram(EXACT)
     frame_params = [verify.DEFAULT_POLICY.sample(rng, EXACT) for _ in range(4)]
@@ -159,14 +160,14 @@ def test_each_kind_of_frame_work_happens_once(monkeypatch, tmp_path):
         steps = tuple(fp if j == i else None for j in range(4))
         model.round(r, DemonicAction(steps), conf, EXACT)
         # a majority view builds exactly one point, its highest tower, unless
-        # that is the robot's own (the origin), plus one point per
-        # destination mapped back
-        assert len(built) == (conf[i] is not shared) + len(mapped_back)
-        assert len(mapped_back) == (conf[i] is not shared)
+        # that is the robot's own (the origin), which is the one destination
+        # mapped back
+        assert len(built) == len(mapped_back) == (conf[i] is not shared)
 
-    # an analysed view builds its boundary, less the robot's own tower, plus
-    # at most one other tower: here four corners on the SEC around three
-    # inner towers (dirty), or around one tower at the SEC center (clean)
+    # an analysed view builds its boundary, less the robot's own tower, and
+    # the SEC's center, and no other tower: here four corners on the SEC
+    # around three inner towers (dirty), or around one tower at the SEC
+    # center (clean), which ``in`` finds on the integers
     corners = (P(0, 0), P(4, 0), P(0, 4), P(4, 4))
     for conf in (corners + (P(1, 1), P(2, 1), P(1, 2)), corners + (P(2, 2),)):
         for i in range(len(conf)):
@@ -175,7 +176,7 @@ def test_each_kind_of_frame_work_happens_once(monkeypatch, tmp_path):
             steps = tuple(frame_params[i % 4] if j == i else None for j in range(len(conf)))
             model.round(r, DemonicAction(steps), conf, EXACT)
             others_on_sec = len(corners) - (conf[i] in corners)
-            assert others_on_sec <= len(built) - len(mapped_back) <= others_on_sec + 1
+            assert len(built) == others_on_sec + 1
 
 
 # sha256 of the first 3·k actions of each demon at seed 11 from gen_initial(5,
