@@ -6,6 +6,7 @@ Exit codes: 0 ok, 1 input error, 2 horizon exhausted without gathering,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -140,7 +141,10 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` keeps
+    no state in it, so every call parses as a new parser would."""
     parser = argparse.ArgumentParser(
         prog="robogather",
         description="SSYNC oblivious-robot gathering: simulate, check, fuzz, render.",
@@ -159,11 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="accept a bivalent initial configuration (negative tests only)",
     )
-    p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="re-verify a trace against all invariants")
     p_check.add_argument("--trace", required=True, help="trace path")
-    p_check.set_defaults(func=cmd_check)
 
     p_fuzz = sub.add_parser("fuzz", help="run seeded random simulations and grade them")
     p_fuzz.add_argument("--runs", type=int, default=100)
@@ -179,20 +181,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fuzz.add_argument("--horizon", type=int, help="fixed round budget (default: k*7*(nG+1))")
     p_fuzz.add_argument("--out", help="directory for counterexample scenario/trace files")
-    p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_render = sub.add_parser("render", help="render a trace as a multi-panel SVG")
     p_render.add_argument("--trace", required=True)
     p_render.add_argument("--out", required=True, help="output SVG path")
     p_render.add_argument("--max-panels", type=int, default=24)
-    p_render.set_defaults(func=cmd_render)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    # each command is looked up when called, so a wrapper set on this
+    # module's attribute (a profiler's, say) is the one that runs
+    commands = {"run": cmd_run, "check": cmd_check, "fuzz": cmd_fuzz, "render": cmd_render}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

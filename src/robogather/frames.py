@@ -99,26 +99,40 @@ def apply(f: Similarity, p: Point) -> Point:
     return _linear(fp, x - cx, y - cy)
 
 
-def check_params(zoom: Scalar, c: Scalar, s: Scalar, backend: Backend) -> None:
-    """Raise InvalidFrame unless zoom > 0 and c² + s² = 1 (exactly on
-    ``Fraction``s, within the tolerance on floats)."""
-    if not zoom > 0:
+def check_params(fp: FrameParams, backend: Backend) -> Optional[tuple[int, int, int]]:
+    """Raise InvalidFrame unless zoom > 0 and c² + s² = 1, and return the
+    integer form (A, B, D) of an exact ``fp``, None on floats.
+
+    On floats c² + s² = 1 holds within the tolerance. On the exact backend
+    both tests run on the integers of the form: with zoom = zn/zd and
+    D = zd·lcm(cd, sd) over the denominators of c and s, A/D = zoom·c and
+    B/D = zoom·s, so zoom > 0 is zn > 0 and c² + s² = 1 is
+    A² + B² = (zn·lcm(cd, sd))²."""
+    zoom, c, s = fp.zoom, fp.c, fp.s
+    form = None
+    if backend.is_exact:
+        zn, cd, sd = zoom.numerator, c.denominator, s.denominator
+        m = lcm(cd, sd)
+        a, b = zn * c.numerator * (m // cd), zn * s.numerator * (m // sd)
+        form = (a, b, zoom.denominator * m)
+        positive, unit = zn > 0, a * a + b * b == (zn * m) ** 2
+    else:
+        positive, unit = zoom > 0, backend.eq(c * c + s * s, 1)
+    if not positive:
         raise InvalidFrame(f"zoom must be positive, got {zoom}")
-    if not backend.eq(c * c + s * s, 1):
+    if not unit:
         raise InvalidFrame(f"(c, s) = ({c}, {s}) is not a unit pair")
+    return form
 
 
 def linear_form(fp: FrameParams, backend: Backend) -> Optional[tuple[int, int, int]]:
-    """Validate ``fp`` and return its (A, B, D), A/D = zoom·c, B/D = zoom·s, kept
-    on ``fp`` so each exact ``FrameParams`` is validated once; None on floats."""
+    """Validate ``fp`` (``check_params``) and return its (A, B, D), A/D = zoom·c,
+    B/D = zoom·s, kept on ``fp`` so each exact ``FrameParams`` is validated
+    once; None on floats."""
     form = fp.form
     if form is None:
-        zoom, c, s = fp.zoom, fp.c, fp.s
-        check_params(zoom, c, s, backend)
-        if backend.is_exact:
-            zn, zd, cd, sd = zoom.numerator, zoom.denominator, c.denominator, s.denominator
-            d = zd * lcm(cd, sd)
-            form = (zn * c.numerator * (d // (zd * cd)), zn * s.numerator * (d // (zd * sd)), d)
+        form = check_params(fp, backend)
+        if form is not None:
             object.__setattr__(fp, "form", form)
     return form
 

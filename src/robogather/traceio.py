@@ -5,12 +5,16 @@ a line-delimited UTF-8 file: one self-contained JSON record per line — a
 header, one record per round, and an end marker. Exact-backend coordinates
 serialize as "numerator/denominator" strings so replay is bit-exact;
 floating coordinates serialize as JSON numbers (repr round-trips exactly).
-A document is parsed with one memo: each distinct [x, y] pair is parsed once
-and every later occurrence is the same ``Point``, so an unchanged
-configuration is summarized once (``verify.summaries_of``), and each
-distinct frame is parsed and checked once. The memo key of a frame and of
-a point is the repr of its JSON values, which keeps ``true``, ``1``, ``1.0``
-and ``-0.0`` apart (they are equal as dict keys).
+A document is parsed with one memo per kind of object: each distinct [x, y]
+pair is parsed once and every later occurrence is the same ``Point``, so an
+unchanged configuration is summarized once (``verify.summaries_of``); a
+round whose raw locations list is the previous round's again reuses that
+configuration whole; each distinct frame object is parsed and checked once,
+and each distinct string among frame parameters is parsed once. A pair, a
+locations list and a frame are keyed by their repr, which keeps ``true``,
+``1``, ``1.0`` and ``-0.0`` apart (they are equal as dict keys). The writer
+makes the JSON text of each distinct ``Point`` and ``FrameParams`` object
+once per write and splices it into the lines.
 """
 from __future__ import annotations
 
@@ -41,20 +45,19 @@ def _point_out(p: Point, backend: Backend) -> list:
 
 
 def _point_in(pair, backend: Backend, shared: dict) -> Point:
-    """The point of an [x, y] pair, from the document's memo ``shared``."""
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise TraceFormatError(f"expected an [x, y] pair, got {pair!r}")
+    """The point of an [x, y] pair, from the document's point memo ``shared``,
+    keyed by the pair's repr; a pair is checked and parsed on its first read."""
     key = repr(pair)
     p = shared.get(key)
     if p is None:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise TraceFormatError(f"expected an [x, y] pair, got {pair!r}")
         x, y = pair
         p = shared[key] = Point(backend.parse(x), backend.parse(y))
     return p
 
 
-def _frame_out(fp: Optional[FrameParams], backend: Backend):
-    if fp is None:
-        return None
+def _frame_out(fp: FrameParams, backend: Backend) -> dict:
     return {
         "zoom": _coord_out(fp.zoom, backend),
         "c": _coord_out(fp.c, backend),
@@ -63,18 +66,28 @@ def _frame_out(fp: Optional[FrameParams], backend: Backend):
     }
 
 
-def _frame_in(obj, backend: Backend, shared: dict) -> Optional[FrameParams]:
-    """The frame of a step, from the document's memo ``shared``: one checked
-    ``FrameParams`` per distinct zoom, c, s and reflect, validated once by
-    ``frames.linear_form``."""
-    if obj is None:
-        return None
-    zoom, c, s = obj["zoom"], obj["c"], obj["s"]
-    reflect = _bool(obj["reflect"], "frame reflect")
-    key = repr((zoom, c, s, reflect))
+def _scalar_in(value, backend: Backend, shared: dict):
+    """``backend.parse(value)``; a string, the form an exact trace writes, is
+    parsed once per document through the memo ``shared``."""
+    if type(value) is not str:
+        return backend.parse(value)
+    x = shared.get(value)
+    if x is None:
+        x = shared[value] = backend.parse(value)
+    return x
+
+
+def _frame_in(obj, backend: Backend, shared: dict, scalars: dict) -> FrameParams:
+    """The frame of a step that is not null, from the document's frame memo
+    ``shared``: one checked ``FrameParams`` per distinct JSON object, keyed
+    by its repr, validated by ``frames.linear_form`` on its first read. Its
+    zoom, c and s are read through the scalar memo ``scalars``."""
+    key = repr(obj)
     fp = shared.get(key)
     if fp is None:
-        fp = FrameParams(backend.parse(zoom), backend.parse(c), backend.parse(s), reflect)
+        zoom, c, s = obj["zoom"], obj["c"], obj["s"]
+        reflect = _bool(obj["reflect"], "frame reflect")
+        fp = FrameParams(*(_scalar_in(v, backend, scalars) for v in (zoom, c, s)), reflect)
         try:
             frames.linear_form(fp, backend)
         except frames.InvalidFrame as exc:
@@ -214,7 +227,7 @@ class Scenario:
                     f"{len(self.initial)} initial points for nG={self.n_robots}"
                 )
             try:
-                shared: dict = {}  # this document's memo, as in read_trace
+                shared: dict = {}  # this document's point memo, as in read_trace
                 conf = tuple(_point_in(pair, backend, shared) for pair in self.initial)
             except (TraceFormatError, ValueError, TypeError, ZeroDivisionError) as exc:
                 raise ScenarioError(f"bad initial coordinates: {exc}") from exc
@@ -289,15 +302,33 @@ def write_trace(
             header["eps"] = {"abs": backend.eps_abs, "rel": backend.eps_rel}
         fh.write(json.dumps(header) + "\n")
 
+        # The JSON text of each distinct point and frame, made once per
+        # write and keyed by object (each entry holds its object, so no id is
+        # reused); a round's locations are encoded again only when its
+        # configuration is not made of the previous one's very objects.
+        texts: dict[int, tuple[Any, str]] = {}
+
+        def text(obj, out) -> str:
+            hit = texts.get(id(obj))
+            if hit is None:
+                hit = texts[id(obj)] = (obj, json.dumps(out(obj, backend)))
+            return hit[1]
+
+        def locations_text(conf: Configuration) -> str:
+            return "[" + ", ".join([text(p, _point_out) for p in conf]) + "]"
+
+        points_eq = backend.points_eq
         prev = trace.initial
+        locations = locations_text(prev)
         gathered_round = 0 if next(summary_of).gathered_pt is not None else None
         for step, summary in zip(trace.steps, summary_of):
-            moving = [i for i, (p, q) in enumerate(zip(prev, step.config)) if not backend.points_eq(p, q)]
-            record = {
-                "type": "round",
-                "index": step.index,
-                "steps": [_frame_out(fp, backend) for fp in step.action.steps],
-                "locations": [_point_out(p, backend) for p in step.config],
+            cur = step.config
+            if verify._same_points(cur, prev):
+                moving = []
+            else:
+                locations = locations_text(cur)
+                moving = [i for i, (p, q) in enumerate(zip(prev, cur)) if p is not q and not points_eq(p, q)]
+            rest = {
                 "phase": summary.phase.value,
                 "measure": [summary.measure.weight, summary.measure.residual],
                 "moving": moving,
@@ -305,10 +336,15 @@ def write_trace(
                 "forbidden": summary.forbidden,
                 "gathered": summary.gathered_pt is not None,
             }
+            # the bytes of json.dumps of the whole record, keys in this order
+            steps = ", ".join(["null" if fp is None else text(fp, _frame_out) for fp in step.action.steps])
+            fh.write(
+                f'{{"type": "round", "index": {step.index}, "steps": [{steps}], '
+                f'"locations": {locations}, {json.dumps(rest)[1:]}\n'
+            )
             if gathered_round is None and summary.gathered_pt is not None:
                 gathered_round = step.index + 1
-            fh.write(json.dumps(record) + "\n")
-            prev = step.config
+            prev = cur
         end = {
             "type": "end",
             "rounds": len(trace.steps),
@@ -346,10 +382,13 @@ def read_trace(path: str) -> LoadedTrace:
     header = records[0]
     if not isinstance(header, dict) or header.get("type") != "header":
         raise TraceFormatError("first record must be the header")
-    shared: dict = {}
+    # the document's memos, one per kind of object
+    point_memo: dict = {}
+    frame_memo: dict = {}
+    scalar_memo: dict = {}
     try:
         backend = get_backend(header["backend"], *_eps_pair(header.get("eps")))
-        initial = tuple(_point_in(pair, backend, shared) for pair in header["initial"])
+        initial = tuple([_point_in(pair, backend, point_memo) for pair in header["initial"]])
         n_robots = _int(header.get("nG"), "nG")
         if n_robots < 1 or n_robots != len(initial):
             raise ValueError(f"nG must be at least 1 and count the {len(initial)} initial points, got {n_robots}")
@@ -362,14 +401,26 @@ def read_trace(path: str) -> LoadedTrace:
 
     steps: list[model.TraceStep] = []
     stopped_early = False
+    # The raw locations list of the previous configuration and its repr (made
+    # when first needed): an equal list with an equal repr, which keeps
+    # true, 1, 1.0 and -0.0 apart, is the same configuration.
+    config, raw_prev, key_prev = initial, header["initial"], None
     for rec in records[1:]:
         if not isinstance(rec, dict):
             raise TraceFormatError(f"record is not a JSON object: {rec!r}")
         kind = rec.get("type")
         if kind == "round":
             try:
-                action = DemonicAction(tuple(_frame_in(obj, backend, shared) for obj in rec["steps"]))
-                config = tuple(_point_in(pair, backend, shared) for pair in rec["locations"])
+                fps = [obj if obj is None else _frame_in(obj, backend, frame_memo, scalar_memo) for obj in rec["steps"]]
+                action = DemonicAction(tuple(fps))
+                raw, key = rec["locations"], None
+                if raw == raw_prev:
+                    key = repr(raw)
+                    if key_prev is None:
+                        key_prev = repr(raw_prev)
+                if key is None or key != key_prev:
+                    config = tuple([_point_in(pair, backend, point_memo) for pair in raw])
+                raw_prev, key_prev = raw, key
                 index = _int(rec["index"], "round index")
             except (KeyError, ValueError, TypeError, ZeroDivisionError, ScenarioError) as exc:
                 raise TraceFormatError(f"bad round record: {exc}") from exc

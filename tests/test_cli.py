@@ -833,3 +833,45 @@ def test_bundled_scenario_trace_is_byte_identical(tmp_path, name):
     out = tmp_path / f"{name}.jsonl"
     assert cli.main(["run", "--scenario", str(scenario), "--out", str(out)]) == cli.EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BUNDLED_TRACE_SHA256[name]
+
+
+# sha256 of the trace each bundled scenario writes on the floating backend
+# (``run --backend floating``): float traces are pinned here, since the
+# benchmark pins only exact ones.
+BUNDLED_FLOAT_TRACE_SHA256 = {
+    "cocircular_demo": "66b3a3d53ea22e0e251c02973fd075bf9639cc244435e0b9fd0200da8ae76284",
+    "majority_demo": "a1a0e0920d881d4ed1a39efb123794e904acc0dcb2cd917bf6144011cb4f9ce5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_FLOAT_TRACE_SHA256))
+def test_bundled_scenario_float_trace_is_byte_identical(tmp_path, name):
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json"
+    out = tmp_path / f"{name}.jsonl"
+    argv = ["run", "--scenario", str(scenario), "--backend", "floating", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BUNDLED_FLOAT_TRACE_SHA256[name]
+
+
+def test_parser_reuse_leaks_no_state_between_calls(tmp_path, capsys):
+    # the parser is built once per process; an option given to one call
+    # must not reach the next, and a rejected command must not change a
+    # later one: each second call writes what a fresh interpreter writes
+    assert cli.build_parser() is cli.build_parser()
+    points = [["0", "0"], ["4", "0"], ["0", "3"], ["7", "7"], ["1", "5"]]
+    demon = {"kind": "round_robin"}
+    scenario = _write_scenario(tmp_path, nG=5, initial={"points": points}, demon=demon, horizon=None)
+    out, fresh = str(tmp_path / "t.jsonl"), str(tmp_path / "fresh.jsonl")
+    assert cli.main(["run", "--scenario", scenario, "--out", out, "--horizon", "3"]) == cli.EXIT_HORIZON
+    assert json.loads(Path(out).read_text().splitlines()[0])["horizon"] == 3
+    assert cli.main(["run", "--scenario", scenario, "--out", out]) == cli.EXIT_OK
+    assert _robogather("run", "--scenario", scenario, "--out", fresh).returncode == cli.EXIT_OK
+    assert Path(out).read_bytes() == Path(fresh).read_bytes()
+
+    capsys.readouterr()
+    assert cli.main(["fuzz", "--runs", "3", "--strategies", "adversarial"]) == cli.EXIT_INPUT
+    assert "adversarial" in capsys.readouterr().err
+    assert cli.main(["fuzz", "--runs", "3"]) == cli.EXIT_OK
+    done = _robogather("fuzz", "--runs", "3")
+    assert done.returncode == cli.EXIT_OK
+    assert capsys.readouterr().out == done.stdout

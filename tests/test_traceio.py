@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import local_step
-from robogather import gather2d, model, traceio, verify
+from robogather import cli, gather2d, model, traceio, verify
 from robogather.scalars import EXACT, FLOAT64, FloatBackend, Point
 
 P = EXACT.point
@@ -316,3 +316,162 @@ def test_write_trace_analyzes_each_distinct_majority_summary_once(tmp_path, monk
     monkeypatch.setattr(gather2d, "_analyze", lambda *args: calls.append(1) or analyze(*args))
     traceio.write_trace(str(tmp_path / "t.jsonl"), trace, backend, summaries=summaries)
     assert len(calls) == distinct
+
+
+def _reference_trace_bytes(trace, backend, k=None, strategy_kind=None, seed=None, horizon=None):
+    """A trace file as ``json.dumps`` of each whole record, the writer's
+    format written the plain way: ``write_trace`` splices JSON text it made
+    once per distinct object and must give exactly these bytes."""
+    coord = str if backend.is_exact else float
+
+    def point(p):
+        return [coord(p.x), coord(p.y)]
+
+    def frame(fp):
+        if fp is None:
+            return None
+        return {"zoom": coord(fp.zoom), "c": coord(fp.c), "s": coord(fp.s), "reflect": fp.reflect}
+
+    summaries = list(verify.summaries_of(trace, backend))
+    header = {
+        "type": "header",
+        "backend": backend.name,
+        "nG": len(trace.initial),
+        "k": k,
+        "strategy": strategy_kind,
+        "seed": seed,
+        "horizon": horizon,
+        "initial": [point(p) for p in trace.initial],
+    }
+    if not backend.is_exact:
+        header["eps"] = {"abs": backend.eps_abs, "rel": backend.eps_rel}
+    records = [header]
+    gathered_round = 0 if summaries[0].gathered_pt is not None else None
+    for step, prev, summary in zip(trace.steps, trace.configs(), summaries[1:]):
+        records.append(
+            {
+                "type": "round",
+                "index": step.index,
+                "steps": [frame(fp) for fp in step.action.steps],
+                "locations": [point(p) for p in step.config],
+                "phase": summary.phase.value,
+                "measure": [summary.measure.weight, summary.measure.residual],
+                "moving": [i for i, (p, q) in enumerate(zip(prev, step.config)) if not backend.points_eq(p, q)],
+                "clean": summary.clean,
+                "forbidden": summary.forbidden,
+                "gathered": summary.gathered_pt is not None,
+            }
+        )
+        if gathered_round is None and summary.gathered_pt is not None:
+            gathered_round = step.index + 1
+    end = {"type": "end", "rounds": len(trace.steps), "stopped_early": trace.stopped_early}
+    records.append(dict(end, gathered_round=gathered_round))
+    return "".join(json.dumps(r) + "\n" for r in records).encode()
+
+
+def _edge_case_trace(backend):
+    """Rounds that stress the writer's reuse: every frame null on the very
+    objects of the configuration before, an equal configuration made of new
+    objects, a robot that moves, and a signed zero on floats."""
+    zero = -0.0 if not backend.is_exact else F(0)
+    a, b, c = Point(zero, backend.scalar(0)), backend.point(4, 0), backend.point(0, 3)
+    initial = (a, a, b, c)
+    rng = random.Random(3)
+    frames = [verify.DEFAULT_POLICY.sample(rng, backend) for _ in range(3)]
+    copies = tuple(Point(p.x, p.y) for p in initial)
+    moved = (copies[0], copies[1], copies[2], a)
+    actions = [
+        (None, None, None, None),
+        (frames[0], None, frames[1], frames[0]),
+        (None, None, None, frames[2]),
+        (None, None, None, None),
+        (frames[1], frames[1], None, None),
+    ]
+    configs = [initial, copies, moved, moved, tuple(moved)]
+    steps = [model.TraceStep(i, model.DemonicAction(act), conf) for i, (act, conf) in enumerate(zip(actions, configs))]
+    return model.Trace(initial, steps)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "float"])
+@pytest.mark.parametrize("case", ["edge", "run"])
+def test_write_trace_bytes_equal_json_dumps_of_each_record(tmp_path, backend, case):
+    if case == "edge":
+        trace, fields = _edge_case_trace(backend), {}
+    else:
+        trace, strat = _make_trace(backend, seed=5, n=6, rounds=30)
+        fields = {"k": strat.k, "strategy_kind": strat.kind, "seed": 5, "horizon": 30}
+    path = tmp_path / "t.jsonl"
+    traceio.write_trace(str(path), trace, backend, **fields)
+    assert path.read_bytes() == _reference_trace_bytes(trace, backend, **fields)
+    if case == "edge":
+        text = path.read_text()
+        assert '"steps": [null, null, null, null]' in text
+        assert ("-0.0" in text) is not backend.is_exact
+
+
+def _float_trace(path, *location_lists, steps=None):
+    header = {"type": "header", "backend": "floating", "nG": 3, "k": None, "seed": None, "horizon": None}
+    header["initial"] = location_lists[0]
+    rounds = [
+        {"type": "round", "index": i, "steps": steps or [None] * 3, "locations": locations}
+        for i, locations in enumerate(location_lists[1:])
+    ]
+    _write_records(path, header, *rounds, {"type": "end"})
+
+
+def test_read_trace_reuses_a_repeated_locations_list_only_when_its_repr_matches(tmp_path):
+    # an equal raw list is the configuration before it only when its repr is
+    # equal too: 1 and 1.0, and 0.0 and -0.0, are equal values written apart
+    path = tmp_path / "t.jsonl"
+    base = [[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]]
+    ints = [[1, 0.0], [2.0, 0.0], [0.0, 0.0]]
+    signed = [[1, 0.0], [2.0, 0.0], [0.0, -0.0]]
+    _float_trace(path, base, base, ints, ints, signed)
+    initial, *configs = traceio.read_trace(str(path)).trace.configs()
+    assert configs[0] is initial and configs[2] is configs[1]
+    assert configs[1] == initial and configs[1][0] is not initial[0] and configs[1][1] is initial[1]
+    assert configs[3] == configs[2] and configs[3][2] is not configs[2][2]
+    assert str(configs[3][2].y) == "-0.0" and str(configs[2][2].y) == "0.0"
+
+
+def test_check_rejects_a_repeated_locations_list_with_a_bool(tmp_path, capsys):
+    # [true, 0.0] equals [1.0, 0.0] as a value: the repeated list is read
+    # afresh, and the bool is an input error, not the configuration before
+    path = tmp_path / "t.jsonl"
+    base = [[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]]
+    _float_trace(path, base, base, [[True, 0.0], [2.0, 0.0], [0.0, 0.0]])
+    capsys.readouterr()
+    assert cli.main(["check", "--trace", str(path)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "True" in err and "Traceback" not in err
+
+
+def test_read_trace_reads_a_frame_with_its_keys_in_another_order_as_an_equal_frame(tmp_path):
+    # a frame is keyed by its whole JSON object, names and values: the same
+    # values under swapped names are another frame
+    path = tmp_path / "t.jsonl"
+    reordered = {"reflect": False, "s": "4/5", "c": "3/5", "zoom": "1/2"}
+    _trace_with_frames(path, [_frame(), None, None], [reordered, _frame(c="4/5", s="3/5"), None])
+    (a, _, _), (b, c, _) = (step.action.steps for step in traceio.read_trace(str(path)).trace.steps)
+    assert a == b and b.form == a.form
+    assert (c.c, c.s) == (F(4, 5), F(3, 5)) and c.form != a.form
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [_frame(zoom="0"), _frame(c="1", s="1"), _frame(reflect=1), ["1/2", "3/5"]],
+    ids=["zoom-zero", "not-unit-pair", "reflect-one", "a-pair-read-before"],
+)
+def test_check_exits_one_on_an_invalid_frame_after_a_valid_one(tmp_path, capsys, bad):
+    # points and frames have memos of their own: a frame written as a pair
+    # that was read as a point is not taken for that point
+    path = tmp_path / "t.jsonl"
+    _trace_with_frames(path, [_frame(reflect=True), None, None], [None, None, None])
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[0]["initial"][0] = ["1/2", "3/5"]
+    records[2]["steps"][0] = bad
+    _write_records(path, *records)
+    capsys.readouterr()
+    assert cli.main(["check", "--trace", str(path)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
