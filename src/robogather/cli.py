@@ -1,7 +1,8 @@
 """Command-line entry points: run, check, fuzz, render.
 
 Exit codes: 0 ok, 1 input error, 2 horizon exhausted without gathering,
-3 property violation / counterexample found.
+3 property violation / counterexample found, also when standard output is
+closed by its reader (``robogather check ... | head -1``, see ``_say``).
 """
 from __future__ import annotations
 
@@ -17,6 +18,16 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_HORIZON = 2
 EXIT_VIOLATION = 3
+
+
+def _say(text: str) -> None:
+    """Print ``text`` to standard output; once its reader has closed it, it
+    points at the null device, so the rest is dropped and no flush raises."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
 
 
 def _fail(message: str) -> int:
@@ -58,9 +69,9 @@ def cmd_run(args) -> int:
         return _fail(f"cannot write trace {args.out}: {exc}")
     rounds = len(trace.steps)
     if summaries[-1].gathered_pt is not None:
-        print(f"gathered after {rounds} rounds; trace written to {args.out}")
+        _say(f"gathered after {rounds} rounds; trace written to {args.out}")
         return EXIT_OK
-    print(f"horizon {horizon} exhausted without gathering; trace written to {args.out}")
+    _say(f"horizon {horizon} exhausted without gathering; trace written to {args.out}")
     return EXIT_HORIZON
 
 
@@ -75,7 +86,7 @@ def cmd_check(args) -> int:
         declared_k=loaded.k,
         run_seed=loaded.seed,
     )
-    print(report.summary())
+    _say(report.summary())
     if report.ok:
         return EXIT_OK
     return EXIT_VIOLATION
@@ -104,7 +115,7 @@ def cmd_fuzz(args) -> int:
         seed=args.seed,
         horizon=args.horizon,
     )
-    print(report.summary())
+    _say(report.summary())
     if report.ok:
         return EXIT_OK
     outdir = args.out or "."
@@ -123,7 +134,7 @@ def cmd_fuzz(args) -> int:
             seed=cex.spec.strategy_seed,
             horizon=cex.spec.horizon,
         )
-        print(f"counterexample written: {spath} / {tpath}")
+        _say(f"counterexample written: {spath} / {tpath}")
     return EXIT_VIOLATION
 
 
@@ -137,7 +148,7 @@ def cmd_render(args) -> int:
     from . import render
 
     render.render_trace(loaded.trace, loaded.backend, args.out, args.max_panels)
-    print(f"wrote {args.out}")
+    _say(f"wrote {args.out}")
     return EXIT_OK
 
 

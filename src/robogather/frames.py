@@ -22,12 +22,13 @@ formula, exact on ``Fraction``s too, as does every frame whose
 On floats, p − center is taken first, so a nearby tower's image stays
 accurate however far the robot is from the origin.
 
-A robot's *view* is the spectrum mapped into its frame: one record on both
-backends, ``View``, with the towers in the spectrum's key order and their
-multiplicities, index-aligned. ``View.of`` builds the round's global view
-once per round, and ``view`` maps it through one robot's frame. On the
-exact backend the towers are ``geometry.IntegerPoints``, integers over one
-common denominator L: each tower then costs one integer expression in the
+The spectrum and a robot's *view*, the spectrum mapped into its frame, are
+one record on both backends, ``View``: the towers in the spectrum's key
+order and their multiplicities, index-aligned. ``model.spectrum_of`` builds
+the spectrum, the view in the global frame, and ``view`` maps it through one
+robot's frame. On the exact backend the towers are
+``geometry.IntegerPoints``, integers over one common denominator L, made
+once per configuration: each tower then costs one integer expression in the
 frame's (A, B, D), and the view keeps the results as integers over D·L. It
 hashes no image and builds a tower's ``Point`` only when the robogram reads
 that tower, while ``geometry.sec`` reads the integers themselves. On floats
@@ -43,13 +44,12 @@ backend the own tower is found by value, as the one at integer offset
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .geometry import IntegerPoints, integer_form
+from .geometry import IntegerPoints
 from .scalars import EXACT, FLOAT64, Backend, Point, Scalar
 
 
@@ -181,13 +181,12 @@ def preimage(f: Similarity, q: Point) -> Point:
 
 
 class View:
-    """What a robot sees: the towers of the spectrum mapped into its frame,
-    in the spectrum's key order, and their multiplicities, index-aligned:
-    tower ``towers[i]`` holds ``mults[i]`` robots. On the exact backend
-    ``towers`` is ``geometry.IntegerPoints``, which builds a tower's point
-    only when it is read; on floats it is a list of points. A view is a
-    record, not a multiset: ``len`` and iteration are left undefined, so
-    that no caller reads its two fields where it meant the towers."""
+    """A multiset of locations as one record: tower ``towers[i]`` holds
+    ``mults[i]`` robots. A spectrum is one (``model.spectrum_of``), and so is
+    what a robot sees (``view``). On the exact backend ``towers`` is
+    ``geometry.IntegerPoints``, on floats a list of points. ``len`` and
+    iteration are left undefined, so that no caller reads its two fields
+    where it meant the towers."""
 
     __slots__ = ("towers", "mults")
 
@@ -195,20 +194,12 @@ class View:
         self.towers = towers
         self.mults = mults
 
-    @classmethod
-    def of(cls, spectrum: Counter, backend: Backend) -> View:
-        """The view of ``spectrum`` in the global frame, the one every view
-        of a round is mapped from: on the exact backend its towers are their
-        ``geometry.integer_form``, over the lcm of their denominators."""
-        towers = list(spectrum)
-        return cls(integer_form(towers) if backend.is_exact else towers, tuple(spectrum.values()))
-
     def __repr__(self) -> str:
         return f"View({list(self.towers)!r}, {self.mults!r})"
 
 
 def view(f: Similarity, g: View) -> View:
-    """The view ``g`` (a view in the global frame, ``View.of``) seen through
+    """The view ``g`` (a spectrum, the view in the global frame) seen through
     ``f``, the tower at ``f.center`` read as the origin.
 
     A frame with an integer form maps the integers of exact towers. With

@@ -26,12 +26,12 @@ that moves no robot, by identity. In a dirty round it decides whether a
 robot holds still once per location object. The local-frame
 ``model.round`` is never given a summary: ``verify.check_trace`` hands it
 at most the spectrum of a summary that records the very configuration, and
-it runs ``pgm`` in every robot's frame. ``pgm`` reads a view's towers and
-multiplicities (``frames.View``), and ``_analyze`` takes a tower sequence:
-a view's towers, or the keys of a spectrum. On an exact view the towers are
-integers (``geometry.IntegerPoints``): ``geometry.sec`` reads them as they
-are, and a tower's ``Point`` is built only for the unique highest tower or
-the SEC boundary.
+it runs ``pgm`` in every robot's frame. A spectrum is the view in the
+global frame (``frames.View``): every reader here takes its towers and
+multiplicities, and one majority rule (``highest_tower``) finds its unique
+highest tower. Exact towers are ``geometry.IntegerPoints``, whose integers
+``geometry.sec`` reads; a robot's view builds a tower's ``Point`` only for
+the unique highest tower or the SEC boundary.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import geometry, model
 from .geometry import Circle, TriangleKind
-from .model import Configuration, Robogram, Spectrum, View
+from .model import Configuration, Robogram, View
 from .scalars import Backend, Point
 
 
@@ -168,11 +168,19 @@ def _analyze(towers: Sequence[Point], backend: Backend) -> _Analysis:
     return _Analysis(boundary, circle, tgt, sect_pts, clean, phases)
 
 
-def target(s: Spectrum, backend: Backend) -> Point:
+def target(s: View, backend: Backend) -> Point:
     """The common destination of a multi-tower spectrum: the single SEC tower
     when there is only one (already gathered), the triangle rule for exactly
     three, and the SEC center otherwise."""
-    return _analyze(list(s), backend).tgt
+    return _analyze(s.towers, backend).tgt
+
+
+def highest_tower(s: View) -> Optional[int]:
+    """The majority rule: the index of the tower of ``s`` that holds more
+    robots than any other, or None (highest towers tie, or there is none)."""
+    mults = s.mults
+    top = max(mults, default=0)
+    return mults.index(top) if mults.count(top) == 1 else None
 
 
 def pgm(s: View, backend: Backend) -> Point:
@@ -183,16 +191,13 @@ def pgm(s: View, backend: Backend) -> Point:
     the unreachable no-robot branch returns the origin.
     """
     origin = backend.origin()
-    mults = s.mults
-    if not mults:
+    if not s.mults:
         return origin
-    top = max(mults)
-    if mults.count(top) == 1:  # read only the unique highest tower
-        return s.towers[mults.index(top)]
+    top = highest_tower(s)
+    if top is not None:  # read only the unique highest tower
+        return s.towers[top]
     ana = _analyze(s.towers, backend)
-    if ana.clean:
-        return ana.tgt
-    if any(backend.points_eq(origin, q) for q in ana.sect_pts):
+    if not ana.clean and any(backend.points_eq(origin, q) for q in ana.sect_pts):
         return origin
     return ana.tgt
 
@@ -222,8 +227,8 @@ def round_global(
     act = set(activated)
     if summary is None:
         summary = summarize(conf, backend)
-    ana = summary.analysis
-    majority = model.max_support(summary.spectrum)[0] if ana is None else None
+    ana, s = summary.analysis, summary.spectrum
+    majority = s.towers[highest_tower(s)] if ana is None else None
     # an exact robot activated at its destination keeps its own Point (on
     # floats -0.0 == 0.0, but the two print differently in a trace)
     exact = backend.is_exact
@@ -244,33 +249,32 @@ def round_global(
     return tuple(out)
 
 
-def _classify(s: Spectrum, backend: Backend) -> tuple[Phase, Optional[_Analysis]]:
+def _classify(s: View, backend: Backend) -> tuple[Phase, Optional[_Analysis]]:
     """The phase of ``s`` and the analysis it was read from (None for the
     gathered and majority phases, which need no SEC)."""
-    if not s:
+    n_towers = len(s.mults)
+    if not n_towers:
         raise EmptySpectrum("cannot classify an empty spectrum")
-    if len(s) == 1:
+    if n_towers == 1:
         return Phase.GATHERED, None
-    if len(model.max_support(s)) == 1:
+    if highest_tower(s) is not None:
         return Phase.MAJORITY, None
-    ana = _analyze(list(s), backend)
+    ana = _analyze(s.towers, backend)
     n = len(ana.boundary)
     if n < 2:
-        raise InternalInvariant(f"{len(s)} towers but {n} on the SEC")
+        raise InternalInvariant(f"{n_towers} towers but {n} on the SEC")
     return ana.phases[not ana.clean], ana
 
 
-def classify_phase(s: Spectrum, backend: Backend) -> Phase:
+def classify_phase(s: View, backend: Backend) -> Phase:
     """Total, deterministic classification of a spectrum into the twelve
     mutually exclusive protocol phases."""
     return _classify(s, backend)[0]
 
 
-def _bivalent(s: Spectrum) -> bool:
-    if len(s) != 2:
-        return False
-    m1, m2 = s.values()
-    return m1 == m2
+def _bivalent(s: View) -> bool:
+    mults = s.mults
+    return len(mults) == 2 and mults[0] == mults[1]
 
 
 def forbidden(conf: Configuration, backend: Backend) -> bool:
@@ -361,7 +365,7 @@ class RoundSummary:
     measure: Measure
     forbidden: bool
     gathered_pt: Optional[Point]
-    spectrum: Spectrum = field(compare=False, repr=False)
+    spectrum: View = field(compare=False, repr=False)
     analysis: Optional[_Analysis] = field(compare=False, repr=False)
     backend: Backend = field(compare=False, repr=False)
     conf: Configuration = field(compare=False, repr=False)
@@ -371,7 +375,7 @@ class RoundSummary:
         """``analysis``, or for the gathered and majority phases one made on
         first need, for ``clean`` and ``render`` (a frozen dataclass still
         has the ``__dict__`` that caches it)."""
-        return self.analysis or _analyze(list(self.spectrum), self.backend)
+        return self.analysis or _analyze(self.spectrum.towers, self.backend)
 
     @property
     def clean(self) -> bool:
@@ -392,18 +396,16 @@ def summarize(conf: Configuration, backend: Backend) -> RoundSummary:
     phase, ana = _classify(s, backend)
     if phase is Phase.GATHERED:
         # one tower means every robot is at the first one's location
-        return RoundSummary(phase, Measure(0, 0), False, next(iter(s)), s, None, backend, conf)
+        return RoundSummary(phase, Measure(0, 0), False, s.towers[0], s, None, backend, conf)
     if phase is Phase.MAJORITY:
-        top = model.max_support(s)[0]
-        residual = sum(s.values()) - s[top]
-    elif ana.clean:
-        residual = sum(m for p, m in s.items() if not backend.points_eq(p, ana.tgt))
+        residual = len(conf) - s.mults[highest_tower(s)]
     else:
-        # a tower is on the SEC iff it is in the boundary list
+        # robots neither at the target nor, when dirty, on the SEC (a tower
+        # is on the SEC iff it is in the boundary list)
         residual = sum(
             m
-            for p, m in s.items()
-            if not backend.points_eq(p, ana.tgt) and p not in ana.boundary
+            for p, m in zip(s.towers, s.mults)
+            if not backend.points_eq(p, ana.tgt) and (ana.clean or p not in ana.boundary)
         )
     return RoundSummary(
         phase=phase,

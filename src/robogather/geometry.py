@@ -6,15 +6,15 @@ rational arithmetic; every comparison the callers need is monotone in the
 squared radius. Constructions are exact and only yes/no predicates such as
 ``on_circle`` use the float tolerance. The SEC is computed on integers on
 both backends, from an integer form of the points: integer pairs over one
-common denominator (``IntegerPoints``, which is also the one form of an
-exact view's towers, ``frames.View``). ``sec`` reads the integers of
+common denominator (``IntegerPoints``, also the one form of the towers of
+an exact spectrum or view, ``frames.View``). ``sec`` reads the integers of
 ``IntegerPoints`` as they are, and scales any other points by the lcm L of
 the denominators of their exact values (``integer_form``; a float is a
-dyadic rational). The kernel keeps only the vertices of the
-convex hull of the distinct integer pairs (Andrew's monotone chain on the
-sorted pairs), whose SEC is that of the whole set, and runs Welzl's
-move-to-front algorithm (expected linear time) on them behind a
-deterministic, seed-driven shuffle. A circle is an integer tuple
+dyadic rational). The kernel keeps only the vertices of the convex hull of
+the distinct integer pairs (Andrew's monotone chain on the sorted pairs),
+whose SEC is that of the whole set, and runs Welzl's move-to-front
+algorithm (expected linear time) on them behind a deterministic,
+seed-driven shuffle. A circle is an integer tuple
 (ux, uy, d, rn) with d ≠ 0, center (ux/d, uy/d) and squared radius rn/d² in
 scaled units, and every enclosure test is one integer comparison. The SEC is
 unique, so the circle does not depend on the form or on the order; only the
@@ -174,26 +174,29 @@ def _shuffle_order(n: int) -> tuple[int, ...]:
 class IntegerPoints:
     """A read-only sequence of points held as integers over one common
     denominator: point i is (coords[i][0] / den, coords[i][1] / den), and
-    ``den`` need not make the pairs lowest terms. Indexing builds point i as
-    ``Fraction``s (the shared ``EXACT.origin()`` for (0, 0)) each time it is
-    read, so a reader that wants few points builds few, and ``in`` is decided
-    on the integers; ``sec`` reads the integers themselves."""
+    ``den`` need not make the pairs lowest terms; ``sec`` and ``in`` read the
+    integers. Indexing and iteration return the ``points`` it keeps (made by
+    ``integer_form``), or else build point i as ``Fraction``s (the shared
+    ``EXACT.origin()`` for (0, 0)) each time it is read."""
 
-    __slots__ = ("coords", "den")
+    __slots__ = ("coords", "den", "points")
 
-    def __init__(self, coords: list[tuple[int, int]], den: int):
+    def __init__(self, coords: list[tuple[int, int]], den: int, points: Optional[Sequence[Point]] = None):
         self.coords = coords
         self.den = den
+        self.points = points
 
     def __len__(self) -> int:
         return len(self.coords)
 
     def __getitem__(self, i: int) -> Point:
+        if self.points is not None:
+            return self.points[i]
         x, y = self.coords[i]
         return Point(Fraction(x, self.den), Fraction(y, self.den)) if x or y else EXACT.origin()
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self.coords)))
+        return iter(self.points) if self.points is not None else map(self.__getitem__, range(len(self.coords)))
 
     def __contains__(self, p: Point) -> bool:
         """Is ``p`` one of the points? Decided on the integers, building no point."""
@@ -202,12 +205,12 @@ class IntegerPoints:
 
 
 def integer_form(points: Sequence[Point]) -> IntegerPoints:
-    """The exact values of ``points`` as ``IntegerPoints``, over the lcm of
-    the denominators of their coordinates (``as_integer_ratio`` reads a
-    ``Fraction``'s and a float's alike)."""
+    """The exact values of ``points`` as ``IntegerPoints`` that keep them, over
+    the lcm of the denominators of their coordinates (``as_integer_ratio``
+    reads a ``Fraction``'s and a float's alike)."""
     ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in points]
     den = lcm(*[d for r in ratios for _, d in r])
-    return IntegerPoints([(xn * (den // xd), yn * (den // yd)) for (xn, xd), (yn, yd) in ratios], den)
+    return IntegerPoints([(xn * (den // xd), yn * (den // yd)) for (xn, xd), (yn, yd) in ratios], den, points)
 
 
 def sec(points: Sequence[Point], backend: Backend) -> tuple[Circle, list[Point]]:

@@ -6,7 +6,8 @@ robogram only ever sees a *spectrum* -- the multiset of inhabited locations
 activates an arbitrary subset of robots and hands each one a fresh local
 frame; an activated robot observes the spectrum through its frame (its
 *view*), runs the robogram (a callable from view to destination), and its
-destination is mapped back to the global frame.
+destination is mapped back to the global frame. The spectrum is the view in
+the global frame: the two are one type, ``View``.
 """
 from __future__ import annotations
 
@@ -16,16 +17,14 @@ from typing import Callable, Optional, Sequence
 
 from . import frames
 from .frames import FrameParams
+from .geometry import integer_form
 from .scalars import Backend, Point
 
 Configuration = tuple[Point, ...]
-Spectrum = Counter  # Counter[Point] -> positive multiplicity
 
-# What an activated robot sees: the spectrum mapped into its frame, one
-# record on both backends. A robogram reads a view's towers (``towers``, a
-# sequence in the spectrum's key order) and their multiplicities (``mults``,
-# index-aligned); on the exact backend a tower's point is built only when
-# it is read.
+# The spectrum (``spectrum_of``) and what an activated robot sees, the
+# spectrum mapped into its frame: a view's towers (``towers``, in the
+# spectrum's key order) and their multiplicities (``mults``, index-aligned).
 View = frames.View
 
 # A protocol: a pure function from view to destination. Taking only a view
@@ -51,29 +50,23 @@ class DemonicAction:
         return tuple(i for i, fp in enumerate(self.steps) if fp is not None)
 
 
-def spectrum_of(conf: Configuration, backend: Backend) -> Spectrum:
-    """Multiset of robot locations; invariant under identifier permutations.
+def spectrum_of(conf: Configuration, backend: Backend) -> View:
+    """Multiset of robot locations, the configuration seen in the global
+    frame; invariant under identifier permutations.
 
-    On the exact backend it is ``Counter(conf)``: towers in first-seen order,
-    each keyed by the first robot seen there. On the floating backend,
-    locations equal under the tolerance are merged into one tower (first-seen
-    location is the representative).
+    On the exact backend it is ``Counter(conf)``: its keys, the first robot
+    objects seen at each location, as their ``geometry.integer_form``, and
+    its counts. On the floating backend, locations equal under the tolerance
+    are merged into one tower (first-seen location is the representative).
     """
     if backend.is_exact:
-        return Counter(conf)
-    spec: Spectrum = Counter()
+        counts = Counter(conf)
+        return View(integer_form(list(counts)), tuple(counts.values()))
+    spec: dict[Point, int] = {}
     for loc in conf:
-        rep = next((k for k in spec if backend.points_eq(k, loc)), None)
-        spec[loc if rep is None else rep] += 1
-    return spec
-
-
-def max_support(s: Spectrum) -> list[Point]:
-    """Locations of maximal multiplicity (the highest towers), in key order."""
-    if not s:
-        return []
-    top = max(s.values())
-    return [p for p, mult in s.items() if mult == top]
+        rep = next((k for k in spec if backend.points_eq(k, loc)), loc)
+        spec[rep] = spec.get(rep, 0) + 1
+    return View(list(spec), tuple(spec.values()))
 
 
 def round(
@@ -81,23 +74,18 @@ def round(
     da: DemonicAction,
     conf: Configuration,
     backend: Backend,
-    spectrum: Optional[Spectrum] = None,
+    spectrum: Optional[View] = None,
 ) -> Configuration:
     """One SSYNC round: every activated robot atomically Looks (through its
     frame), Computes (the robogram on its view) and Moves (the destination
     mapped back to the global frame). Inactive robots stay put.
 
-    A frame is a bijection, so a robot's view is the image of the global
-    spectrum: the spectrum is built once per round, or given as
-    ``spectrum``, which must be ``spectrum_of(conf, backend)``, and so is
-    its view in the global frame (``frames.View.of``: on the exact backend
-    its towers over one common denominator). Each robot's view is that one
-    mapped through its frame (``frames.view``), its own tower to exactly the
-    origin, in the spectrum's key order: on the exact backend it holds its
-    towers as integers, hashes none, and builds a tower's point only when
-    the robogram reads it. On floats the tolerance merges robots once, in
-    the global frame, so what a robot sees does not depend on the zoom of
-    its frame. The robogram reads a view only as ``View`` above says.
+    A frame is a bijection, so a robot's view is the image of the spectrum,
+    built here or given as ``spectrum``, which must be ``spectrum_of(conf,
+    backend)``, mapped through its frame (``frames.view``), its own tower to
+    exactly the origin, in the spectrum's key order. On floats the tolerance
+    merges robots once, in the global frame, so what a robot sees does not
+    depend on the zoom of its frame.
 
     Each activation builds one frame, the demon's ``FrameParams`` centered on
     the robot, with no arithmetic; an exact one reuses its ``FrameParams``'
@@ -107,8 +95,7 @@ def round(
     """
     if len(da.steps) != len(conf):
         raise ValueError(f"action for {len(da.steps)} robots applied to {len(conf)}")
-    global_spec = spectrum_of(conf, backend) if spectrum is None else spectrum
-    global_view = frames.View.of(global_spec, backend)
+    global_view = spectrum_of(conf, backend) if spectrum is None else spectrum
     origin = backend.origin()
     out: list[Point] = []
     for loc, fp in zip(conf, da.steps):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 
-from . import gather2d, model, verify
+from . import gather2d, verify
 from .model import Trace
 from .scalars import Backend
 
@@ -19,7 +19,7 @@ def _bounds(summaries: list[gather2d.RoundSummary]) -> tuple[float, float, float
     ys: list[float] = []
     radii: list[float] = []
     for summary in summaries:
-        for p in summary.spectrum:
+        for p in summary.spectrum.towers:
             xs.append(float(p.x))
             ys.append(float(p.y))
         radii.append(math.sqrt(max(0.0, float(summary.sec_analysis.circle.radius_sq))))
@@ -62,13 +62,13 @@ def _panel(
         )
     if summary.phase is not gather2d.Phase.GATHERED:
         # robots in a majority configuration go to the highest tower
-        tgt = model.max_support(s)[0] if summary.analysis is None else summary.analysis.tgt
+        tgt = s.towers[gather2d.highest_tower(s)] if summary.analysis is None else summary.analysis.tgt
         tx, ty = sx(float(tgt.x)), sy(float(tgt.y))
         parts.append(
             f'<path d="M {tx - 5:.2f} {ty:.2f} H {tx + 5:.2f} M {tx:.2f} {ty - 5:.2f} '
             f'V {ty + 5:.2f}" stroke="#c33" stroke-width="1.5"/>'
         )
-    for p, mult in s.items():
+    for p, mult in zip(s.towers, s.mults):
         px, py = sx(float(p.x)), sy(float(p.y))
         parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3.4" fill="#226"/>')
         parts.append(

@@ -62,7 +62,12 @@ class ExactBackend:
         return p == q
 
     def parse(self, text) -> Fraction:
-        return Fraction(str(text))
+        """A coordinate or frame parameter read from a scenario or a trace: a
+        'p/q' or decimal string, or a JSON integer, read exactly; a JSON
+        boolean or a non-integral JSON number (already a float) is an error."""
+        if isinstance(text, bool):
+            raise ValueError(f"{text!r} is not a number")
+        return Fraction(text) if isinstance(text, str) else self.scalar(text)
 
 
 # Largest float magnitude read from input. It keeps 8·zoom²·|coordinate|²

@@ -229,17 +229,18 @@ def test_target_morph_5k_pairs():
     n_pairs = 5_000
     for _ in range(n_pairs):
         support_size = rng.randint(1, 8)
-        s = model.Spectrum()
-        while len(s) < support_size:
-            s[_rational_point(rng)] = rng.randint(1, 3)
+        counts = {}
+        while len(counts) < support_size:
+            counts[_rational_point(rng)] = rng.randint(1, 3)
+        s = model.spectrum_of(tuple(p for p, m in counts.items() for _ in range(m)), EXACT)
         zoom = F(rng.randint(1, 10), rng.randint(1, 10))
         c, sn = _rational_rotation(rng)
         reflect = rng.random() < 0.5
         # built as production builds frames, so the integer form is exercised
         f = frames.make_frame(_rational_point(rng), FrameParams(zoom, c, sn, reflect), EXACT)
-        lhs = gather2d._analyze(frames.view(f, frames.View.of(s, EXACT)).towers, EXACT).tgt
+        lhs = gather2d._analyze(frames.view(f, s).towers, EXACT).tgt
         rhs = frames.apply(f, gather2d.target(s, EXACT))
-        assert lhs == rhs, (dict(s), f)
+        assert lhs == rhs, (s, f)
     _report("target_morph equivariance", f"{n_pairs} exact pairs")
 
 
@@ -365,10 +366,17 @@ def _clean_always(clean, _real=gather2d._analyze):
     return mutant
 
 
+def _weights_swapped(a, b):
+    """``PHASE_WEIGHT`` with the weights of phases ``a`` and ``b`` swapped."""
+    weights = dict(gather2d.PHASE_WEIGHT)
+    weights[a], weights[b] = weights[b], weights[a]
+    return weights
+
+
 # Mutants of protocol code that the local and the global round share, so
 # chaining cannot see them. Each comes with the properties that must catch
 # it and the length of a seed-0 exact fuzz that does (its first failing run
-# is the 105th, 17th, 44th and 17th).
+# is the 105th, 17th, 44th, 17th and 23rd).
 _PROTOCOL_MUTANTS = {
     "isosceles-target-barycenter": (
         "target_triangle", _target_to_barycenter(TriangleKind.ISOSCELES), 150, ("phase_transition",)
@@ -378,6 +386,12 @@ _PROTOCOL_MUTANTS = {
     ),
     "clean-always-true": ("_analyze", _clean_always(True), 150, ("measure_decrease", "phase_transition")),
     "clean-always-false": ("_analyze", _clean_always(False), 30, ("gathering",)),
+    "phase-weights-diameter-swapped": (
+        "PHASE_WEIGHT",
+        _weights_swapped(gather2d.Phase.DIAMETER_CLEAN, gather2d.Phase.DIAMETER_DIRTY),
+        60,
+        ("measure_decrease",),
+    ),
 }
 
 
@@ -390,6 +404,59 @@ def test_negative_control_protocol_mutant(monkeypatch, name):
     caught = {prop: rep.violations_of(prop) for prop in killers if rep.violations_of(prop)}
     assert caught and cex, rep.summary()
     _report(f"negative control: protocol mutant {name} is caught", str(caught))
+
+
+def _tie_goes_to_the_first_tower(s):
+    """The majority rule with a tie for highest counted as unique: the first
+    of the highest towers wins."""
+    return s.mults.index(max(s.mults)) if s.mults else None
+
+
+def _lt_measure_non_strict(a, b):
+    return a.weight < b.weight or (a.weight == b.weight and a.residual <= b.residual)
+
+
+def _tie_is_decided_by_the_order_of_the_view():
+    """The destination of a view with a tie for highest must not depend on
+    the order of its towers (a robot sees a multiset)."""
+    r = gather2d.robogram(EXACT)
+    tie = (P(0, 0), P(0, 0), P(2, 0), P(2, 0), P(1, 3))
+    reordered = tie[2:4] + tie[:2] + tie[4:]
+    return r(model.spectrum_of(tie, EXACT)) != r(model.spectrum_of(reordered, EXACT))
+
+
+def _a_move_that_keeps_the_measure_passes():
+    """Does ``check_trace`` accept a round that moves a robot and leaves the
+    measure where it was? A majority configuration's straggler steps
+    sideways: (0, 1) before and after."""
+    before, after = (P(0, 0), P(0, 0), P(2, 0)), (P(0, 0), P(0, 0), P(3, 0))
+    fp = FrameParams(F(1), F(1), F(0), False)
+    trace = model.Trace(before, [model.TraceStep(0, DemonicAction((None, None, fp)), after)])
+    return verify.check_trace(trace, EXACT).violations_of("measure_decrease") == 0
+
+
+# Mutants a fuzz campaign cannot see, each with a check of its own that
+# kills it, as a predicate that holds where that check fails. Every view of a round keeps the spectrum's tower order, so a majority rule
+# that breaks a tie by that order moves every robot, in the local and the
+# global round alike, to one tower, which is then the unique highest: the
+# execution gathers and every property holds. And a correct protocol always
+# lowers the measure strictly, so a measure order that also accepts equal
+# measures is never asked about a pair it gets wrong.
+_FUZZ_BLIND_MUTANTS = {
+    "majority-tie-first-tower": ("highest_tower", _tie_goes_to_the_first_tower, _tie_is_decided_by_the_order_of_the_view),
+    "lt-measure-non-strict": ("lt_measure", _lt_measure_non_strict, _a_move_that_keeps_the_measure_passes),
+}
+
+
+@pytest.mark.parametrize("name", list(_FUZZ_BLIND_MUTANTS))
+def test_negative_control_mutant_that_fuzz_misses_is_killed_by_its_own_check(monkeypatch, name):
+    attr, mutant, check_fails = _FUZZ_BLIND_MUTANTS[name]
+    assert not check_fails()
+    monkeypatch.setattr(gather2d, attr, mutant)
+    rep, cex = verify.fuzz(300, EXACT)
+    assert rep.ok and not cex, rep.summary()
+    assert check_fails()
+    _report(f"negative control: fuzz-blind mutant {name} is caught by its own check")
 
 
 class _KeyedWithoutReflect(list):

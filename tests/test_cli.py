@@ -234,6 +234,7 @@ _BIVALENT = {
         ("scenario", _floating_points("1e400")),
         ("scenario", _floating_points(True)),
         ("scenario", {"backend": "floating", "initial": {"generator": {"bbox": 10**198}}}),
+        ("scenario", {"initial": {"points": [[0.1, 0], [0.1, 0], [5, 5.5]]}}),
         ("fuzz", ["--horizon", "-3"]),
         ("fuzz", ["--runs", "-3"]),
         ("fuzz", ["--runs", "0"]),
@@ -277,6 +278,9 @@ _BIVALENT = {
         ("trace", _on_floats(_set_frame("c", float("inf")))),
         ("trace", _on_floats(_set_location(True))),
         ("trace", _on_floats(_set_frame("zoom", True))),
+        ("trace", _set_location(0.1)),
+        ("trace", _set_frame("zoom", 0.5)),
+        ("trace", _set_location(True)),
     ],
     ids=[
         "nG-not-int",
@@ -303,6 +307,7 @@ _BIVALENT = {
         "floating-point-string-1e400",
         "floating-point-bool",
         "floating-generator-bbox-1e198",
+        "exact-point-non-integral-number",
         "fuzz-horizon-negative",
         "fuzz-runs-negative",
         "fuzz-runs-zero",
@@ -346,6 +351,9 @@ _BIVALENT = {
         "floating-frame-c-inf",
         "floating-location-bool",
         "floating-frame-zoom-bool",
+        "exact-location-non-integral-number",
+        "exact-frame-zoom-non-integral-number",
+        "exact-location-bool",
     ],
 )
 def test_malformed_input_exit_one_without_traceback(tmp_path, capsys, kind, edit):
@@ -575,14 +583,46 @@ def test_fuzz_rejects_unknown_strategy():
     assert cli.main(["fuzz", "--runs", "1", "--strategies", "bogus"]) == cli.EXIT_INPUT
 
 
-def _robogather(*argv):
+def _robogather(*argv, closed_stdout=False):
     """``python -m robogather argv`` in a fresh interpreter, so a traceback
-    would reach stderr."""
+    would reach stderr. With ``closed_stdout`` its standard output is a pipe
+    whose reader is already gone, so every write to it fails (EPIPE)."""
     paths = [str(SRC), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    return subprocess.run(
-        [sys.executable, "-m", "robogather", *argv], capture_output=True, text=True, env=env, timeout=120
-    )
+    cmd = [sys.executable, "-m", "robogather", *argv]
+    if not closed_stdout:
+        return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(cmd, stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["check"], cli.EXIT_OK),
+        (["fuzz", "--runs", "3", "--seed", "0"], cli.EXIT_OK),
+        (["fuzz", "--runs", "2", "--seed", "0", "--strategies", "unfair_skip0"], cli.EXIT_VIOLATION),
+    ],
+    ids=["check", "fuzz", "fuzz-counterexamples"],
+)
+def test_closed_stdout_ends_a_command_with_its_own_exit_code_and_no_traceback(tmp_path, argv, code):
+    # as in `robogather check --trace T | head -1` once head has exited: the
+    # output is lost, but the verdict is not
+    if argv == ["check"]:
+        trace = str(tmp_path / "trace.jsonl")
+        assert cli.main(["run", "--scenario", _write_scenario(tmp_path), "--out", trace]) == cli.EXIT_OK
+        argv = ["check", "--trace", trace]
+    elif code == cli.EXIT_VIOLATION:
+        argv = [*argv, "--out", str(tmp_path / "cex")]
+    done = _robogather(*argv, closed_stdout=True)
+    assert done.returncode == code, done.stderr
+    assert done.stderr == ""
+    if code == cli.EXIT_VIOLATION:
+        assert (tmp_path / "cex" / "counterexample_1_trace.jsonl").exists()
 
 
 def test_fuzz_rejects_a_kind_that_needs_a_script():

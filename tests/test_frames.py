@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -23,10 +22,19 @@ def _sim(zoom, c, s, reflect, center):
 IDENT = _sim(F(1), F(1), F(0), False, P(0, 0))
 
 
-def _mapped(f, s, backend=EXACT):
-    """The (tower, multiplicity) pairs of spectrum ``s`` seen through ``f``."""
-    v = view(f, View.of(s, backend))
+def _spectrum(*pts, backend=EXACT):
+    """The spectrum of the configuration ``pts``."""
+    return model.spectrum_of(pts, backend)
+
+
+def _pairs(v):
+    """The (tower, multiplicity) pairs of a view, in its order."""
     return list(zip(v.towers, v.mults))
+
+
+def _mapped(f, s):
+    """The (tower, multiplicity) pairs of spectrum ``s`` seen through ``f``."""
+    return _pairs(view(f, s))
 
 
 def test_make_frame_pure_translation():
@@ -92,20 +100,20 @@ def test_float_roundtrip_within_tolerance():
 
 
 def test_view_through_a_frame_without_integer_form_examples():
-    s = Counter({P(1, 0): 2})
+    s = _spectrum(P(1, 0), P(1, 0))
     shift = _sim(F(1), F(1), F(0), False, P(1, 0))
     assert _mapped(shift, s) == [(P(0, 0), 2)]
     assert _mapped(shift, s)[0][0] is EXACT.origin()
-    s = Counter({P(1, 0): 1, P(0, 1): 3})
+    s = _spectrum(P(1, 0), P(0, 1), P(0, 1), P(0, 1))
     zoom2 = _sim(F(2), F(1), F(0), False, P(0, 0))
     assert _mapped(zoom2, s) == [(P(2, 0), 1), (P(0, 2), 3)]
-    assert _mapped(IDENT, s) == list(s.items())
+    assert _mapped(IDENT, s) == _pairs(s)
 
 
 def test_a_view_is_a_record_not_a_multiset():
     # a view has no len and no iteration, so no reader takes its two fields
     # for its towers
-    v = View.of(Counter({P(1, 0): 2, P(0, 1): 1}), EXACT)
+    v = _spectrum(P(1, 0), P(0, 1), P(1, 0))
     assert list(v.towers) == [P(1, 0), P(0, 1)] and v.mults == (2, 1)
     with pytest.raises(TypeError):
         len(v)
@@ -115,8 +123,7 @@ def test_a_view_is_a_record_not_a_multiset():
 
 @given(exact_similarities(), exact_point_lists)
 def test_view_preserves_cardinality(f, pts):
-    s = Counter(pts)
-    assert sum(m for _, m in _mapped(f, s)) == sum(s.values())
+    assert sum(m for _, m in _mapped(f, _spectrum(*pts))) == len(pts)
 
 
 # --- equivariance with the geometry kernel -----------------------------------
@@ -131,10 +138,10 @@ def _configs_with_towers(draw):
 @given(exact_similarities(), _configs_with_towers())
 def test_mapped_towers_equal_spectrum_of_mapped_robots(f, conf):
     # model.round relies on this identity on the exact backend; the key order
-    # matters because pgm reads max_support and the SEC boundary in it
+    # matters because pgm reads the highest tower and the SEC boundary in it
     towers = _mapped(f, model.spectrum_of(conf, EXACT))
     robots = model.spectrum_of(tuple(apply(f, q) for q in conf), EXACT)
-    assert towers == list(robots.items())
+    assert towers == _pairs(robots)
 
 
 @given(exact_similarities(), exact_point_lists)
@@ -183,10 +190,10 @@ def test_barycenter_commutes_with_similarity(f, p1, p2, p3):
 
 @given(exact_similarities(), exact_point_lists)
 def test_target_commutes_with_similarity(f, pts):
-    s = Counter(pts)
-    if not s:
+    if not pts:
         return
-    lhs = gather2d._analyze(view(f, View.of(s, EXACT)).towers, EXACT).tgt
+    s = _spectrum(*pts)
+    lhs = gather2d._analyze(view(f, s).towers, EXACT).tgt
     assert lhs == apply(f, gather2d.target(s, EXACT))
 
 
@@ -218,7 +225,7 @@ def test_integer_frame_map_matches_textbook_formula(f, p):
     assert f.fp.form is not None
     assert apply(f, p) == _textbook(f.fp, f.center, p)
     assert apply(inverse(f), p) == _textbook_inverse(f.fp, f.center, p)
-    assert _mapped(f, Counter({p: 2})) == [(_textbook(f.fp, f.center, p), 2)]
+    assert _mapped(f, _spectrum(p, p)) == [(_textbook(f.fp, f.center, p), 2)]
 
 
 @given(exact_similarities(), exact_points, exact_points)
@@ -272,8 +279,8 @@ def test_own_tower_maps_to_the_origin_in_key_order(f, conf):
     for loc in conf:
         g = make_frame(loc, FrameParams(f.fp.zoom, f.fp.c, f.fp.s, f.fp.reflect), EXACT)
         mapped = _mapped(g, spec)
-        assert mapped == [(apply(g, p), m) for p, m in spec.items()]
-        assert dict(mapped)[EXACT.origin()] == spec[loc]
+        assert mapped == [(apply(g, p), m) for p, m in _pairs(spec)]
+        assert dict(mapped)[EXACT.origin()] == conf.count(loc)
 
 
 def _counting_points(monkeypatch):
@@ -297,16 +304,16 @@ def test_own_tower_key_equal_but_distinct_maps_to_the_origin(f, pts):
     robot = f.center
     twin = Point(F(robot.x.numerator, robot.x.denominator), F(robot.y.numerator, robot.y.denominator))
     assert twin == robot and twin is not robot
-    spec = Counter([twin, twin] + [p for p in pts if p != robot])
+    spec = _spectrum(twin, twin, *[p for p in pts if p != robot])
     with pytest.MonkeyPatch.context() as monkeypatch:
         built = _counting_points(monkeypatch)
-        mapped = view(f, View.of(spec, EXACT))
+        mapped = view(f, spec)
         assert built == []
         assert mapped.towers[0] is EXACT.origin() and mapped.mults[0] == 2
         assert built == []
         others = list(zip(mapped.towers, mapped.mults))[1:]
-        assert len(built) == len(spec) - 1
-    assert others == [(apply(f, p), m) for p, m in list(spec.items())[1:]]
+        assert len(built) == len(spec.towers) - 1
+    assert others == [(apply(f, p), m) for p, m in _pairs(spec)[1:]]
 
 
 _mixed_denominators = st.builds(
@@ -327,14 +334,13 @@ def test_view_is_the_textbook_image_of_the_spectrum(pts, data, reflect, f):
     # but distinct point
     conf = tuple(data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=16)))
     spec = model.spectrum_of(conf, EXACT)
-    form = View.of(spec, EXACT)
     fp = FrameParams(f.fp.zoom, f.fp.c, f.fp.s, reflect)
     loc = data.draw(st.sampled_from(conf))
     for robot in (loc, Point(F(loc.x.numerator, loc.x.denominator), F(loc.y.numerator, loc.y.denominator))):
-        seen = view(make_frame(robot, fp, EXACT), form)
-        assert len(seen.towers) == len(spec)
-        assert list(zip(seen.towers, seen.mults)) == [(_textbook(fp, robot, p), m) for p, m in spec.items()]
-        assert seen.towers[list(spec).index(loc)] is EXACT.origin()
+        seen = view(make_frame(robot, fp, EXACT), spec)
+        assert len(seen.towers) == len(spec.towers)
+        assert _pairs(seen) == [(_textbook(fp, robot, p), m) for p, m in _pairs(spec)]
+        assert seen.towers[list(spec.towers).index(loc)] is EXACT.origin()
     # a gathered configuration is seen as exactly one tower at the origin
     gathered = model.spectrum_of((loc,) * len(conf), EXACT)
     assert _mapped(make_frame(loc, fp, EXACT), gathered) == [(EXACT.origin(), len(conf))]
@@ -343,12 +349,13 @@ def test_view_is_the_textbook_image_of_the_spectrum(pts, data, reflect, f):
 def test_float_own_tower_maps_to_the_origin_and_images_still_merge():
     loc = Point(0.3, -1.7)
     f = make_frame(loc, FrameParams(2.5, math.cos(0.7), math.sin(0.7), True), FLOAT64)
-    mapped = _mapped(f, Counter({loc: 2, Point(4.0, 1.0): 1}), FLOAT64)
+    mapped = _mapped(f, _spectrum(loc, Point(4.0, 1.0), loc, backend=FLOAT64))
     assert mapped == [(Point(0.0, 0.0), 2), (apply(f, Point(4.0, 1.0)), 1)]
-    # 1 and 1 + 2^-52 round to the same float once shifted by 10^6
+    # 1 and 1 + 2^-52 round to the same float once shifted by 10^6 (two
+    # towers no float spectrum keeps apart, so the view is built directly)
     shift = _sim(1.0, 1.0, 0.0, False, Point(-1e6, 0.0))
-    collide = Counter({Point(1.0, 0.0): 1, Point(1.0 + 2**-52, 0.0): 2})
-    assert _mapped(shift, collide, FLOAT64) == [(Point(1e6 + 1, 0.0), 3)]
+    collide = View([Point(1.0, 0.0), Point(1.0 + 2**-52, 0.0)], (1, 2))
+    assert _mapped(shift, collide) == [(Point(1e6 + 1, 0.0), 3)]
 
 
 # offsets of a nearby tower from the robot: 0, or at least 1e-12, so no

@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 from fractions import Fraction as F
 
 import hypothesis
@@ -17,13 +16,18 @@ from robogather.scalars import EXACT, FLOAT64, Point
 P = EXACT.point
 
 
-def spectrum(*pts):
-    return Counter(pts)
+def spectrum(*pts, backend=EXACT):
+    """The spectrum of the configuration ``pts``."""
+    return model.spectrum_of(pts, backend)
 
 
-def view_of(s, backend=EXACT):
-    """The view of spectrum ``s`` in the frame it is given in."""
-    return frames.View.of(s, backend)
+def towers(counts, backend=EXACT):
+    """The spectrum of a configuration with ``counts[p]`` robots at each
+    location ``p``, in that order."""
+    return spectrum(*(p for p, m in counts.items() for _ in range(m)), backend=backend)
+
+
+EMPTY = spectrum()
 
 
 # --- target_triangle -------------------------------------------------------------
@@ -58,7 +62,7 @@ def test_target_gathered_spectrum():
 
 
 def test_target_diameter_center():
-    s = Counter({P(0, 0): 2, P(2, 0): 3})
+    s = towers({P(0, 0): 2, P(2, 0): 3})
     assert gather2d.target(s, EXACT) == P(1, 0)
 
 
@@ -71,7 +75,7 @@ def test_target_square_support_goes_to_isosceles_apex():
 
 def test_target_empty_spectrum_raises():
     with pytest.raises(gather2d.EmptySpectrum):
-        gather2d.target(Counter(), EXACT)
+        gather2d.target(EMPTY, EXACT)
 
 
 def test_is_clean_examples():
@@ -86,41 +90,41 @@ def test_is_clean_examples():
 
 
 def test_pgm_gathered_stays():
-    assert gather2d.pgm(view_of(spectrum(*(P(0, 0),) * 5)), EXACT) == P(0, 0)
+    assert gather2d.pgm(spectrum(*(P(0, 0),) * 5), EXACT) == P(0, 0)
 
 
 def test_pgm_unique_highest_tower():
-    s = Counter({P(0, 0): 1, P(3, 0): 2})
-    assert gather2d.pgm(view_of(s), EXACT) == P(3, 0)
+    s = towers({P(0, 0): 1, P(3, 0): 2})
+    assert gather2d.pgm(s, EXACT) == P(3, 0)
 
 
 def test_pgm_clean_diameter_observer_at_target_stays():
     s = spectrum(P(-1, 0), P(1, 0), P(0, 0))
-    assert gather2d.pgm(view_of(s), EXACT) == P(0, 0)
+    assert gather2d.pgm(s, EXACT) == P(0, 0)
 
 
 def test_pgm_dirty_observer_on_sect_stays():
     # dirty: (1/2, 0) is neither on the SEC nor at the target (1,0); the
     # observer at the origin is on the SEC so it holds still
     s = spectrum(P(0, 0), P(2, 0), P(F(1, 2), 0))
-    assert gather2d.pgm(view_of(s), EXACT) == P(0, 0)
+    assert gather2d.pgm(s, EXACT) == P(0, 0)
 
 
 def test_pgm_dirty_off_sect_observer_moves_to_target():
     # same spectrum seen by the robot at (1/2, 0): shifted so the observer
     # is the origin; it must move to the target
     s = spectrum(P(F(-1, 2), 0), P(F(3, 2), 0), P(0, 0))
-    assert gather2d.pgm(view_of(s), EXACT) == P(F(1, 2), 0)
+    assert gather2d.pgm(s, EXACT) == P(F(1, 2), 0)
 
 
 def test_pgm_empty_spectrum_returns_origin():
-    assert gather2d.pgm(view_of(Counter()), EXACT) == P(0, 0)
+    assert gather2d.pgm(EMPTY, EXACT) == P(0, 0)
 
 
 def test_robogram_is_pure():
     r = gather2d.robogram(EXACT)
-    s = Counter({P(0, 0): 2, P(5, 5): 3})
-    assert r(view_of(s)) == r(view_of(Counter(s)))
+    s = towers({P(0, 0): 2, P(5, 5): 3})
+    assert r(s) == r(towers({P(0, 0): 2, P(5, 5): 3}))
 
 
 # --- round_global ------------------------------------------------------------------
@@ -157,7 +161,7 @@ def test_classify_gathered():
 
 
 def test_classify_majority():
-    s = Counter({P(0, 0): 3, P(1, 1): 1, P(2, 0): 1})
+    s = towers({P(0, 0): 3, P(1, 1): 1, P(2, 0): 1})
     assert gather2d.classify_phase(s, EXACT) is Phase.MAJORITY
 
 
@@ -198,7 +202,7 @@ def test_classify_equilateral_floating():
         Point(math.cos(a), math.sin(a))
         for a in (0.3, 0.3 + 2 * math.pi / 3, 0.3 + 4 * math.pi / 3)
     ]
-    s = spectrum(*tri)
+    s = spectrum(*tri, backend=FLOAT64)
     assert gather2d.classify_phase(s, FLOAT64) is Phase.EQUILATERAL_CLEAN
 
 
@@ -229,15 +233,13 @@ def test_summarize_classifies_a_triangle_once(monkeypatch, conf, backend, phase)
 
 def test_classify_empty_raises():
     with pytest.raises(gather2d.EmptySpectrum):
-        gather2d.classify_phase(Counter(), EXACT)
+        gather2d.classify_phase(EMPTY, EXACT)
 
 
 @given(exact_similarities())
 def test_classify_invariant_under_similarity(f):
     base = spectrum(P(0, 0), P(2, 0), P(F(1, 2), 0), P(2, 0))
-    seen = frames.view(f, view_of(base))
-    mapped = Counter(dict(zip(seen.towers, seen.mults)))
-    assert gather2d.classify_phase(base, EXACT) is gather2d.classify_phase(mapped, EXACT)
+    assert gather2d.classify_phase(base, EXACT) is gather2d.classify_phase(frames.view(f, base), EXACT)
 
 
 # --- measure -----------------------------------------------------------------------
@@ -285,8 +287,15 @@ def test_summarize_agrees_with_standalone_predicates(pts):
     assert summary.phase is gather2d.classify_phase(s, EXACT)
     assert summary.forbidden == gather2d.forbidden(conf, EXACT)
     assert summary.gathered_pt == gather2d.gathering_point(conf, EXACT)
-    assert summary.clean == (summary.phase is Phase.GATHERED or gather2d._analyze(list(s), EXACT).clean)
-    assert summary.sec_analysis.circle == geometry.sec(list(s), EXACT)[0]
+    assert summary.clean == (summary.phase is Phase.GATHERED or gather2d._analyze(s.towers, EXACT).clean)
+    assert summary.sec_analysis.circle == geometry.sec(list(s.towers), EXACT)[0]
+
+
+def test_highest_tower():
+    assert gather2d.highest_tower(towers({P(0, 0): 3, P(1, 1): 1, P(2, 2): 3})) is None
+    assert gather2d.highest_tower(towers({P(0, 0): 1, P(1, 1): 3, P(2, 2): 2})) == 1
+    assert gather2d.highest_tower(spectrum(P(4, 4), P(4, 4))) == 0
+    assert gather2d.highest_tower(EMPTY) is None
 
 
 def test_lt_measure():
@@ -342,7 +351,7 @@ def observed_views(draw, backend):
         theta = draw(st.floats(-math.pi, math.pi))
         fp = FrameParams(draw(st.floats(0.5, 2)), math.cos(theta), math.sin(theta), fp.reflect)
     robot = draw(st.sampled_from(conf))
-    return frames.view(frames.make_frame(robot, fp, backend), view_of(model.spectrum_of(conf, backend), backend))
+    return frames.view(frames.make_frame(robot, fp, backend), model.spectrum_of(conf, backend))
 
 
 def _permuted(v, order):
@@ -474,7 +483,7 @@ def test_majority_summary_computes_no_sec_until_clean_is_read(monkeypatch, conf)
     assert calls == []
     clean = summary.clean
     assert len(calls) == 1
-    assert clean == gather2d._analyze(list(model.spectrum_of(conf, EXACT)), EXACT).clean
+    assert clean == gather2d._analyze(model.spectrum_of(conf, EXACT).towers, EXACT).clean
 
 
 # --- phase transition bookkeeping -----------------------------------------------------

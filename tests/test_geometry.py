@@ -1,7 +1,6 @@
 import math
 import random
 from fractions import Fraction as F
-from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -20,7 +19,7 @@ from conftest import (
     rational,
     sec_boundary,
 )
-from robogather import frames
+from robogather import frames, model
 from robogather import geometry as g
 from robogather.scalars import EXACT, FLOAT64, Point
 
@@ -515,6 +514,8 @@ def test_hull_filter_keeps_input_points_that_enclose_the_rest(pts):
 def test_sec_of_a_view_from_its_own_form_equals_sec_of_its_points(f, pts):
     fp = f.fp
     robot = pts[0]
-    seen = frames.view(frames.make_frame(robot, fp, EXACT), frames.View.of(Counter(pts), EXACT))
-    assert isinstance(seen.towers, g.IntegerPoints)
-    assert g.sec(seen.towers, EXACT) == g.sec(list(seen.towers), EXACT)
+    spec = model.spectrum_of(tuple(pts), EXACT)
+    seen = frames.view(frames.make_frame(robot, fp, EXACT), spec)
+    for v in (spec, seen):
+        assert isinstance(v.towers, g.IntegerPoints)
+        assert g.sec(v.towers, EXACT) == g.sec(list(v.towers), EXACT)

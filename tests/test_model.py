@@ -31,30 +31,60 @@ def some_active(n, ids, fp=IDENT):
 # --- spectrum ------------------------------------------------------------------
 
 
+def _pairs(s):
+    """The (tower, multiplicity) pairs of a spectrum, in its order."""
+    return list(zip(s.towers, s.mults))
+
+
 def test_spectrum_of_examples():
     conf = (P(1, 2), P(1, 2), P(1, 2))
-    assert model.spectrum_of(conf, EXACT) == Counter({P(1, 2): 3})
+    assert _pairs(model.spectrum_of(conf, EXACT)) == [(P(1, 2), 3)]
     conf = (P(0, 0), P(0, 0), P(4, 4))
-    assert model.spectrum_of(conf, EXACT) == Counter({P(0, 0): 2, P(4, 4): 1})
+    assert _pairs(model.spectrum_of(conf, EXACT)) == [(P(0, 0), 2), (P(4, 4), 1)]
+    assert isinstance(model.spectrum_of(conf, EXACT), model.View)
 
 
 @given(st.permutations(range(5)))
 def test_spectrum_invariant_under_id_permutation(perm):
     locs = (P(0, 0), P(0, 0), P(1, 1), P(2, 2), P(1, 1))
     permuted = tuple(locs[i] for i in perm)
-    assert model.spectrum_of(locs, EXACT) == model.spectrum_of(permuted, EXACT)
+    assert dict(_pairs(model.spectrum_of(locs, EXACT))) == dict(_pairs(model.spectrum_of(permuted, EXACT)))
 
 
 def test_spectrum_clusters_within_float_tolerance():
     conf = (Point(1.0, 1.0), Point(1.0 + 1e-12, 1.0 - 1e-12), Point(5.0, 5.0))
     s = model.spectrum_of(conf, FLOAT64)
-    assert sorted(s.values()) == [1, 2]
+    assert _pairs(s) == [(Point(1.0, 1.0), 2), (Point(5.0, 5.0), 1)]
 
 
-def test_max_support():
-    s = Counter({P(0, 0): 3, P(1, 1): 1, P(2, 2): 3})
-    assert sorted(model.max_support(s)) == [P(0, 0), P(2, 2)]
-    assert model.max_support(Counter()) == []
+@st.composite
+def _configs_and_orders(draw, backend):
+    """A configuration with repeated locations, some robots at an equal but
+    distinct ``Point`` object, and the same robots in another order. The
+    locations are small rationals, on floats their values, far apart
+    against the tolerance."""
+    pool = draw(st.lists(exact_points, min_size=1, max_size=5, unique=True))
+    if not backend.is_exact:
+        pool = [Point(float(x), float(y)) for x, y in pool]
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()), min_size=1, max_size=12))
+    conf = tuple(Point(*p) if copy else p for p, copy in picks)
+    return conf, tuple(draw(st.permutations(conf)))
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "floating"])
+@given(data=st.data())
+def test_the_spectrum_is_the_configurations_multiset(backend, data):
+    # towers in first-seen order, each the first robot object at its
+    # location, and the robot counts, index-aligned; what is read from the
+    # spectrum does not depend on the order of the robots
+    conf, permuted = data.draw(_configs_and_orders(backend))
+    s = model.spectrum_of(conf, backend)
+    counts = Counter(conf)
+    assert list(s.towers) == list(counts) and s.mults == tuple(counts.values())
+    for tower in s.towers:
+        assert tower is next(p for p in conf if p == tower)
+    assert gather2d.classify_phase(s, backend) is gather2d.classify_phase(model.spectrum_of(permuted, backend), backend)
+    assert gather2d.summarize(conf, backend) == gather2d.summarize(permuted, backend)
 
 
 # --- round -----------------------------------------------------------------------
@@ -136,10 +166,10 @@ def test_round_float_tolerance_band_independent_of_zoom(zoom):
 
 def test_pgm_compatibility_equal_spectra_equal_outputs():
     r = gather2d.robogram(EXACT)
-    s1 = Counter([P(0, 0), P(1, 1), P(1, 1)])
-    s2 = Counter([P(1, 1), P(0, 0), P(1, 1)])
-    assert s1 == s2
-    assert r(model.View.of(s1, EXACT)) == r(model.View.of(s2, EXACT))
+    s1 = model.spectrum_of((P(0, 0), P(1, 1), P(1, 1)), EXACT)
+    s2 = model.spectrum_of((P(1, 1), P(0, 0), P(1, 1)), EXACT)
+    assert dict(_pairs(s1)) == dict(_pairs(s2))
+    assert r(s1) == r(s2)
 
 
 # --- moving ----------------------------------------------------------------------
@@ -262,7 +292,7 @@ def test_exact_spectrum_equals_counter_with_key_order(conf):
     # object and counting the robots equal to it
     spec = model.spectrum_of(conf, EXACT)
     firsts = [p for i, p in enumerate(conf) if all(q != p for q in conf[:i])]
-    assert len(spec) == len(firsts)
-    for key, first in zip(spec, firsts):
+    assert len(spec.towers) == len(spec.mults) == len(firsts)
+    for key, mult, first in zip(spec.towers, spec.mults, firsts):
         assert key is first
-        assert spec[key] == sum(q == first for q in conf)
+        assert mult == sum(q == first for q in conf)

@@ -22,6 +22,18 @@ def test_exact_parse_format_roundtrip():
         assert EXACT.parse(str(value)) == value
 
 
+def test_exact_parse_reads_strings_and_json_integers_only():
+    # a JSON number that is not an integer was rounded to a float by the JSON
+    # reader, so its decimal text is gone: it is an input error, not 1/10
+    assert EXACT.parse("0.1") == Fraction(1, 10)
+    assert EXACT.parse(10**30 + 1) == Fraction(10**30 + 1)
+    with pytest.raises(TypeError):
+        EXACT.parse(0.1)
+    for flag in (True, False):
+        with pytest.raises(ValueError):
+            EXACT.parse(flag)
+
+
 def test_float_tolerance_band():
     b = FloatBackend(eps_abs=1e-9, eps_rel=1e-9)
     assert b.eq(1.0, 1.0 + 5e-10)

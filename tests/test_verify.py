@@ -255,7 +255,7 @@ def test_gen_initial_even_split_resampled():
     for _ in range(50):
         conf = verify.gen_initial(4, rng, EXACT, pool_size=2)
         s = model.spectrum_of(conf, EXACT)
-        assert sorted(s.values()) != [2, 2]
+        assert sorted(s.mults) != [2, 2]
 
 
 def test_gen_initial_produces_multiplicity_points():
@@ -264,7 +264,7 @@ def test_gen_initial_produces_multiplicity_points():
     for _ in range(50):
         conf = verify.gen_initial(6, rng, EXACT)
         s = model.spectrum_of(conf, EXACT)
-        if any(m > 1 for m in s.values()):
+        if any(m > 1 for m in s.mults):
             hits += 1
     assert hits > 10
 
