@@ -147,7 +147,12 @@ def cmd_render(args) -> int:
         return _fail(str(exc))
     from . import render
 
-    render.render_trace(loaded.trace, loaded.backend, args.out, args.max_panels)
+    try:
+        render.render_trace(loaded.trace, loaded.backend, args.out, args.max_panels)
+    except OverflowError:
+        return _fail(f"cannot render {args.trace}: its coordinates are beyond the float range")
+    except OSError as exc:
+        return _fail(f"cannot write {args.out}: {exc}")
     _say(f"wrote {args.out}")
     return EXIT_OK
 

@@ -15,6 +15,8 @@ _COLS = 4
 
 
 def _bounds(summaries: list[gather2d.RoundSummary]) -> tuple[float, float, float]:
+    """Center and half side of the square that holds every tower and SEC of
+    ``summaries``; OverflowError if it does not fit in floats."""
     xs: list[float] = []
     ys: list[float] = []
     radii: list[float] = []
@@ -25,8 +27,10 @@ def _bounds(summaries: list[gather2d.RoundSummary]) -> tuple[float, float, float
         radii.append(math.sqrt(max(0.0, float(summary.sec_analysis.circle.radius_sq))))
     cx = (min(xs) + max(xs)) / 2
     cy = (min(ys) + max(ys)) / 2
-    half = max(max(xs) - cx, cx - min(xs), max(ys) - cy, cy - min(ys), max(radii), 1e-6)
-    return cx, cy, half * 1.15
+    half = max(max(xs) - cx, cx - min(xs), max(ys) - cy, cy - min(ys), max(radii), 1e-6) * 1.15
+    if not all(map(math.isfinite, (cx, cy, 2 * half))):
+        raise OverflowError("the configurations do not fit in the float range")
+    return cx, cy, half
 
 
 def _panel(
@@ -87,7 +91,8 @@ def render_trace(trace: Trace, backend: Backend, path: str, max_panels: int) -> 
     of every round, truncated to the first ``max_panels`` panels. The scale
     fits every configuration of the trace, each distinct one summarized once
     (``verify.summaries_of``), with the SEC its summary keeps
-    (``RoundSummary.sec_analysis``)."""
+    (``RoundSummary.sec_analysis``); OverflowError, with no file written, if
+    the trace does not fit in floats."""
     summaries = list(verify.summaries_of(trace, backend))
     labels = ["initial"] + [f"round {st.index}" for st in trace.steps]
     cx, cy, half = _bounds(summaries)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import ClassVar, NamedTuple, Union
 
 Scalar = Union[Fraction, float]
 
@@ -36,8 +36,8 @@ _EXACT_ORIGIN = Point(Fraction(0), Fraction(0))
 class ExactBackend:
     """Exact rational arithmetic; all comparisons are decidable."""
 
-    name: str = "exact"
-    is_exact: bool = True
+    name: ClassVar[str] = "exact"
+    is_exact: ClassVar[bool] = True
 
     def scalar(self, value) -> Fraction:
         if isinstance(value, float):
@@ -63,11 +63,14 @@ class ExactBackend:
 
     def parse(self, text) -> Fraction:
         """A coordinate or frame parameter read from a scenario or a trace: a
-        'p/q' or decimal string, or a JSON integer, read exactly; a JSON
-        boolean or a non-integral JSON number (already a float) is an error."""
-        if isinstance(text, bool):
-            raise ValueError(f"{text!r} is not a number")
-        return Fraction(text) if isinstance(text, str) else self.scalar(text)
+        'p/q' or decimal string, or a JSON integer, read exactly. A JSON
+        boolean is a ValueError, and any other JSON number, integral ones too,
+        a TypeError: the JSON reader has already rounded it to a float."""
+        if type(text) is str or type(text) is int:
+            return Fraction(text)
+        if isinstance(text, float):
+            raise TypeError(f"exact backend reads 'p/q' strings and JSON integers, not the rounded float {text!r}")
+        raise ValueError(f"{text!r} is not a number")
 
 
 # Largest float magnitude read from input. It keeps 8·zoom²·|coordinate|²
@@ -85,8 +88,8 @@ class FloatBackend:
 
     eps_abs: float = 1e-9
     eps_rel: float = 1e-9
-    name: str = "floating"
-    is_exact: bool = False
+    name: ClassVar[str] = "floating"
+    is_exact: ClassVar[bool] = False
 
     def scalar(self, value) -> float:
         if isinstance(value, str):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from . import frames, gather2d, model, verify
 from .model import Configuration, DemonicAction, FrameParams, Trace
@@ -262,9 +262,7 @@ class Scenario:
         seed = _int(demon.get("seed", 0), "demon seed")
         k = _int(demon.get("k"), "demon k", optional=True)
         try:
-            strategy = verify.make_strategy(
-                kind, self.n_robots, backend, seed=seed, k=k, script=demon.get("script")
-            )
+            strategy = verify.Strategy(kind, self.n_robots, backend, seed=seed, k=k, script=demon.get("script"))
         except (ValueError, TypeError) as exc:
             raise ScenarioError(f"bad demon: {exc}") from exc
         horizon = self.horizon
@@ -281,11 +279,11 @@ def write_trace(
     strategy_kind: Optional[str] = None,
     seed: Optional[int] = None,
     horizon: Optional[int] = None,
-    summaries: Optional[list[gather2d.RoundSummary]] = None,
+    summaries: Sequence[gather2d.RoundSummary] = (),
 ) -> None:
     """Serialize a trace as JSON lines with per-round annotations read from
-    the ``summaries`` of its configurations (see ``verify.summaries_of``);
-    ``robogather run`` passes the ones its execution made."""
+    ``verify.summaries_of``: ``robogather run`` passes the ``summaries`` its
+    execution made, and no list given changes a byte."""
     summary_of = verify.summaries_of(trace, backend, summaries)
     with open(path, "w", encoding="utf-8") as fh:
         header = {

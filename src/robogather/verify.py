@@ -94,13 +94,15 @@ DEFAULT_POLICY = FramePolicy()
 
 
 class Strategy:
-    """A seeded demon: callable (round index, configuration, optional
-    summary) -> DemonicAction, with a declared fairness bound ``k``.
+    """A seeded demon of a kind in ``DEMON_KINDS``: callable (round index,
+    configuration, optional summary) -> DemonicAction, with a declared
+    fairness bound ``k``, the kind's unless given; ValueError on a kind, k
+    or script that ``DEMON_KINDS`` does not allow.
 
-    With a ``script`` it cycles through the script's activation sets.
-    Without one it is a deadline demon: a robot idle for k-1 rounds is due
-    and is activated, which makes the schedule k-fair. ``random_kfair`` adds
-    each robot with probability 1/2; ``single_mover`` (a stall-maximizing
+    With a script it cycles through the script's activation sets. Without
+    one it is a deadline demon: a robot idle for k-1 rounds is due and is
+    activated, which makes the schedule k-fair. ``random_kfair`` adds each
+    robot with probability 1/2; ``single_mover`` (a stall-maximizing
     adversary) activates the due robots, or else one robot already at its
     destination, read from ``round_global`` given the summary, if any.
     """
@@ -111,15 +113,28 @@ class Strategy:
         n_robots: int,
         backend: Backend,
         seed: int,
-        k: int,
+        k: int | None = None,
         script: Sequence[Iterable[int]] | None = None,
     ):
+        if kind not in DEMON_KINDS:
+            raise ValueError(f"unknown strategy kind {kind!r} (expected one of {tuple(DEMON_KINDS)})")
+        if k is not None and k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+        kind_k, kind_script = DEMON_KINDS[kind]
+        if callable(kind_script) and k is not None and k != kind_k(n_robots):
+            raise ValueError(f"demon key 'k' is fixed at {kind_k(n_robots)} for {kind}, got {k}")
+        if kind_script != GIVEN_SCRIPT:
+            if script is not None:
+                raise ValueError(f"demon key 'script' applies to adversarial only, not {kind}")
+            script = kind_script(n_robots) if callable(kind_script) else None
+        elif script is None:
+            raise ValueError(f"{kind} strategy requires a script")
         self.kind = kind
         self.n_robots = n_robots
         self.backend = backend
         self.seed = seed
         self.rng = random.Random(seed)
-        self.k = k
+        self.k = kind_k(n_robots) if k is None else k
         self.script = None if script is None else [set(ids) for ids in script]
         if self.script is not None and (
             not self.script
@@ -147,30 +162,6 @@ class Strategy:
             for i in range(self.n_robots)
         )
         return DemonicAction(steps)
-
-
-def make_strategy(
-    kind: str,
-    n_robots: int,
-    backend: Backend,
-    seed: int,
-    k: int | None = None,
-    script: Sequence[Iterable[int]] | None = None,
-) -> Strategy:
-    if kind not in DEMON_KINDS:
-        raise ValueError(f"unknown strategy kind {kind!r} (expected one of {tuple(DEMON_KINDS)})")
-    if k is not None and k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    kind_k, kind_script = DEMON_KINDS[kind]
-    if callable(kind_script) and k is not None and k != kind_k(n_robots):
-        raise ValueError(f"demon key 'k' is fixed at {kind_k(n_robots)} for {kind}, got {k}")
-    if kind_script != GIVEN_SCRIPT:
-        if script is not None:
-            raise ValueError(f"demon key 'script' applies to adversarial only, not {kind}")
-        script = kind_script(n_robots) if callable(kind_script) else None
-    elif script is None:
-        raise ValueError(f"{kind} strategy requires a script")
-    return Strategy(kind, n_robots, backend, seed, kind_k(n_robots) if k is None else k, script)
 
 
 def _cocircular_pool(rng: random.Random, backend: Backend, bbox: int, size: int) -> list[Point]:
@@ -416,26 +407,21 @@ def _summarize_after(conf: Configuration, prev_sum: RoundSummary | None, backend
     return gather2d.summarize(conf, backend)
 
 
-def _summaries_by_identity(trace: Trace, backend: Backend) -> Iterator[RoundSummary]:
-    summary = None
-    for conf in trace.configs():
-        summary = _summarize_after(conf, summary, backend)
-        yield summary
-
-
 def summaries_of(
-    trace: Trace, backend: Backend, summaries: Sequence[RoundSummary] | None = None
+    trace: Trace, backend: Backend, summaries: Sequence[RoundSummary] = ()
 ) -> Iterator[RoundSummary]:
-    """``gather2d.summarize`` of each configuration of ``trace``, initial
-    first: ``summaries`` if given (ValueError if the count is wrong), else
-    made here as read, once per distinct configuration: one made of the same
-    ``Point`` objects as the one before it (``traceio.read_trace`` shares
-    exact points) reuses that one's summary."""
-    if summaries is None:
-        return _summaries_by_identity(trace, backend)
-    if len(summaries) != len(trace.steps) + 1:
-        raise ValueError(f"{len(summaries)} summaries for {len(trace.steps) + 1} configurations")
-    return iter(summaries)
+    """The summary of each configuration of ``trace``, initial first: the
+    entry of ``summaries`` at its position if that records it (its very
+    ``Point`` objects, on ``backend``), else the one before it if it holds
+    the same objects (``traceio.read_trace`` shares points), else a new
+    ``gather2d.summarize``. So a summary always describes its configuration,
+    and a stale or misaligned list changes no verdict and no trace byte."""
+    summary = None
+    for i, conf in enumerate(trace.configs()):
+        given = summaries[i] if i < len(summaries) else None
+        ok = given is not None and given.backend == backend and _same_points(conf, given.conf)
+        summary = given if ok else _summarize_after(conf, summary, backend)
+        yield summary
 
 
 def check_trace(
@@ -443,7 +429,7 @@ def check_trace(
     backend: Backend,
     declared_k: int | None = None,
     run_seed: int | None = None,
-    summaries: Sequence[RoundSummary] | None = None,
+    summaries: Sequence[RoundSummary] = (),
 ) -> CheckReport:
     """Replay a trace and grade every round against the protocol invariants.
 
@@ -456,11 +442,10 @@ def check_trace(
     round equals the global one, and ``round_simplify`` only confirms the
     executed round. A ``GeometryError`` the local round raises is a
     ``chaining`` violation that names it. A fuzz run passes the ``summaries``
-    (see ``summaries_of``) of its execution; ``robogather check`` none.
-    The local round is handed the spectrum of the previous configuration's
-    summary only when that summary records the very ``Point`` objects of the
-    configuration; otherwise it builds its own, so a stale summary cannot
-    make it repeat a wrong global round.
+    of its execution; ``robogather check`` none. ``summaries_of`` uses a
+    given summary only for the configuration it records, so the local round
+    is always handed the spectrum of the very configuration it replays, and
+    a stale summary cannot make it repeat a wrong global round.
     """
     summary_of = summaries_of(trace, backend, summaries)
     rep = CheckReport()
@@ -476,9 +461,8 @@ def check_trace(
         def rec(prop: str, ok: bool, detail: str, _prev=prev, _cur=cur, _idx=idx):
             rep.record(prop, ok, run_seed, _idx, detail, before=_prev, after=_cur)
 
-        spec = prev_sum.spectrum if _same_points(prev_sum.conf, prev) else None
         try:
-            chained = _configs_eq(model.round(r, step.action, prev, backend, spec), cur, backend)
+            chained = _configs_eq(model.round(r, step.action, prev, backend, prev_sum.spectrum), cur, backend)
             detail = "recorded configuration does not match the local-frame round"
         except geometry.GeometryError as exc:
             chained, detail = False, f"the local-frame round raised {type(exc).__name__}: {exc}"
@@ -603,7 +587,7 @@ def run_one(
     n_robots = rng.randint(*ng_range)
     kind = rng.choice(list(strategy_kinds))
     strategy_seed = rng.randrange(2**62)
-    strat = make_strategy(kind, n_robots, backend, seed=strategy_seed)
+    strat = Strategy(kind, n_robots, backend, seed=strategy_seed)
     conf = gen_initial(n_robots, rng, backend)
     h = horizon if horizon is not None else horizon_for(strat.k, n_robots)
     trace, summaries = execute_global(strat, conf, backend, h, keep=strat.k)

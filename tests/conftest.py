@@ -8,7 +8,7 @@ import hypothesis
 from hypothesis import strategies as st
 
 from robogather import frames, gather2d, geometry, model, verify
-from robogather.scalars import EXACT, FLOAT64, Point
+from robogather.scalars import EXACT, FLOAT64, FloatBackend, Point
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=100, derandomize=True
@@ -131,6 +131,31 @@ def distinct_configs(trace) -> int:
     same objects as its predecessor's: what is summarized once each."""
     confs = trace.configs()
     return 1 + sum(not all(p is q for p, q in zip(a, b)) for a, b in zip(confs, confs[1:]))
+
+
+def executed_run(run_seed: int, backend):
+    """The spec of ``verify.run_one(run_seed, backend)``, and the trace and
+    summaries of its execution as ``run_one`` hands them to the checker."""
+    spec, _trace, _rep = verify.run_one(run_seed, backend)
+    strat = verify.Strategy(spec.strategy_kind, spec.n_robots, backend, seed=spec.strategy_seed)
+    trace, summaries = verify.execute_global(strat, spec.initial, backend, spec.horizon, keep=spec.k)
+    return spec, trace, summaries
+
+
+def misaligned_summaries(trace, summaries, other_run, backend) -> dict:
+    """Summary lists that do not record ``trace``'s configurations position
+    by position, by name: its own ``summaries`` shifted by one, one short,
+    one long and reversed, ``other_run``'s, and those of its very points on
+    a backend that summarizes them differently."""
+    other = FLOAT64 if backend.is_exact else FloatBackend(eps_abs=5.0, eps_rel=0.0)
+    return {
+        "shifted": summaries[1:] + summaries[-1:],
+        "short": summaries[:-1],
+        "long": summaries + summaries[-1:],
+        "reversed": summaries[::-1],
+        "another run": other_run,
+        "other backend": [gather2d.summarize(conf, other) for conf in trace.configs()],
+    }
 
 
 def circles_eq(a, b, backend) -> bool:

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import closed_form_frame, first_gathered_round, local_step
+from conftest import closed_form_frame, executed_run, first_gathered_round, local_step
 from robogather import cli, frames, gather2d, geometry, model, verify
 from robogather.gather2d import AUDITED_ARCS, EXPECTED_ARCS
 from robogather.geometry import TriangleKind
@@ -184,7 +184,7 @@ def test_horizon_bound_validated_before_reliance():
             rng = random.Random(run_seed)
             n = rng.randint(3, 7)
             kind = rng.choice(["round_robin", "random_kfair", "single_mover"])
-            strat = verify.make_strategy(kind, n, backend, seed=rng.randrange(2**62))
+            strat = verify.Strategy(kind, n, backend, seed=rng.randrange(2**62))
             conf = verify.gen_initial(n, rng, backend)
             bound = verify.horizon_for(strat.k, n)
             trace = model.execute(
@@ -250,7 +250,7 @@ def test_target_morph_5k_pairs():
 def test_negative_control_corrupted_trace():
     rng = random.Random(5)
     conf = verify.gen_initial(5, rng, EXACT)
-    strat = verify.make_strategy("round_robin", 5, EXACT, seed=8)
+    strat = verify.Strategy("round_robin", 5, EXACT, seed=8)
     trace = model.execute(local_step(EXACT), strat, conf, 6)
     assert trace.steps, "fixture must execute at least one round"
     step = trace.steps[0]
@@ -269,7 +269,7 @@ def test_negative_control_unfair_demon():
     # only robot 0 is off the majority tower; a demon that never activates
     # robot 0 cannot gather, and its stream fails the fairness check
     conf = (P(9, 9), P(0, 0), P(0, 0), P(0, 0))
-    strat = verify.make_strategy("unfair_skip0", 4, EXACT, seed=0)
+    strat = verify.Strategy("unfair_skip0", 4, EXACT, seed=0)
     horizon = verify.horizon_for(strat.k, 4)
     trace = model.execute(local_step(EXACT), strat, conf, horizon)
     rep = verify.check_trace(trace, EXACT, declared_k=strat.k)
@@ -322,9 +322,7 @@ def _executed_with_a_stale_summary(backend):
     and its summaries hold the stale one in the round's place (its
     neighbour's entry)."""
     for run_seed in range(100):
-        spec, _, _ = verify.run_one(run_seed, backend)
-        strat = verify.make_strategy(spec.strategy_kind, spec.n_robots, backend, seed=spec.strategy_seed)
-        trace, summaries = verify.execute_global(strat, spec.initial, backend, spec.horizon, keep=spec.k)
+        _spec, trace, summaries = executed_run(run_seed, backend)
         configs = trace.configs()
         for j in range(1, len(trace.steps)):
             stale, action = summaries[j - 1], trace.steps[j].action
@@ -337,12 +335,13 @@ def _executed_with_a_stale_summary(backend):
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "floating"])
 def test_negative_control_stale_summary_still_fails_chaining(backend):
-    # check_trace hands the local round a summary's spectrum only when the
-    # summary records the very configuration; a stale one must not let the
-    # local round repeat the executor's wrong round
+    # check_trace uses a given summary only for the configuration it records;
+    # a stale one must not let the local round repeat the executor's wrong
+    # round, nor change any other verdict
     trace, summaries = _executed_with_a_stale_summary(backend)
     rep = verify.check_trace(trace, backend, summaries=summaries)
     assert rep.violations_of("chaining") > 0, rep.summary()
+    assert rep == verify.check_trace(trace, backend)
     _report(f"negative control: stale summary fails chaining ({backend.name})", f"{rep.violations_of('chaining')} violations")
 
 

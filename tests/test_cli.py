@@ -235,6 +235,7 @@ _BIVALENT = {
         ("scenario", _floating_points(True)),
         ("scenario", {"backend": "floating", "initial": {"generator": {"bbox": 10**198}}}),
         ("scenario", {"initial": {"points": [[0.1, 0], [0.1, 0], [5, 5.5]]}}),
+        ("scenario", {"initial": {"points": [[1e23, 0], [0, 0], [0, 1]]}}),
         ("fuzz", ["--horizon", "-3"]),
         ("fuzz", ["--runs", "-3"]),
         ("fuzz", ["--runs", "0"]),
@@ -281,6 +282,8 @@ _BIVALENT = {
         ("trace", _set_location(0.1)),
         ("trace", _set_frame("zoom", 0.5)),
         ("trace", _set_location(True)),
+        ("trace", _set_location(5.0)),
+        ("trace", _set_frame("zoom", 1.0)),
     ],
     ids=[
         "nG-not-int",
@@ -308,6 +311,7 @@ _BIVALENT = {
         "floating-point-bool",
         "floating-generator-bbox-1e198",
         "exact-point-non-integral-number",
+        "exact-point-integral-number-1e23",
         "fuzz-horizon-negative",
         "fuzz-runs-negative",
         "fuzz-runs-zero",
@@ -354,6 +358,8 @@ _BIVALENT = {
         "exact-location-non-integral-number",
         "exact-frame-zoom-non-integral-number",
         "exact-location-bool",
+        "exact-location-integral-number",
+        "exact-frame-zoom-integral-number",
     ],
 )
 def test_malformed_input_exit_one_without_traceback(tmp_path, capsys, kind, edit):
@@ -631,6 +637,33 @@ def test_fuzz_rejects_a_kind_that_needs_a_script():
     assert done.returncode == cli.EXIT_INPUT
     assert done.stderr.startswith("error: ") and "adversarial" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[["0", "0"], ["1e400", "0"], ["0", "1"]], [["1.7e308", "0"], ["1.7e308", "1"], ["1.7e308", "3"]]],
+    ids=["1e400", "center-beyond-float-max"],
+)
+def test_render_beyond_the_float_range_exits_one_without_traceback(tmp_path, points):
+    # run and check read exact coordinates exactly; render draws in floats,
+    # where 1e400 overflows and so does the center of points at 1.7e308 (it
+    # would draw at NaN), so for render the trace is an input error: no file
+    scenario = _write_scenario(tmp_path, initial={"points": points})
+    trace, svg = str(tmp_path / "t.jsonl"), tmp_path / "t.svg"
+    assert _robogather("run", "--scenario", scenario, "--out", trace).returncode == cli.EXIT_OK
+    assert _robogather("check", "--trace", trace).returncode == cli.EXIT_OK
+    done = _robogather("render", "--trace", trace, "--out", str(svg))
+    assert done.returncode == cli.EXIT_INPUT, done.stderr
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert not svg.exists()
+
+
+def test_render_to_a_path_it_cannot_write_exits_one(tmp_path, capsys):
+    trace = str(tmp_path / "t.jsonl")
+    assert cli.main(["run", "--scenario", _write_scenario(tmp_path), "--out", trace]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["render", "--trace", trace, "--out", str(tmp_path / "missing" / "t.svg")]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: cannot write ")
 
 
 def test_check_reports_a_local_round_geometry_error_as_chaining(tmp_path):

@@ -24,11 +24,13 @@ def test_exact_parse_format_roundtrip():
 
 def test_exact_parse_reads_strings_and_json_integers_only():
     # a JSON number that is not an integer was rounded to a float by the JSON
-    # reader, so its decimal text is gone: it is an input error, not 1/10
+    # reader, so its decimal text is gone: it is an input error, not 1/10,
+    # and so is an integral one (1e23 reads as 99999999999999991611392)
     assert EXACT.parse("0.1") == Fraction(1, 10)
     assert EXACT.parse(10**30 + 1) == Fraction(10**30 + 1)
-    with pytest.raises(TypeError):
-        EXACT.parse(0.1)
+    for number in (0.1, 5.0, 1e23, -0.0):
+        with pytest.raises(TypeError):
+            EXACT.parse(number)
     for flag in (True, False):
         with pytest.raises(ValueError):
             EXACT.parse(flag)
