@@ -119,22 +119,25 @@ def cmd_fuzz(args) -> int:
     if report.ok:
         return EXIT_OK
     outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
-    for i, cex in enumerate(counterexamples):
-        scenario = traceio.scenario_for_run(cex.spec, backend)
-        spath = os.path.join(outdir, f"counterexample_{i}_scenario.json")
-        tpath = os.path.join(outdir, f"counterexample_{i}_trace.jsonl")
-        scenario.save(spath)
-        traceio.write_trace(
-            tpath,
-            cex.trace,
-            backend,
-            k=cex.spec.k,
-            strategy_kind=cex.spec.strategy_kind,
-            seed=cex.spec.strategy_seed,
-            horizon=cex.spec.horizon,
-        )
-        _say(f"counterexample written: {spath} / {tpath}")
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        for i, cex in enumerate(counterexamples):
+            scenario = traceio.scenario_for_run(cex.spec, backend)
+            spath = os.path.join(outdir, f"counterexample_{i}_scenario.json")
+            tpath = os.path.join(outdir, f"counterexample_{i}_trace.jsonl")
+            scenario.save(spath)
+            traceio.write_trace(
+                tpath,
+                cex.trace,
+                backend,
+                k=cex.spec.k,
+                strategy_kind=cex.spec.strategy_kind,
+                seed=cex.spec.strategy_seed,
+                horizon=cex.spec.horizon,
+            )
+            _say(f"counterexample written: {spath} / {tpath}")
+    except OSError as exc:
+        return _fail(f"cannot write counterexamples to {outdir}: {exc}")
     return EXIT_VIOLATION
 
 

@@ -223,29 +223,30 @@ def round_global(
     Everything is read from ``summary``, which is ``summarize(conf,
     backend)`` and is made here when not given: the analysis, or, when there
     is none (gathered and majority), the highest tower of its spectrum.
+    Only the activated ids are visited, in any order and with repeats: a
+    robot's move reads ``conf`` alone.
     """
-    act = set(activated)
     if summary is None:
         summary = summarize(conf, backend)
     ana, s = summary.analysis, summary.spectrum
-    majority = s.towers[highest_tower(s)] if ana is None else None
-    # an exact robot activated at its destination keeps its own Point (on
-    # floats -0.0 == 0.0, but the two print differently in a trace)
-    exact = backend.is_exact
+    dest = s.towers[highest_tower(s)] if ana is None else ana.tgt
+    out = list(conf)
+    if ana is None or ana.clean:
+        # an exact robot activated at its destination keeps its own Point (on
+        # floats -0.0 == 0.0, but the two print differently in a trace)
+        exact = backend.is_exact
+        for i in activated:
+            if not (exact and conf[i] == dest):
+                out[i] = dest
+        return tuple(out)
     holds: dict[int, bool] = {}  # id of a location object -> it is on the SEC or the target
-    out: list[Point] = []
-    for i, loc in enumerate(conf):
-        if i not in act:
-            out.append(loc)
-        elif majority is not None:
-            out.append(loc if exact and loc == majority else majority)
-        elif ana.clean:
-            out.append(loc if exact and loc == ana.tgt else ana.tgt)
-        else:
-            hold = holds.get(id(loc))
-            if hold is None:
-                hold = holds[id(loc)] = any(backend.points_eq(loc, q) for q in ana.sect_pts)
-            out.append(loc if hold else ana.tgt)
+    for i in activated:
+        loc = conf[i]
+        hold = holds.get(id(loc))
+        if hold is None:
+            hold = holds[id(loc)] = any(backend.points_eq(loc, q) for q in ana.sect_pts)
+        if not hold:
+            out[i] = dest
     return tuple(out)
 
 
@@ -284,7 +285,10 @@ def forbidden(conf: Configuration, backend: Backend) -> bool:
 
 
 def gathered_at(pt: Point, conf: Configuration, backend: Backend) -> bool:
-    """True iff every robot is at ``pt``."""
+    """True iff every robot is at ``pt``: on the exact backend counted in C
+    (``tuple.count`` tests identity before ``==``)."""
+    if backend.is_exact:
+        return conf.count(pt) == len(conf)
     return all(backend.points_eq(loc, pt) for loc in conf)
 
 

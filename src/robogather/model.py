@@ -42,12 +42,17 @@ Step = Callable[["DemonicAction", Configuration], Configuration]
 @dataclass(frozen=True)
 class DemonicAction:
     """One round of demonic choices: per robot either None (inactive) or the
-    frame parameters for its activation."""
+    frame parameters for its activation. The activated ids are found once,
+    when the action is made; they are no field, so equality and hashing
+    read ``steps`` alone."""
 
     steps: tuple[Optional[FrameParams], ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_activated", tuple([i for i, fp in enumerate(self.steps) if fp is not None]))
+
     def activated(self) -> tuple[int, ...]:
-        return tuple(i for i, fp in enumerate(self.steps) if fp is not None)
+        return self._activated
 
 
 def spectrum_of(conf: Configuration, backend: Backend) -> View:

@@ -157,11 +157,11 @@ class Strategy:
                 stayers = [i for i in range(self.n_robots) if self.backend.points_eq(conf[i], dests[i])]
                 active = {self.rng.choice(stayers) if stayers else self.rng.randrange(self.n_robots)}
             self._ages = [0 if i in active else a + 1 for i, a in enumerate(self._ages)]
-        steps = tuple(
-            DEFAULT_POLICY.sample(self.rng, self.backend) if i in active else None
-            for i in range(self.n_robots)
-        )
-        return DemonicAction(steps)
+        # frames are drawn for the active ids only, in increasing order
+        steps: list[Optional[FrameParams]] = [None] * self.n_robots
+        for i in sorted(active):
+            steps[i] = DEFAULT_POLICY.sample(self.rng, self.backend)
+        return DemonicAction(tuple(steps))
 
 
 def _cocircular_pool(rng: random.Random, backend: Backend, bbox: int, size: int) -> list[Point]:
@@ -390,6 +390,10 @@ class CheckReport:
 
 
 def _configs_eq(a: Configuration, b: Configuration, backend: Backend) -> bool:
+    """Are ``a`` and ``b`` the same configuration? On the exact backend one
+    tuple ``==`` in C, which tests each pair by identity before ``==``."""
+    if backend.is_exact:
+        return tuple(a) == tuple(b)
     return len(a) == len(b) and all(backend.points_eq(p, q) for p, q in zip(a, b))
 
 
@@ -446,6 +450,9 @@ def check_trace(
     given summary only for the configuration it records, so the local round
     is always handed the spectrum of the very configuration it replays, and
     a stale summary cannot make it repeat a wrong global round.
+
+    A passing check is only counted: a violation's text, and its ``before``
+    and ``after`` configurations, are built only when the check fails.
     """
     summary_of = summaries_of(trace, backend, summaries)
     rep = CheckReport()
@@ -453,70 +460,77 @@ def check_trace(
     prev = trace.initial
     prev_sum = next(summary_of)
     gathered_pt = prev_sum.gathered_pt
+    # checks of the properties not graded on every round; chaining,
+    # round_simplify and phase_transition are graded on each one
+    rounds, moved, unforbidden, measured, persisted = len(trace.steps), 0, 0, 0, 0
+
+    def fail(prop: str, detail: str) -> None:
+        # called in the round it grades, so idx, prev and cur are that round's
+        rep.record(prop, False, run_seed, idx, detail, before=prev, after=cur)
 
     for step, cur_sum in zip(trace.steps, summary_of):
         cur = step.config
         idx = step.index
 
-        def rec(prop: str, ok: bool, detail: str, _prev=prev, _cur=cur, _idx=idx):
-            rep.record(prop, ok, run_seed, _idx, detail, before=_prev, after=_cur)
-
         try:
-            chained = _configs_eq(model.round(r, step.action, prev, backend, prev_sum.spectrum), cur, backend)
-            detail = "recorded configuration does not match the local-frame round"
+            if not _configs_eq(model.round(r, step.action, prev, backend, prev_sum.spectrum), cur, backend):
+                fail("chaining", "recorded configuration does not match the local-frame round")
         except geometry.GeometryError as exc:
-            chained, detail = False, f"the local-frame round raised {type(exc).__name__}: {exc}"
-        rec("chaining", chained, detail)
+            fail("chaining", f"the local-frame round raised {type(exc).__name__}: {exc}")
 
         glob = gather2d.round_global(step.action.activated(), prev, backend, prev_sum)
-        rec(
-            "round_simplify",
-            _configs_eq(glob, cur, backend),
-            "recorded configuration does not match the global-view round",
-        )
+        if not _configs_eq(glob, cur, backend):
+            fail("round_simplify", "recorded configuration does not match the global-view round")
 
         movers = [i for i in range(len(prev)) if not backend.points_eq(prev[i], cur[i])]
         if movers:
+            moved += 1
             dest = cur[movers[0]]
-            rec(
-                "same_destination",
-                all(backend.points_eq(cur[i], dest) for i in movers[1:]),
-                f"moving robots {movers} do not share one destination",
-            )
+            if not all(backend.points_eq(cur[i], dest) for i in movers[1:]):
+                fail("same_destination", f"moving robots {movers} do not share one destination")
 
         if not prev_sum.forbidden:
-            rec(
-                "never_forbidden",
-                not cur_sum.forbidden,
-                "a bivalent configuration was reached from a non-bivalent one",
-            )
+            unforbidden += 1
+            if cur_sum.forbidden:
+                fail("never_forbidden", "a bivalent configuration was reached from a non-bivalent one")
             if movers:
-                rec(
-                    "measure_decrease",
-                    gather2d.lt_measure(cur_sum.measure, prev_sum.measure),
-                    f"measure {tuple(cur_sum.measure)} not below {tuple(prev_sum.measure)}",
-                )
+                measured += 1
+                if not gather2d.lt_measure(cur_sum.measure, prev_sum.measure):
+                    fail(
+                        "measure_decrease",
+                        f"measure {tuple(cur_sum.measure)} not below {tuple(prev_sum.measure)}",
+                    )
 
         arc = (prev_sum.phase, cur_sum.phase)
         if arc[0] is not arc[1]:
             rep.observed_arcs.add(arc)
-        rec(
-            "phase_transition",
-            gather2d.allowed_transition(*arc),
-            f"transition {arc[0].value} -> {arc[1].value} is outside the reachability graph",
-        )
+        if not gather2d.allowed_transition(*arc):
+            fail(
+                "phase_transition",
+                f"transition {arc[0].value} -> {arc[1].value} is outside the reachability graph",
+            )
 
         if gathered_pt is not None:
-            rec(
-                "gather_persistence",
-                gather2d.gathered_at(gathered_pt, cur, backend),
-                "a gathered execution left its gathering point",
-            )
+            persisted += 1
+            if not gather2d.gathered_at(gathered_pt, cur, backend):
+                fail("gather_persistence", "a gathered execution left its gathering point")
         elif cur_sum.gathered_pt is not None:
             gathered_pt = cur_sum.gathered_pt
 
         prev, prev_sum = cur, cur_sum
 
+    for prop, checks in (
+        ("chaining", rounds),
+        ("round_simplify", rounds),
+        ("same_destination", moved),
+        ("never_forbidden", unforbidden),
+        ("measure_decrease", measured),
+        ("phase_transition", rounds),
+        ("gather_persistence", persisted),
+    ):
+        passes = checks - rep.violations_of(prop)  # the failures are recorded
+        if passes:
+            rep.properties.setdefault(prop, PropertyStats()).checks += passes
     if declared_k is not None:
         rep.record(
             "k_fairness",

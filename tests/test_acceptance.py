@@ -5,6 +5,7 @@ criterion. The fuzz-based criteria share one 1,000-run corpus (600 floating,
 400 exact) built once per session.
 """
 import dataclasses
+import hashlib
 import math
 import random
 import re
@@ -403,6 +404,53 @@ def test_negative_control_protocol_mutant(monkeypatch, name):
     caught = {prop: rep.violations_of(prop) for prop in killers if rep.violations_of(prop)}
     assert caught and cex, rep.summary()
     _report(f"negative control: protocol mutant {name} is caught", str(caught))
+
+
+# The report of a small seed-0 fuzz of each protocol mutant (its runs as
+# above) and of the unfair demon (5 runs) on each backend: per property of
+# PROPERTIES (checks, violations), the number of failures kept and a sha256
+# prefix of their (prop, run_seed, round_index, detail).
+_FAILING_REPORTS = {
+    ("isosceles-target-barycenter", "exact"): (((1782, 0), (1782, 0), (238, 0), (1782, 0), (238, 0), (1782, 1), (1029, 0), (150, 0), (150, 0)), 1, "0968442bf7d25f64"),
+    ("isosceles-target-barycenter", "floating"): (((1735, 0), (1735, 0), (235, 0), (1735, 0), (235, 0), (1735, 0), (1029, 0), (150, 0), (150, 0)), 0, "4f53cda18c2baa0c"),
+    ("scalene-target-barycenter", "exact"): (((1781, 0), (1781, 0), (245, 0), (1781, 0), (245, 0), (1781, 1), (1029, 0), (150, 0), (150, 0)), 1, "e619ace95cc43347"),
+    ("scalene-target-barycenter", "floating"): (((1749, 0), (1749, 0), (238, 0), (1749, 0), (238, 1), (1749, 1), (1029, 0), (150, 0), (150, 0)), 2, "89b953e98f8a2af9"),
+    ("clean-always-true", "exact"): (((1683, 0), (1683, 0), (215, 0), (1683, 0), (215, 5), (1683, 2), (1029, 0), (150, 0), (150, 0)), 7, "2056461ebdb556c9"),
+    ("clean-always-true", "floating"): (((1650, 0), (1650, 0), (226, 0), (1650, 0), (226, 16), (1650, 4), (1029, 0), (150, 0), (150, 0)), 20, "e463be6f3a97edb9"),
+    ("clean-always-false", "exact"): (((1459, 0), (1459, 0), (38, 0), (1459, 0), (38, 0), (1459, 0), (175, 0), (30, 0), (30, 3)), 3, "b082f93ddab65acc"),
+    ("clean-always-false", "floating"): (((3296, 0), (3296, 0), (31, 0), (3296, 0), (31, 0), (3296, 0), (138, 0), (30, 0), (30, 9)), 9, "03be2aaad14932dc"),
+    ("phase-weights-diameter-swapped", "exact"): (((674, 0), (674, 0), (97, 0), (674, 0), (97, 3), (674, 0), (380, 0), (60, 0), (60, 0)), 3, "4a182c5cf914662b"),
+    ("phase-weights-diameter-swapped", "floating"): (((663, 0), (663, 0), (98, 0), (663, 0), (98, 9), (663, 0), (380, 0), (60, 0), (60, 0)), 9, "13a4c45221f021a2"),
+    ("unfair_skip0", "exact"): (((1017, 0), (1017, 0), (17, 0), (1017, 0), (17, 0), (1017, 0), (11, 0), (5, 5), (5, 3)), 8, "2fe59e70054859d1"),
+    ("unfair_skip0", "floating"): (((867, 0), (867, 0), (17, 0), (867, 0), (17, 0), (867, 0), (13, 0), (5, 5), (5, 3)), 8, "32480f79e6f82b17"),
+}
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "floating"])
+@pytest.mark.parametrize("name", [*_PROTOCOL_MUTANTS, "unfair_skip0"])
+def test_failing_runs_report_is_pinned(monkeypatch, name, backend):
+    # check_trace builds a violation's text and configurations only when a
+    # check fails: each must still be the failing round's own, and every
+    # counter the same
+    if name in _PROTOCOL_MUTANTS:
+        attr, mutant, runs, _ = _PROTOCOL_MUTANTS[name]
+        monkeypatch.setattr(gather2d, attr, mutant)
+        kinds = verify.FUZZ_KINDS
+    else:
+        runs, kinds = 5, (name,)
+    rep, _ = verify.fuzz(runs, backend, strategy_kinds=kinds)
+    counts, kept, digest = _FAILING_REPORTS[name, backend.name]
+    got = {prop: (s.checks, s.violations) for prop, s in rep.properties.items()}
+    assert got == dict(zip(verify.PROPERTIES, counts))
+    failures = [(f.prop, f.run_seed, f.round_index, f.detail) for f in rep.failures]
+    assert len(failures) == kept, failures
+    assert hashlib.sha256(repr(failures).encode()).hexdigest()[:16] == digest, failures
+    for f in rep.failures:
+        if f.round_index is None:
+            assert f.before is None and f.after is None
+            continue
+        configs = verify.run_one(f.run_seed, backend, strategy_kinds=kinds)[1].configs()
+        assert f.before == configs[f.round_index] and f.after == configs[f.round_index + 1], f
 
 
 def _tie_goes_to_the_first_tower(s):

@@ -242,6 +242,7 @@ _BIVALENT = {
         ("fuzz", ["--backend", "floating", "--eps", "nan"]),
         ("fuzz", ["--backend", "floating", "--eps", "0"]),
         ("fuzz", ["--backend", "floating", "--eps", "1e-15"]),
+        ("fuzz-out", "F/sub"),
         ("scenario", {"backend": "floating", "eps": {"abs": 0, "rel": 0}}),
         ("run", ["--eps", "-1"]),
         ("run", ["--backend", "floating", "--eps", "-1"]),
@@ -318,6 +319,7 @@ _BIVALENT = {
         "fuzz-eps-nan",
         "fuzz-floating-eps-zero",
         "fuzz-floating-eps-1e-15",
+        "fuzz-out-under-a-regular-file",
         "floating-eps-below-floor",
         "run-eps-negative",
         "run-floating-eps-negative",
@@ -368,6 +370,10 @@ def test_malformed_input_exit_one_without_traceback(tmp_path, capsys, kind, edit
         argv = ["run", "--scenario", scenario, "--out", str(tmp_path / "t.jsonl")]
     elif kind == "fuzz":
         argv = ["fuzz", "--runs", "2", "--out", str(tmp_path / "cex"), *edit]
+    elif kind == "fuzz-out":
+        # a failing campaign whose output directory lies under a regular file
+        (tmp_path / "F").write_text("kept")
+        argv = ["fuzz", "--runs", "2", "--seed", "0", "--strategies", "unfair_skip0", "--out", str(tmp_path / edit)]
     elif kind == "run":
         argv = ["run", "--scenario", _write_scenario(tmp_path), "--out", str(tmp_path / "t.jsonl"), *edit]
     elif kind == "render":
@@ -386,6 +392,8 @@ def test_malformed_input_exit_one_without_traceback(tmp_path, capsys, kind, edit
     capsys.readouterr()
     assert cli.main(argv) == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: ")
+    if kind == "fuzz-out":
+        assert [p.name for p in tmp_path.iterdir()] == ["F"] and (tmp_path / "F").read_text() == "kept"
 
 
 def test_unknown_demon_kind_error_lists_the_kinds(tmp_path, capsys):

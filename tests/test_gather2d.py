@@ -1,4 +1,7 @@
+import functools
+import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import hypothesis
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bounded_fractions, exact_points, exact_similarities, float_points
-from robogather import frames, gather2d, geometry, model
+from robogather import frames, gather2d, geometry, model, verify
 from robogather.gather2d import Measure, Phase
 from robogather.geometry import TriangleKind
 from robogather.model import DemonicAction, FrameParams
@@ -459,6 +462,73 @@ def test_round_global_given_the_summary_equals_from_scratch(backend, points, dat
     assert gather2d.round_global(activated, conf, backend, summary) == gather2d.round_global(
         activated, conf, backend
     )
+
+
+def _round_global_by_robot(activated, conf, backend):
+    """``round_global`` from its definition, one robot at a time: an
+    activated robot goes to the unique highest tower, else to the target of
+    a clean spectrum; in a dirty one it holds still on the SEC or the target
+    and goes to the target from anywhere else. An exact robot at its
+    destination stays its own object."""
+    act = set(activated)
+    s = model.spectrum_of(conf, backend)
+    top = gather2d.highest_tower(s)
+    ana = None if top is not None else gather2d._analyze(s.towers, backend)
+    out = []
+    for i, loc in enumerate(conf):
+        if i not in act:
+            dest = loc
+        elif ana is None:
+            dest = s.towers[top]
+        elif not ana.clean and any(backend.points_eq(loc, q) for q in ana.sect_pts):
+            dest = loc
+        else:
+            dest = ana.tgt
+        out.append(loc if backend.is_exact and loc == dest else dest)
+    return tuple(out)
+
+
+@functools.cache
+def _generated_starts(backend, kind):
+    """Twelve ``verify.gen_initial`` starts at nG 3..8 whose spectrum is of
+    ``kind``: majority (a gathered start counts), clean or dirty."""
+    starts = []
+    for seed in itertools.count():
+        rng = random.Random(seed)
+        conf = verify.gen_initial(rng.randint(3, 8), rng, backend)
+        ana = gather2d.summarize(conf, backend).analysis
+        if kind == ("majority" if ana is None else "clean" if ana.clean else "dirty"):
+            starts.append(conf)
+            if len(starts) == 12:
+                return starts
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "floating"])
+@pytest.mark.parametrize("kind", ["majority", "clean", "dirty"])
+@given(data=st.data())
+def test_round_global_visits_only_the_activated_robots(backend, kind, data):
+    # any ids of the configuration, in any order and with repeats
+    conf = data.draw(st.sampled_from(_generated_starts(backend, kind)))
+    activated = data.draw(st.lists(st.integers(0, len(conf) - 1), max_size=2 * len(conf)))
+    summary = data.draw(st.sampled_from([None, gather2d.summarize(conf, backend)]))
+    got = gather2d.round_global(activated, conf, backend, summary)
+    assert type(got) is tuple
+    assert got == _round_global_by_robot(activated, conf, backend)
+    for i, loc in enumerate(conf):
+        if i not in activated or (backend.is_exact and got[i] == loc):
+            assert got[i] is loc
+
+
+def test_round_global_exact_robot_at_its_destination_keeps_its_point():
+    # majority: robots 0 and 1 are on the highest tower; clean diameter:
+    # robot 2 is at the SEC center, the target
+    for conf, at_dest in (
+        ((P(0, 0), P(0, 0), P(2, 0)), (0, 1)),
+        ((P(0, 0), P(2, 0), P(1, 0)), (2,)),
+    ):
+        conf = tuple(Point(F(p.x), F(p.y)) for p in conf)  # no shared objects
+        after = gather2d.round_global(reversed(range(len(conf))), conf, EXACT)
+        assert [i for i in range(len(conf)) if after[i] is conf[i]] == list(at_dest)
 
 
 @pytest.mark.parametrize(

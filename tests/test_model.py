@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -239,6 +240,28 @@ def test_execute_stop_predicate():
     )
     assert trace.stopped_early
     assert len(trace.steps) == 1
+
+
+# --- demonic actions --------------------------------------------------------------
+
+
+_OTHER = FrameParams(F(1, 2), F(0), F(1), True)
+
+
+@given(st.lists(st.sampled_from([None, IDENT, _OTHER]), max_size=10))
+def test_activated_is_found_once_and_equals_its_definition(steps):
+    steps = tuple(steps)
+    da = DemonicAction(steps)
+    assert da.activated() == tuple(i for i, fp in enumerate(steps) if fp is not None)
+    assert da.activated() is da.activated()
+    # the cached ids are no field: equality, hashing and repr read steps alone
+    twin = DemonicAction(steps)
+    assert da == twin and hash(da) == hash(twin) == hash((steps,))
+    assert [f.name for f in dataclasses.fields(da)] == ["steps"]
+    assert repr(da) == f"DemonicAction(steps={steps!r})"
+    if steps:
+        flipped = DemonicAction((None if steps[0] is not None else IDENT,) + steps[1:])
+        assert flipped != da and flipped.activated() != da.activated()
 
 
 # --- fairness ---------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -480,3 +481,19 @@ def test_check_exits_one_on_an_invalid_frame_after_a_valid_one(tmp_path, capsys,
     assert cli.main(["check", "--trace", str(path)]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_exact_fuzz_run_traces_keep_their_bytes(tmp_path):
+    # the traces of twelve seed-0.. exact fuzz runs (all four default
+    # demons): the demon's frame draws, the executed round and the writer
+    # give the same bytes as before only activated robots were visited
+    digest = hashlib.sha256()
+    for run_seed in range(12):
+        spec, trace, _ = verify.run_one(run_seed, EXACT)
+        path = str(tmp_path / f"{run_seed}.jsonl")
+        traceio.write_trace(
+            path, trace, EXACT, k=spec.k, strategy_kind=spec.strategy_kind, seed=spec.strategy_seed, horizon=spec.horizon
+        )
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    assert digest.hexdigest() == "f393b7e2ffb6928e7cff9d4ceb1051b6f4bf420bdba5b23acdbff27d6663c86c"

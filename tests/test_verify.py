@@ -366,6 +366,25 @@ def test_failures_carry_before_and_after_configurations():
     assert failure.after == bad
 
 
+@pytest.mark.parametrize(
+    "a, b, equal",
+    [
+        ((P(0, 0), P(1, 2)), (P(0, 0), P(1, 2)), True),  # equal, distinct objects
+        ((P(0, 0), P(F(1, 2), 2)), [Point(F(0), F(0)), Point(F(1, 2), F(2))], True),  # a tuple and a list
+        ([P(0, 0), P(1, 2)], (P(0, 0), P(1, 3)), False),
+        ((P(0, 0), P(1, 2)), (P(0, 0), P(1, 2), P(1, 2)), False),  # lengths differ
+        ((P(0, 0), P(1, 2), P(1, 2)), (P(0, 0), P(1, 2)), False),
+        ((), (), True),
+    ],
+    ids=["distinct-objects", "list-against-tuple", "one-differs", "longer", "shorter", "empty"],
+)
+def test_exact_configs_eq_is_the_robot_by_robot_compare(a, b, equal):
+    assert all(p is not q for p, q in zip(a, b)) or not a
+    assert verify._configs_eq(a, b, EXACT) is equal
+    assert verify._configs_eq(b, a, EXACT) is equal
+    assert (len(a) == len(b) and all(EXACT.points_eq(p, q) for p, q in zip(a, b))) is equal
+
+
 def _stress_degenerate_triangles(n_samples: int, seed: int = 0) -> dict[int, dict[str, int]]:
     """Characterize (never assert) float classification near the tolerance.
 
