@@ -230,21 +230,22 @@ def round_global(
         summary = summarize(conf, backend)
     ana, s = summary.analysis, summary.spectrum
     dest = s.towers[highest_tower(s)] if ana is None else ana.tgt
-    out = list(conf)
+    out, exact = list(conf), backend.is_exact
     if ana is None or ana.clean:
         # an exact robot activated at its destination keeps its own Point (on
         # floats -0.0 == 0.0, but the two print differently in a trace)
-        exact = backend.is_exact
         for i in activated:
             if not (exact and conf[i] == dest):
                 out[i] = dest
         return tuple(out)
+    sect = ana.sect_pts
     holds: dict[int, bool] = {}  # id of a location object -> it is on the SEC or the target
     for i in activated:
         loc = conf[i]
         hold = holds.get(id(loc))
         if hold is None:
-            hold = holds[id(loc)] = any(backend.points_eq(loc, q) for q in ana.sect_pts)
+            # exact: list ``in``, which tests identity before ``==``, in C
+            hold = holds[id(loc)] = loc in sect if exact else any(backend.points_eq(loc, q) for q in sect)
         if not hold:
             out[i] = dest
     return tuple(out)
@@ -273,15 +274,17 @@ def classify_phase(s: View, backend: Backend) -> Phase:
     return _classify(s, backend)[0]
 
 
-def _bivalent(s: View) -> bool:
-    mults = s.mults
+def _bivalent(mults: Sequence[int]) -> bool:
+    """Two towers of equal multiplicity."""
     return len(mults) == 2 and mults[0] == mults[1]
 
 
 def forbidden(conf: Configuration, backend: Backend) -> bool:
     """Bivalent configurations: an even robot count split exactly half-and-half
-    across two locations. Gathering is impossible from these."""
-    return _bivalent(model.spectrum_of(conf, backend))
+    across two locations. Gathering is impossible from these. Read from the
+    tower counts of ``model.towers_of``, the grouping of ``spectrum_of``,
+    with no spectrum built."""
+    return _bivalent(model.towers_of(conf, backend)[1])
 
 
 def gathered_at(pt: Point, conf: Configuration, backend: Backend) -> bool:
@@ -414,7 +417,7 @@ def summarize(conf: Configuration, backend: Backend) -> RoundSummary:
     return RoundSummary(
         phase=phase,
         measure=Measure(PHASE_WEIGHT[phase], residual),
-        forbidden=_bivalent(s),
+        forbidden=_bivalent(s.mults),
         gathered_pt=None,
         spectrum=s,
         analysis=ana,

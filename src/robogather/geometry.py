@@ -102,16 +102,30 @@ def classify_triangle(p1: Point, p2: Point, p3: Point, backend: Backend) -> Tria
     strictly the longest and its apex is unique. Collinear-but-distinct
     points are still classified (purely by side lengths); callers that need
     a genuine triangle must check collinearity themselves.
+
+    On the exact backend every test reads the three points' integer form
+    (``integer_form``): one scale for all three, so the squared sides keep
+    their order and their equalities.
     """
-    for a, b in ((p1, p2), (p1, p3), (p2, p3)):
-        if backend.points_eq(a, b):
-            raise DegenerateInput(f"coincident points {a} and {b}")
-    a2 = dist_sq(p2, p3)  # side opposite p1
-    b2 = dist_sq(p1, p3)  # side opposite p2
-    c2 = dist_sq(p1, p2)  # side opposite p3
-    ab = backend.eq(a2, b2)
-    bc = backend.eq(b2, c2)
-    ac = backend.eq(a2, c2)
+    if backend.is_exact:
+        (x1, y1), (x2, y2), (x3, y3) = integer_form((p1, p2, p3)).coords
+        a2 = (x2 - x3) ** 2 + (y2 - y3) ** 2  # side opposite p1
+        b2 = (x1 - x3) ** 2 + (y1 - y3) ** 2  # side opposite p2
+        c2 = (x1 - x2) ** 2 + (y1 - y2) ** 2  # side opposite p3
+        for side, a, b in ((c2, p1, p2), (b2, p1, p3), (a2, p2, p3)):
+            if not side:
+                raise DegenerateInput(f"coincident points {a} and {b}")
+        ab, bc, ac = a2 == b2, b2 == c2, a2 == c2
+    else:
+        for a, b in ((p1, p2), (p1, p3), (p2, p3)):
+            if backend.points_eq(a, b):
+                raise DegenerateInput(f"coincident points {a} and {b}")
+        a2 = dist_sq(p2, p3)  # side opposite p1
+        b2 = dist_sq(p1, p3)  # side opposite p2
+        c2 = dist_sq(p1, p2)  # side opposite p3
+        ab = backend.eq(a2, b2)
+        bc = backend.eq(b2, c2)
+        ac = backend.eq(a2, c2)
     # Two out of three equalities can only happen through tolerance
     # non-transitivity on floats; close it upward to equilateral.
     if ab + bc + ac >= 2:

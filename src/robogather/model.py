@@ -11,7 +11,6 @@ the global frame: the two are one type, ``View``.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -55,23 +54,43 @@ class DemonicAction:
         return self._activated
 
 
-def spectrum_of(conf: Configuration, backend: Backend) -> View:
-    """Multiset of robot locations, the configuration seen in the global
-    frame; invariant under identifier permutations.
+def towers_of(conf: Configuration, backend: Backend) -> tuple[list[Point], tuple[int, ...]]:
+    """The inhabited locations of ``conf``, first seen first, each as the
+    first robot's own ``Point`` there, and the robot count at each.
 
-    On the exact backend it is ``Counter(conf)``: its keys, the first robot
-    objects seen at each location, as their ``geometry.integer_form``, and
-    its counts. On the floating backend, locations equal under the tolerance
-    are merged into one tower (first-seen location is the representative).
-    """
+    On the exact backend robots are grouped by the integers of their
+    coordinates, (x.numerator, x.denominator, y.numerator, y.denominator):
+    a ``Fraction`` is in lowest terms, so equal keys are equal points, and
+    no ``Fraction`` is hashed. On the floating backend a location equal to
+    an earlier one under the tolerance joins that one's tower."""
     if backend.is_exact:
-        counts = Counter(conf)
-        return View(integer_form(list(counts)), tuple(counts.values()))
+        groups: dict[tuple[int, int, int, int], list] = {}
+        for p in conf:
+            x, y = p
+            key = (x.numerator, x.denominator, y.numerator, y.denominator)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [p, 1]
+            else:
+                group[1] += 1
+        found = list(groups.values())
+        return [p for p, _ in found], tuple([m for _, m in found])
     spec: dict[Point, int] = {}
     for loc in conf:
         rep = next((k for k in spec if backend.points_eq(k, loc)), loc)
         spec[rep] = spec.get(rep, 0) + 1
-    return View(list(spec), tuple(spec.values()))
+    return list(spec), tuple(spec.values())
+
+
+def spectrum_of(conf: Configuration, backend: Backend) -> View:
+    """Multiset of robot locations, the configuration seen in the global
+    frame; invariant under identifier permutations.
+
+    Its towers and multiplicities are ``towers_of(conf, backend)``; on the
+    exact backend the towers are their ``geometry.integer_form``.
+    """
+    towers, mults = towers_of(conf, backend)
+    return View(integer_form(towers) if backend.is_exact else towers, mults)
 
 
 def round(

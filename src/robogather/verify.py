@@ -53,12 +53,18 @@ def horizon_for(k: int, n_robots: int) -> int:
 _ZOOM_LO, _ZOOM_HI = Fraction(1, 10), Fraction(10)
 
 
-def _unit_circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational point on the unit circle from the half-angle parameter:
-    ((1 − t²)/(1 + t²), 2t/(1 + t²)) with t = p/q."""
+def _half_angle(t: Fraction) -> tuple[int, int, int]:
+    """The integers (q² − p², 2pq, q² + p²) of the half-angle parameter
+    t = p/q: the first two over the third are the rational point
+    ((1 − t²)/(1 + t²), 2t/(1 + t²)) on the unit circle."""
     p, q = t.numerator, t.denominator
-    den = q * q + p * p
-    return Fraction(q * q - p * p, den), Fraction(2 * p * q, den)
+    return q * q - p * p, 2 * p * q, q * q + p * p
+
+
+def _unit_circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational point on the unit circle from the half-angle parameter t."""
+    a, b, den = _half_angle(t)
+    return Fraction(a, den), Fraction(b, den)
 
 
 # The exact frame distribution's support: zoom
@@ -169,15 +175,17 @@ def _cocircular_pool(rng: random.Random, backend: Backend, bbox: int, size: int)
     interior point; the only way random draws ever put four towers on a SEC."""
     half = bbox // 2 or 1
     if backend.is_exact:
-        cx, cy = Fraction(rng.randint(-half, half)), Fraction(rng.randint(-half, half))
-        radius = Fraction(rng.randint(1, half))
+        # on integers: the point of parameter t is c + r·(a, b)/den
+        x0, y0 = rng.randint(-half, half), rng.randint(-half, half)
+        r = rng.randint(1, half)
         params: set[Fraction] = set()
         while len(params) < size:
             params.add(Fraction(rng.randint(-8, 8), rng.randint(1, 4)))
         pool = []
         for t in sorted(params):
-            ux, uy = _unit_circle_point(t)
-            pool.append(Point(cx + radius * ux, cy + radius * uy))
+            a, b, den = _half_angle(t)
+            pool.append(Point(Fraction(x0 * den + r * a, den), Fraction(y0 * den + r * b, den)))
+        cx, cy, radius = Fraction(x0), Fraction(y0), Fraction(r)
     else:
         cx, cy = rng.uniform(-half, half), rng.uniform(-half, half)
         radius = rng.uniform(1.0, half)

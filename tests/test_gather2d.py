@@ -317,6 +317,36 @@ def test_forbidden_examples():
     assert not gather2d.forbidden((P(0, 0), P(0, 0), P(0, 0), P(1, 1)), EXACT)
 
 
+@st.composite
+def _few_location_configs(draw, backend):
+    """Robots at one to three locations, often two of equal count: a robot is
+    at the pool's own ``Point``, at an equal but distinct one, or, on floats,
+    nudged within the tolerance."""
+    pool = draw(st.lists(exact_points, min_size=1, max_size=3, unique=True))
+    if not backend.is_exact:
+        pool = [Point(float(x), float(y)) for x, y in pool]
+    count = draw(st.integers(1, 4))
+    counts = [count if draw(st.booleans()) else draw(st.integers(1, 4)) for _ in pool]
+    conf = []
+    for p, n in zip(pool, counts):
+        for _ in range(n):
+            how = draw(st.sampled_from(["same", "copy", "nudged"]))
+            if how == "copy" or (how == "nudged" and backend.is_exact):
+                p = Point(*p)
+            elif how == "nudged":
+                p = Point(p.x * (1 + 1e-12) + 1e-12, p.y)
+            conf.append(p)
+    return tuple(draw(st.permutations(conf)))
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "floating"])
+@given(data=st.data())
+def test_forbidden_is_the_bivalent_spectrum(backend, data):
+    # forbidden reads the grouping of spectrum_of, with no spectrum built
+    conf = data.draw(_few_location_configs(backend))
+    assert gather2d.forbidden(conf, backend) == gather2d._bivalent(model.spectrum_of(conf, backend).mults)
+
+
 def test_gathered_at_examples():
     conf = (P(2, 3),) * 3
     assert gather2d.gathered_at(P(2, 3), conf, EXACT)

@@ -78,6 +78,57 @@ def test_classify_permutation_invariant(p1, p2, p3, perm):
     assert a.apex == b.apex
 
 
+def _classify_reference(p1, p2, p3):
+    """(kind, apex) of an exact triangle on ``Fraction`` arithmetic, or None
+    when two points coincide: squared sides, the apex opposite the base."""
+    pts = (p1, p2, p3)
+    if len(set(pts)) < 3:
+        return None
+    sides = [(q.x - r.x) ** 2 + (q.y - r.y) ** 2 for q, r in ((p2, p3), (p1, p3), (p1, p2))]
+    if sides[0] == sides[1] == sides[2]:
+        return g.TriangleKind.EQUILATERAL, None
+    for i in range(3):  # the two sides that meet at pts[i] are equal
+        if sides[i - 1] == sides[i - 2]:
+            return g.TriangleKind.ISOSCELES, pts[i]
+    return g.TriangleKind.SCALENE, pts[sides.index(max(sides))]
+
+
+@st.composite
+def _exact_triangles(draw):
+    """Three exact points in any order: random, right-angled, isosceles
+    (mirrored across the x-axis or not), collinear, or with two coinciding
+    (equal values, sometimes as distinct objects)."""
+    shape = draw(st.sampled_from(["random", "right", "isosceles", "collinear", "coincident"]))
+    p, q = draw(exact_points), draw(exact_points)
+    ux, uy, k = q.x - p.x, q.y - p.y, draw(rational)
+    if shape == "random":
+        pts = [p, q, draw(exact_points)]
+    elif shape == "right":  # the right angle at p
+        pts = [p, q, Point(p.x - k * uy, p.y + k * ux)]
+    elif shape == "isosceles":  # apex on the perpendicular bisector of p q
+        pts = [p, q, Point((p.x + q.x) / 2 - k * uy, (p.y + q.y) / 2 + k * ux)]
+    elif shape == "collinear":
+        pts = [p, q, Point(p.x + k * ux, p.y + k * uy)]
+    else:
+        pts = [p, q, draw(st.sampled_from([p, Point(F(p.x.numerator, p.x.denominator), p.y)]))]
+    if draw(st.booleans()):
+        pts = [Point(x, -y) for x, y in pts]
+    return draw(st.permutations(pts))
+
+
+@given(_exact_triangles())
+def test_exact_classify_matches_a_fraction_reference(pts):
+    # same kind, the very apex object, DegenerateInput on coincident points
+    want = _classify_reference(*pts)
+    if want is None:
+        with pytest.raises(g.DegenerateInput):
+            g.classify_triangle(*pts, EXACT)
+        return
+    shape = g.classify_triangle(*pts, EXACT)
+    assert shape.kind is want[0]
+    assert shape.apex is want[1]
+
+
 # --- barycenter ----------------------------------------------------------------
 
 

@@ -58,6 +58,18 @@ def test_spectrum_clusters_within_float_tolerance():
     assert _pairs(s) == [(Point(1.0, 1.0), 2), (Point(5.0, 5.0), 1)]
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "floating"])
+def test_spectrum_towers_are_the_first_robots_objects(backend):
+    # equal values held by distinct Point objects (and, exact, distinct
+    # Fraction objects): each tower is the first robot's own object there
+    a, b = backend.point(F(1, 2), F(-3)), backend.point(4, F(7, 3))
+    conf = (Point(*a), b, Point(a.x, a.y), a, backend.point(F(2, 4), F(-6, 2)), Point(*b), b)
+    s = model.spectrum_of(conf, backend)
+    assert s.mults == (4, 3)
+    towers = list(s.towers)
+    assert len(towers) == 2 and towers[0] is conf[0] and towers[1] is conf[1]
+
+
 @st.composite
 def _configs_and_orders(draw, backend):
     """A configuration with repeated locations, some robots at an equal but
