@@ -398,11 +398,13 @@ class CheckReport:
 
 
 def _configs_eq(a: Configuration, b: Configuration, backend: Backend) -> bool:
-    """Are ``a`` and ``b`` the same configuration? On the exact backend one
-    tuple ``==`` in C, which tests each pair by identity before ``==``."""
-    if backend.is_exact:
-        return tuple(a) == tuple(b)
-    return len(a) == len(b) and all(backend.points_eq(p, q) for p, q in zip(a, b))
+    """Are ``a`` and ``b`` the same configuration? First one tuple ``==`` in
+    C, which tests each pair by identity before ``==``; on floats the
+    robot-by-robot ``points_eq`` loop runs only when that says no (float
+    coordinates are finite, so ``==`` implies equal within the tolerance)."""
+    return tuple(a) == tuple(b) or (
+        not backend.is_exact and len(a) == len(b) and all(map(backend.points_eq, a, b))
+    )
 
 
 def _same_points(a: Configuration, b: Configuration) -> bool:

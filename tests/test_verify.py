@@ -8,6 +8,8 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     closed_form_frame,
@@ -22,7 +24,7 @@ from conftest import (
 from robogather import cli, frames, gather2d, geometry, model, traceio, verify
 from robogather.gather2d import Phase
 from robogather.model import DemonicAction, FrameParams, Trace, TraceStep
-from robogather.scalars import EXACT, FLOAT64, Point
+from robogather.scalars import EXACT, FLOAT64, FLOAT_INPUT_MAX, FloatBackend, Point
 
 P = EXACT.point
 
@@ -383,6 +385,136 @@ def test_exact_configs_eq_is_the_robot_by_robot_compare(a, b, equal):
     assert verify._configs_eq(a, b, EXACT) is equal
     assert verify._configs_eq(b, a, EXACT) is equal
     assert (len(a) == len(b) and all(EXACT.points_eq(p, q) for p, q in zip(a, b))) is equal
+
+
+def _nudged(p: Point, times: float, backend) -> Point:
+    """``p`` with x moved by ``times`` the tolerance at x."""
+    return Point(p.x + times * (backend.eps_abs + backend.eps_rel * abs(p.x)), p.y)
+
+
+FP = FLOAT64.point
+_ONE = FP(1.5, -2.0)
+_ZERO = FP(0.0, 3.0)
+
+
+@pytest.mark.parametrize(
+    "a, b, equal",
+    [
+        ((_ONE, _ZERO), (_ONE, _ZERO), True),  # the very same objects
+        ((FP(0, 0), FP(1.5, 2)), (FP(0, 0), FP(1.5, 2)), True),  # equal, distinct objects
+        ((FP(0.0, 1), FP(2, 0.0)), (FP(-0.0, 1), FP(2, -0.0)), True),
+        ((_ONE, _ZERO), (_nudged(_ONE, 0.5, FLOAT64), _ZERO), True),  # C says no, the loop yes
+        ((_ONE, _ZERO), (_nudged(_ONE, 2, FLOAT64), _ZERO), False),
+        ((FP(0, 0), FP(1.5, 2)), [FP(0, 0), FP(1.5, 2)], True),  # a tuple and a list
+        ((FP(0, 0), FP(1.5, 2)), (FP(0, 0), FP(1.5, 2), FP(1.5, 2)), False),  # lengths differ
+        ((FP(0, 0), FP(1.5, 2), FP(1.5, 2)), (FP(0, 0), FP(1.5, 2)), False),
+        ((), (), True),
+    ],
+    ids=["same-objects", "distinct-objects", "signed-zeros", "half-tolerance", "twice-tolerance",
+         "list-against-tuple", "longer", "shorter", "empty"],
+)
+def test_float_configs_eq_is_the_robot_by_robot_compare(a, b, equal):
+    assert verify._configs_eq(a, b, FLOAT64) is equal
+    assert verify._configs_eq(b, a, FLOAT64) is equal
+    assert (len(a) == len(b) and all(FLOAT64.points_eq(p, q) for p, q in zip(a, b))) is equal
+
+
+# Coordinates up to the float input cap, zeros of both signs and a few
+# repeated values, so equal points and points one tolerance apart are common.
+_coords = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -3.5, 1e6]),
+    st.floats(min_value=-FLOAT_INPUT_MAX, max_value=FLOAT_INPUT_MAX, allow_nan=False),
+)
+_float_backends = st.sampled_from(
+    [FLOAT64, FloatBackend(eps_abs=1e-3, eps_rel=0.0), FloatBackend(eps_abs=0.0, eps_rel=1e-6)]
+)
+# how each robot of the second configuration is made from the first's
+_EDITS = ("same", "copy", "signed-zero", "half", "twice")
+
+
+def _edited(p: Point, edit: str, backend) -> Point:
+    if edit == "same":
+        return p
+    if edit == "copy":
+        return Point(*p)
+    if edit == "signed-zero":
+        return Point(-p.x if p.x == 0 else p.x, -p.y if p.y == 0 else p.y)
+    return _nudged(p, 0.5 if edit == "half" else 2, backend)
+
+
+@given(
+    _float_backends,
+    st.lists(st.tuples(st.builds(Point, _coords, _coords), st.sampled_from(_EDITS)), max_size=6),
+    st.sampled_from(("tuple", "list", "shorter", "longer")),
+)
+def test_float_configs_eq_and_gathered_at_are_the_points_eq_loops(backend, robots, shape):
+    a = tuple(p for p, _ in robots)
+    b = [_edited(p, edit, backend) for p, edit in robots]
+    if shape == "shorter":
+        b = b[:-1]
+    elif shape == "longer":
+        b.append(a[0] if a else FP(0, 0))
+    if shape != "list":
+        b = tuple(b)
+    loop = len(a) == len(b) and all(backend.points_eq(p, q) for p, q in zip(a, b))
+    assert verify._configs_eq(a, b, backend) is loop
+    assert verify._configs_eq(b, a, backend) is loop
+    # a configuration whose every robot is an edit of the one location pt
+    pt = a[0] if a else FP(0, 0)
+    conf = tuple(_edited(pt, edit, backend) for _, edit in robots)
+    assert gather2d.gathered_at(pt, conf, backend) is all(backend.points_eq(loc, pt) for loc in conf)
+    assert gather2d.gathered_at(pt, b, backend) is all(backend.points_eq(loc, pt) for loc in b)
+
+
+def _float_run_with_a_mover_round():
+    """The seed-0 float fuzz run, its first round in which a robot moves and
+    the index of one mover there."""
+    _spec, trace, rep = verify.run_one(0, FLOAT64)
+    assert not rep.failures
+    prev = trace.initial
+    for i, step in enumerate(trace.steps):
+        movers = [j for j in range(len(prev)) if not FLOAT64.points_eq(prev[j], step.config[j])]
+        if movers:
+            return trace, i, movers[0]
+        prev = step.config
+    raise AssertionError("the seed-0 float run has no mover round")
+
+
+def _with_robot_moved(trace, i: int, robot: int, times: float) -> Trace:
+    """``trace`` with robot ``robot`` of round ``i``'s recorded configuration
+    moved by ``times`` the tolerance."""
+    steps = list(trace.steps)
+    step = steps[i]
+    conf = list(step.config)
+    conf[robot] = _nudged(conf[robot], times, FLOAT64)
+    steps[i] = TraceStep(step.index, step.action, tuple(conf))
+    return Trace(trace.initial, steps)
+
+
+def test_float_check_within_the_tolerance_runs_the_loop_and_passes():
+    trace, i, mover = _float_run_with_a_mover_round()
+    nudged = _with_robot_moved(trace, i, mover, 0.5)
+    recorded, moved = trace.steps[i].config, nudged.steps[i].config
+    assert tuple(recorded) != tuple(moved) and verify._configs_eq(recorded, moved, FLOAT64)
+    rep = verify.check_trace(nudged, FLOAT64)
+    assert not rep.failures
+    assert rep.properties["chaining"].checks == rep.properties["round_simplify"].checks == len(trace.steps)
+
+
+def test_float_check_beyond_the_tolerance_fails_chaining_and_round_simplify():
+    trace, i, mover = _float_run_with_a_mover_round()
+    rep = verify.check_trace(_with_robot_moved(trace, i, mover, 1e3), FLOAT64)
+    assert rep.violations_of("chaining") > 0
+    assert rep.violations_of("round_simplify") > 0
+
+
+def test_float_robot_leaving_the_gathering_point_fails_gather_persistence():
+    trace, _i, _mover = _float_run_with_a_mover_round()
+    first = first_gathered_round(trace, FLOAT64)
+    assert first is not None and first < len(trace.steps)
+    # trace.steps[first] is the round after the first gathered configuration
+    rep = verify.check_trace(_with_robot_moved(trace, first, 0, 1e3), FLOAT64)
+    assert rep.violations_of("gather_persistence") > 0
 
 
 def _stress_degenerate_triangles(n_samples: int, seed: int = 0) -> dict[int, dict[str, int]]:
