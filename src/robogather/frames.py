@@ -210,7 +210,11 @@ def view(f: Similarity, g: View) -> View:
     so the terms in the center fold into one integer per coordinate: each
     tower costs four products, and its image is that pair over D·L. The
     tower at offset (0, 0), the robot's own, reads as the shared
-    ``EXACT.origin()``.
+    ``EXACT.origin()``. The view keeps the towers' ``hint``, the indices of
+    the towers ``geometry.sec`` found on the spectrum's SEC: the view is
+    index-aligned with the spectrum and a similarity maps the SEC onto the
+    SEC, so they index the view's boundary too, and ``sec`` checks them
+    against every tower before it uses them.
 
     Any other frame maps tower by tower through ``apply``, sending the tower
     equal to the center to the origin, and merges images that collide (on
@@ -232,4 +236,4 @@ def view(f: Similarity, g: View) -> View:
     k = den // towers.den
     m11, m12, m21, m22 = m11 * k, m12 * k, m21 * k, m22 * k
     coords = [(m11 * x + m12 * y - ex, m21 * x + m22 * y - ey) for x, y in towers.coords]
-    return View(IntegerPoints(coords, d * den), g.mults)
+    return View(IntegerPoints(coords, d * den, hint=towers.hint), g.mults)

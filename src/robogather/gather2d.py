@@ -31,7 +31,12 @@ global frame (``frames.View``): every reader here takes its towers and
 multiplicities, and one majority rule (``highest_tower``) finds its unique
 highest tower. Exact towers are ``geometry.IntegerPoints``, whose integers
 ``geometry.sec`` reads; a robot's view builds a tower's ``Point`` only for
-the unique highest tower or the SEC boundary.
+the unique highest tower or the SEC boundary. The analysis of an exact
+spectrum records the indices of its SEC towers on the towers (their
+``hint``), and every view of that spectrum starts its SEC from them. A
+similarity maps the SEC onto the SEC and the SEC is unique, and ``sec``
+accepts the hinted circle only when it encloses every tower of the view,
+so the hint can change no verdict, only the time a view's SEC takes.
 """
 from __future__ import annotations
 

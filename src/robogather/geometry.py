@@ -21,7 +21,10 @@ unique, so the circle does not depend on the form or on the order; only the
 result is converted back, to ``Fraction``s or to correctly rounded floats.
 ``sec`` also returns the circle's boundary, the input points on it: on the
 exact backend each is decided on the same integers, on floats by
-``on_circle``'s tolerance test on the rounded circle.
+``on_circle``'s tolerance test on the rounded circle. An exact form may
+carry a ``hint``, the indices of the points on its SEC: ``sec`` then runs
+Welzl on those alone and keeps the circle only if it encloses every point
+(a smallest circle of a subset that encloses the set is the unique SEC).
 
 The brute-force oracle ``sec_bruteforce`` is one integer search on both
 backends that shares no code path with that Welzl: it clears denominators
@@ -191,14 +194,28 @@ class IntegerPoints:
     ``den`` need not make the pairs lowest terms; ``sec`` and ``in`` read the
     integers. Indexing and iteration return the ``points`` it keeps (made by
     ``integer_form``), or else build point i as ``Fraction``s (the shared
-    ``EXACT.origin()`` for (0, 0)) each time it is read."""
+    ``EXACT.origin()`` for (0, 0)) each time it is read.
 
-    __slots__ = ("coords", "den", "points")
+    ``hint`` is the indices of the points an exact ``sec`` found on the SEC,
+    recorded by its first full analysis, or copied from a spectrum by
+    ``frames.view``: a similarity maps the SEC onto the SEC, so an
+    index-aligned view has the same boundary indices. ``sec`` trusts it only
+    after every point passes its enclosure test, so a wrong hint costs time
+    and never changes a result. A form built directly has none."""
 
-    def __init__(self, coords: list[tuple[int, int]], den: int, points: Optional[Sequence[Point]] = None):
+    __slots__ = ("coords", "den", "points", "hint")
+
+    def __init__(
+        self,
+        coords: list[tuple[int, int]],
+        den: int,
+        points: Optional[Sequence[Point]] = None,
+        hint: Optional[tuple[int, ...]] = None,
+    ):
         self.coords = coords
         self.den = den
         self.points = points
+        self.hint = hint
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -241,14 +258,59 @@ def sec(points: Sequence[Point], backend: Backend) -> tuple[Circle, list[Point]]
     backend each point is decided on the integers,
     (x·d − ux)² + (y·d − uy)² = rn, so only the boundary's items of
     ``points`` are read.
+
+    On the exact backend a form's ``hint`` (the boundary indices of the
+    spectrum a view was mapped from) lets Welzl run on those few points
+    alone; the circle is accepted only if no point lies outside it, and the
+    boundary is read from that same pass. A circle that is the smallest
+    around a subset and encloses the whole set is the SEC of the set, which
+    is unique, so the circle and the boundary are those of the full path.
+    Any point outside sends ``sec`` down the full path, which records the
+    boundary indices as the form's ``hint``.
     """
     form = points if isinstance(points, IntegerPoints) else integer_form(points)
     ints, scale = form.coords, form.den
     if not ints:
         return Circle(backend.origin(), backend.scalar(0)), []
-    # the SEC of a set is that of its hull vertices, and it is unique, so
-    # the circle depends neither on the filter nor on the shuffled order
-    pts = _hull_vertices(sorted(set(ints)))
+    exact, on = backend.is_exact, None
+    if exact and form.hint:
+        found = _welzl([ints[i] for i in form.hint])
+        on = _boundary_indices(ints, *found)
+    if on is None:
+        found = _welzl(_hull_vertices(sorted(set(ints))))
+        if exact:
+            on = _boundary_indices(ints, *found)
+            form.hint = tuple(on)
+    ux, uy, d, rn = found
+    den = d * scale
+    if not exact:
+        circle = Circle(Point(ux / den, uy / den), rn / (den * den))
+        return circle, [p for p in points if on_circle(circle, p, backend)]
+    return Circle(Point(Fraction(ux, den), Fraction(uy, den)), Fraction(rn, den * den)), [points[i] for i in on]
+
+
+def _boundary_indices(ints: Sequence[tuple[int, int]], ux: int, uy: int, d: int, rn: int) -> Optional[list[int]]:
+    """The indices of the pairs on the circle (ux, uy, d, rn), in order, or
+    None as soon as one lies outside it: one pass, one integer compare per
+    pair."""
+    on = []
+    for i, (x, y) in enumerate(ints):
+        dx = x * d - ux
+        dy = y * d - uy
+        q = dx * dx + dy * dy
+        if q >= rn:
+            if q > rn:
+                return None
+            on.append(i)
+    return on
+
+
+def _welzl(pts: Sequence[tuple[int, int]]) -> tuple[int, int, int, int]:
+    """The SEC (ux, uy, d, rn), d > 0, of non-empty integer pairs: Welzl's
+    move-to-front in the seeded shuffled order. ``sec`` hands it the hull
+    vertices of the distinct pairs, or a hint's few points; the SEC of a set
+    is that of its hull vertices, and it is unique, so the circle depends
+    neither on the filter nor on the order."""
     pts = [pts[i] for i in _shuffle_order(len(pts))]
     ux, uy, d, rn = pts[0][0], pts[0][1], 1, 0
     for i, (x, y) in enumerate(pts):
@@ -257,12 +319,7 @@ def sec(points: Sequence[Point], backend: Backend) -> tuple[Circle, list[Point]]
             ux, uy, d, rn = _int_sec_one_point(pts[: i + 1], x, y)
     if d < 0:  # so that a zero center coordinate rounds to 0.0, not -0.0
         ux, uy, d = -ux, -uy, -d
-    den = d * scale
-    if backend.is_exact:
-        boundary = [points[i] for i, (x, y) in enumerate(ints) if (x * d - ux) ** 2 + (y * d - uy) ** 2 == rn]
-        return Circle(Point(Fraction(ux, den), Fraction(uy, den)), Fraction(rn, den * den)), boundary
-    circle = Circle(Point(ux / den, uy / den), rn / (den * den))
-    return circle, [p for p in points if on_circle(circle, p, backend)]
+    return ux, uy, d, rn
 
 
 def _hull_vertices(pts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -116,6 +116,14 @@ def round(
     linear form. A robot whose destination is its own origin stays exactly
     where it is, on both backends; any other destination comes back through
     ``preimage``.
+
+    An exact view keeps the spectrum's SEC ``hint`` (``frames.view``), the
+    boundary indices ``geometry.sec`` recorded when it analysed the given
+    spectrum, so each robot's ``sec`` runs Welzl on those towers alone and
+    checks the circle against every tower of its own view. The SEC is
+    unique, so a hint that passes gives the circle and boundary of the full
+    analysis, and one that fails falls back to it: the hint changes no
+    destination, and this oracle shares no decision with ``round_global``.
     """
     if len(da.steps) != len(conf):
         raise ValueError(f"action for {len(da.steps)} robots applied to {len(conf)}")

@@ -446,6 +446,35 @@ def test_negative_control_order_mutant_fails_pgm_order_property(monkeypatch, bac
         _pgm_ignores_order(backend, phases=[hypothesis.Phase.generate])()
 
 
+# --- the SEC hint of a view ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("gen_seed", [0, 2, 9], ids=["scalene_dirty", "diameter_dirty", "majority"])
+def test_check_builds_one_hull_per_distinct_configuration_not_per_robot(monkeypatch, gen_seed):
+    # an all-active exact round from a generated nG-64 spread start: every
+    # view starts its SEC from the hint of the spectrum's analysis, so only
+    # the summaries, one per configuration that needs a SEC, build a hull
+    conf = verify.gen_initial(64, random.Random(gen_seed), EXACT, bbox=64, pool_size=64)
+    da = verify.Strategy("all_active", 64, EXACT, seed=1)(0, conf)
+    trace = model.Trace(conf, [model.TraceStep(0, da, gather2d.round_global(da.activated(), conf, EXACT))])
+    with_sec = sum(gather2d.summarize(c, EXACT).analysis is not None for c in trace.configs())
+    assert (with_sec > 0) == (gen_seed != 9)
+    calls = []
+    hull = geometry._hull_vertices
+    monkeypatch.setattr(geometry, "_hull_vertices", lambda pts: calls.append(1) or hull(pts))
+    assert verify.check_trace(trace, EXACT).ok
+    assert len(calls) == with_sec
+
+
+def test_a_directly_built_integer_form_has_no_hint():
+    # so the order property above runs every view's SEC on the full path
+    towers = model.spectrum_of((P(0, 0), P(4, 0), P(1, 3)), EXACT).towers
+    assert towers.hint is None and geometry.integer_form(list(towers)).hint is None
+    geometry.sec(towers, EXACT)
+    assert towers.hint == (0, 1, 2)
+    assert _permuted(frames.View(towers, (1, 1, 1)), [2, 0, 1]).towers.hint is None
+
+
 # --- local/global equivalence property ------------------------------------------------
 
 

@@ -570,3 +570,44 @@ def test_sec_of_a_view_from_its_own_form_equals_sec_of_its_points(f, pts):
     for v in (spec, seen):
         assert isinstance(v.towers, g.IntegerPoints)
         assert g.sec(v.towers, EXACT) == g.sec(list(v.towers), EXACT)
+
+
+# --- the SEC hint ------------------------------------------------------------------
+
+_hint_spectra = st.one_of(
+    st.lists(exact_points, min_size=3, max_size=40),  # spread
+    _cocircular_sets(),
+    _collinear_sets(),
+    st.lists(exact_points, min_size=2, max_size=2, unique=True),  # two towers
+    st.lists(exact_points, min_size=1, max_size=1),  # one tower
+)
+
+
+def _hinted(towers, hint):
+    return g.IntegerPoints(towers.coords, towers.den, hint=tuple(hint))
+
+
+@given(exact_similarities(), _hint_spectra, st.data())
+def test_a_hint_changes_neither_the_sec_nor_the_boundary_of_a_view(f, pts, data):
+    spec = model.spectrum_of(tuple(pts), EXACT)
+    towers = frames.view(f, spec).towers
+    assert towers.hint is None  # the spectrum was not analysed yet
+    expected = g.sec(_hinted(towers, ()), EXACT)
+    n = len(towers)
+    on = [i for i in range(n) if towers[i] in expected[1]]
+    hints = {
+        "random subset": data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True)),
+        "every index": range(n),
+        "the true boundary": on,
+    }
+    inside = [i for i in range(n) if i not in on]
+    if inside:
+        hints["one interior tower"] = [data.draw(st.sampled_from(inside))]
+    for name, hint in hints.items():
+        assert g.sec(_hinted(towers, hint), EXACT) == expected, name
+    # the hint the analysis of the spectrum records, as every view copies it
+    g.sec(spec.towers, EXACT)
+    assert spec.towers.hint == tuple(on)
+    seen = frames.view(f, spec).towers
+    assert seen.hint == tuple(on)
+    assert g.sec(seen, EXACT) == expected

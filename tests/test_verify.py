@@ -581,6 +581,39 @@ def test_check_report_merge_and_summary():
     assert "outside the expected reachability graph" in text
 
 
+def _hintless_view(view):
+    """``frames.view`` with the SEC hint of each exact view dropped, so every
+    robot's ``sec`` takes the full hull path."""
+
+    def stripped(f, g):
+        v = view(f, g)
+        v.towers.hint = None
+        return v
+
+    return stripped
+
+
+@pytest.mark.parametrize("kind", ["round_robin", "all_active", "random_kfair"])
+def test_check_reports_the_same_with_every_view_hint_stripped(monkeypatch, kind):
+    hulls = []
+    hull = geometry._hull_vertices
+    monkeypatch.setattr(geometry, "_hull_vertices", lambda pts: hulls.append(1) or hull(pts))
+    counts = [0, 0]
+    for run_seed in range(6):
+        spec, trace, _rep = verify.run_one(run_seed, EXACT, ng_range=(32, 64), strategy_kinds=(kind,))
+        reports = []
+        for hinted in (True, False):
+            hulls.clear()
+            with monkeypatch.context() as m:
+                if not hinted:
+                    m.setattr(frames, "view", _hintless_view(frames.view))
+                reports.append(verify.check_trace(trace, EXACT, spec.k, run_seed))
+            counts[hinted] += len(hulls)
+        assert reports[0] == reports[1]
+    # the hints were used: the stripped checks built more hulls
+    assert counts[True] < counts[False]
+
+
 # --- equivalence / morphism helpers ---------------------------------------------
 
 
