@@ -37,18 +37,20 @@ def _fail(message: str) -> int:
 
 def cmd_run(args) -> int:
     try:
-        scenario = traceio.Scenario.load(args.scenario)
+        data = traceio.load_scenario(args.scenario)
         if args.backend:
-            scenario.backend_name = args.backend
+            data["backend"] = args.backend
         if args.eps is not None:
-            scenario.eps_abs = scenario.eps_rel = args.eps
+            data["eps"] = {"abs": args.eps, "rel": args.eps}
         if args.horizon is not None:
-            scenario.horizon = args.horizon
+            data["horizon"] = args.horizon
         if args.seed is not None:
-            scenario.demon = dict(scenario.demon, seed=args.seed)
+            demon = data.get("demon")  # one that is not an object is left for the reader to reject
+            if demon is None or isinstance(demon, dict):
+                data["demon"] = {**(demon or {}), "seed": args.seed}
         if args.allow_forbidden:
-            scenario.allow_forbidden = True
-        backend, conf, strategy, horizon = scenario.build()
+            data["allow_forbidden"] = True
+        backend, conf, strategy, horizon = traceio.read_scenario(data)
     except traceio.ScenarioError as exc:
         return _fail(str(exc))
 
@@ -122,10 +124,9 @@ def cmd_fuzz(args) -> int:
     try:
         os.makedirs(outdir, exist_ok=True)
         for i, cex in enumerate(counterexamples):
-            scenario = traceio.scenario_for_run(cex.spec, backend)
             spath = os.path.join(outdir, f"counterexample_{i}_scenario.json")
             tpath = os.path.join(outdir, f"counterexample_{i}_trace.jsonl")
-            scenario.save(spath)
+            traceio.save_scenario(traceio.scenario_for_run(cex.spec, backend), spath)
             traceio.write_trace(
                 tpath,
                 cex.trace,

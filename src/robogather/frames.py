@@ -9,18 +9,18 @@ mirrored frame. Rotations are parameterized by a unit pair (c, s) with
 c² + s² = 1 rather than an angle, so the exact backend can use rational
 rotations built from Pythagorean triples.
 
-On the exact backend ``linear_form`` keeps the integer form (A, B, D) of
-zoom · M on the ``FrameParams``, over one common denominator D > 0:
-A/D = zoom·c and B/D = zoom·s. A shared frame pays for it once. ``view``
-maps a whole view with it, and ``preimage`` returns center + (zoom·M)⁻¹·q
-with one integer expression and one ``Fraction`` per coordinate, instead of
-about ten ``Fraction`` operations per point. The form need not be in lowest
-terms, because every point that leaves ``view`` or ``preimage`` is a
-normalized ``Fraction``. ``apply`` maps a single point by the generic
-formula, exact on ``Fraction``s too, as does every frame whose
-``FrameParams`` has no form (on floats, or an exact frame built directly).
-On floats, p − center is taken first, so a nearby tower's image stays
-accurate however far the robot is from the origin.
+A ``FrameParams`` with rational parameters is checked when it is built,
+and it keeps the integer form (A, B, D) of zoom · M, over one common
+denominator D > 0: A/D = zoom·c and B/D = zoom·s. A shared frame pays for
+it once. ``view`` maps a whole view with it, and ``preimage`` returns
+center + (zoom·M)⁻¹·q with one integer expression and one ``Fraction`` per
+coordinate, instead of about ten ``Fraction`` operations per point. The
+form need not be in lowest terms, because every point that leaves ``view``
+or ``preimage`` is a normalized ``Fraction``. ``apply`` maps a single point
+by the generic formula, exact on ``Fraction``s too, as does every float
+frame, which has no form and is checked against a run's tolerance in
+``make_frame``. On floats, p − center is taken first, so a nearby tower's
+image stays accurate however far the robot is from the origin.
 
 The spectrum and a robot's *view*, the spectrum mapped into its frame, are
 one record on both backends, ``View``: the towers in the spectrum's key
@@ -60,14 +60,19 @@ class InvalidFrame(Exception):
 @dataclass(frozen=True, slots=True)
 class FrameParams:
     """The linear part of a frame a demon hands to an activated robot: a
-    zoom, a unit pair (c, s) and a reflection (see ``make_frame``). ``form``
-    is the integer form ``linear_form`` keeps on an exact one."""
+    zoom, a unit pair (c, s) and a reflection (see ``make_frame``). Rational
+    parameters are checked here (InvalidFrame) and ``form`` is their integer
+    form (``check_params``); float ones have none."""
 
     zoom: Scalar
     c: Scalar
     s: Scalar
     reflect: bool
     form: Optional[tuple[int, int, int]] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if float not in (type(self.zoom), type(self.c), type(self.s)):
+            object.__setattr__(self, "form", check_params(self, EXACT))
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,29 +130,19 @@ def check_params(fp: FrameParams, backend: Backend) -> Optional[tuple[int, int, 
     return form
 
 
-def linear_form(fp: FrameParams, backend: Backend) -> Optional[tuple[int, int, int]]:
-    """Validate ``fp`` (``check_params``) and return its (A, B, D), A/D = zoom·c,
-    B/D = zoom·s, kept on ``fp`` so each exact ``FrameParams`` is validated
-    once; None on floats."""
-    form = fp.form
-    if form is None:
-        form = check_params(fp, backend)
-        if form is not None:
-            object.__setattr__(fp, "form", form)
-    return form
-
-
 def make_frame(robot_loc: Point, fp: FrameParams, backend: Backend) -> Similarity:
     """The frame of a robot at ``robot_loc``: the similarity with the linear
     part of ``fp`` centered on the robot, which it sends to the origin of its
-    own frame. Validates ``fp`` (``linear_form``) and does no arithmetic."""
-    linear_form(fp, backend)
+    own frame. Checks a float ``fp`` against the tolerance of ``backend``
+    (an exact one was checked when it was built) and does no arithmetic."""
+    if fp.form is None:
+        check_params(fp, backend)
     return Similarity(fp, robot_loc)
 
 
 def inverse(f: Similarity) -> Similarity:
     """The inverse similarity: apply(inverse(f), apply(f, p)) == p. It is
-    centered on f's image of the origin and has no integer form.
+    centered on f's image of the origin.
 
     The linear part of a reflecting similarity is an involution, so the
     inverse keeps (c, s); a pure rotation inverts to (c, -s).
@@ -164,7 +159,7 @@ def preimage(f: Similarity, q: Point) -> Point:
     (D·(A·qx + B·qy)/N, ±D·(A·qy − B·qx)/N), negated in y when reflecting,
     so each coordinate of p is one integer expression over N·qxd·qyd times
     the denominator of the center's coordinate, and no inverse frame is
-    built. Without a form it is apply(inverse(f), q).
+    built. A float frame has no form: it is apply(inverse(f), q).
     """
     fp = f.fp
     if fp.form is None:
@@ -216,12 +211,12 @@ def view(f: Similarity, g: View) -> View:
     SEC, so they index the view's boundary too, and ``sec`` checks them
     against every tower before it uses them.
 
-    Any other frame maps tower by tower through ``apply``, sending the tower
-    equal to the center to the origin, and merges images that collide (on
-    floats, images that round to the same point)."""
+    A float frame maps tower by tower through ``apply``, sending the tower
+    equal to the center to the origin, and merges images that round to the
+    same point."""
     fp, center = f.fp, f.center
     if fp.form is None:
-        origin = FLOAT64.origin() if type(center.x) is float else EXACT.origin()
+        origin = FLOAT64.origin()
         merged: dict[Point, int] = {}
         for p, mult in zip(g.towers, g.mults):
             q = origin if p == center else apply(f, p)

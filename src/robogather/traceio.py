@@ -1,6 +1,10 @@
 """Scenario and trace persistence.
 
-A scenario is one human-editable JSON document (key/value tree). A trace is
+A scenario is one human-editable JSON object, kept as such: ``read_scenario``
+checks every key under its JSON name in one pass and materializes it, the
+trace header's backend, tolerance and initial points are read by the same
+code (``_read_start``), and ``scenario_for_run`` freezes a fuzz run into
+one. A trace is
 a line-delimited UTF-8 file: one self-contained JSON record per line — a
 header, one record per round, and an end marker. Exact-backend coordinates
 serialize as "numerator/denominator" strings so replay is bit-exact;
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from . import frames, gather2d, model, verify
@@ -80,16 +84,18 @@ def _scalar_in(value, backend: Backend, shared: dict):
 def _frame_in(obj, backend: Backend, shared: dict, scalars: dict) -> FrameParams:
     """The frame of a step that is not null, from the document's frame memo
     ``shared``: one checked ``FrameParams`` per distinct JSON object, keyed
-    by its repr, validated by ``frames.linear_form`` on its first read. Its
-    zoom, c and s are read through the scalar memo ``scalars``."""
+    by its repr, built (and, if exact, checked) on its first read; a float
+    one is checked against the tolerance of ``backend``. Its zoom, c and s
+    are read through the scalar memo ``scalars``."""
     key = repr(obj)
     fp = shared.get(key)
     if fp is None:
         zoom, c, s = obj["zoom"], obj["c"], obj["s"]
         reflect = _bool(obj["reflect"], "frame reflect")
-        fp = FrameParams(*(_scalar_in(v, backend, scalars) for v in (zoom, c, s)), reflect)
         try:
-            frames.linear_form(fp, backend)
+            fp = FrameParams(*(_scalar_in(v, backend, scalars) for v in (zoom, c, s)), reflect)
+            if fp.form is None:
+                frames.check_params(fp, backend)
         except frames.InvalidFrame as exc:
             raise TraceFormatError(f"invalid frame: {exc}") from exc
         shared[key] = fp
@@ -112,163 +118,123 @@ def _bool(value, what: str) -> bool:
     raise ScenarioError(f"{what} must be true or false, got {value!r}")
 
 
-def _eps_pair(eps) -> tuple[Optional[float], Optional[float]]:
-    """(abs, rel) of an ``eps`` object; ValueError unless each is absent or a
-    number (a JSON boolean is not a number)."""
-    if eps is None:
-        return None, None
-    if not isinstance(eps, dict):
-        raise ValueError(f"eps must be a JSON object, got {eps!r}")
-    for key in ("abs", "rel"):
-        if type(eps.get(key)) not in (int, float, type(None)):
-            raise ValueError(f"eps.{key} must be a number, got {eps[key]!r}")
-    return eps.get("abs"), eps.get("rel")
-
-
-def _obj(data: dict, key: str) -> dict:
-    """The JSON object under ``key`` ({} when absent or null), else ScenarioError."""
-    value = data.get(key)
+def _obj(value, what: str, known: tuple[str, ...]) -> dict:
+    """``value`` if it is a JSON object whose keys are all in ``known``, {}
+    if it is null, else ScenarioError: a misspelt key is an input error, not
+    a default silently taken."""
     if value is None:
         return {}
     if not isinstance(value, dict):
-        raise ScenarioError(f"'{key}' must be a JSON object, got {value!r}")
+        raise ScenarioError(f"{what} must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - set(known))
+    if unknown:
+        raise ScenarioError(f"unknown {what} key(s) {unknown} (expected {', '.join(known)})")
     return value
 
 
-@dataclass
-class Scenario:
-    """A runnable experiment: robot count, backend, initial configuration
-    (explicit or generated), demon strategy and round budget."""
+def _read_start(
+    doc: dict, backend_name, points, least: int, memo: dict
+) -> tuple[Backend, int, Optional[Configuration]]:
+    """The backend (``backend_name`` at the tolerance ``doc["eps"]``), robot
+    count ``doc["nG"]`` and initial configuration (None when ``points`` is)
+    of a scenario or a trace header, its points read through the point memo
+    ``memo``. ScenarioError unless nG is a JSON integer of at least
+    ``least`` that counts the points and each ``eps`` value is absent or a
+    number (a JSON boolean is not a number)."""
+    n = _int(doc.get("nG"), "nG")
+    if n < least:
+        raise ScenarioError(f"nG must be at least {least}, got {n}")
+    eps = _obj(doc.get("eps"), "eps", ("abs", "rel"))
+    for key in ("abs", "rel"):
+        if type(eps.get(key)) not in (int, float, type(None)):
+            raise ScenarioError(f"eps.{key} must be a number, got {eps[key]!r}")
+    try:
+        backend = get_backend(backend_name, eps.get("abs"), eps.get("rel"))
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+    if points is None:
+        return backend, n, None
+    if not isinstance(points, list):
+        raise ScenarioError(f"initial points must be a list, got {points!r}")
+    if len(points) != n:
+        raise ScenarioError(f"{len(points)} initial points for nG={n}")
+    try:
+        conf = tuple([_point_in(pair, backend, memo) for pair in points])
+    except (TraceFormatError, ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ScenarioError(f"bad initial coordinates: {exc}") from exc
+    return backend, n, conf
 
-    n_robots: int
-    backend_name: str = "exact"
-    eps_abs: Optional[float] = None
-    eps_rel: Optional[float] = None
-    initial: Optional[list[list]] = None  # explicit coordinates
-    generator: Optional[dict] = None  # {"bbox": int, "pool": int|None, "seed": int}
-    demon: dict = field(default_factory=lambda: {"kind": "round_robin", "seed": 0})
-    horizon: Optional[int] = None
-    allow_forbidden: bool = False
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        if not isinstance(data, dict):
-            raise ScenarioError("scenario must be a JSON object")
-        if "nG" not in data:
-            raise ScenarioError("scenario is missing 'nG'")
+def read_scenario(data) -> tuple[Backend, Configuration, verify.Strategy, int]:
+    """The backend, initial configuration, demon and round budget of a
+    scenario, the JSON object ``robogather run`` reads (see README, "Scenario
+    format"), validated in one pass: a key it does not name is an input
+    error (ScenarioError), as is every bad value."""
+    data = _obj(data, "scenario", ("nG", "backend", "eps", "initial", "demon", "horizon", "allow_forbidden"))
+    if "nG" not in data:
+        raise ScenarioError("scenario is missing 'nG'")
+    initial = _obj(data.get("initial"), "initial", ("points", "generator"))
+    points, gen = initial.get("points"), initial.get("generator")
+    if points is not None and gen is not None:
+        raise ScenarioError("initial takes points or generator, not both")
+    backend, n, conf = _read_start(data, data.get("backend", "exact"), points, 3, {})
+    horizon = _int(data.get("horizon"), "horizon", optional=True)
+    if horizon is not None and horizon < 0:
+        raise ScenarioError(f"horizon must be at least 0, got {horizon}")
+    allow_forbidden = _bool(data.get("allow_forbidden", False), "allow_forbidden")
+
+    if conf is not None:
+        if gather2d.forbidden(conf, backend) and not allow_forbidden:
+            raise ScenarioError(
+                "initial configuration is bivalent; pass allow_forbidden "
+                "(negative tests only) to run it anyway"
+            )
+    else:
+        gen = _obj(gen, "initial.generator", ("bbox", "pool", "seed"))
+        rng = random.Random(_int(gen.get("seed", 0), "generator seed"))
+        bbox = _int(gen.get("bbox", 10), "generator bbox")
+        if not backend.is_exact and bbox > FLOAT_INPUT_MAX:
+            raise ScenarioError(f"generator bbox must be at most {FLOAT_INPUT_MAX:g} on floats, got {bbox}")
+        pool = _int(gen.get("pool"), "generator pool", optional=True)
         try:
-            eps_abs, eps_rel = _eps_pair(data.get("eps"))
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
-        initial = _obj(data, "initial")
-        points = initial.get("points")
-        if points is not None and not isinstance(points, list):
-            raise ScenarioError(f"initial.points must be a list, got {points!r}")
-        return cls(
-            n_robots=_int(data["nG"], "nG"),
-            backend_name=data.get("backend", "exact"),
-            eps_abs=eps_abs,
-            eps_rel=eps_rel,
-            initial=points,
-            generator=_obj(initial, "generator") if "generator" in initial else None,
-            demon=_obj(data, "demon") if "demon" in data else {"kind": "round_robin", "seed": 0},
-            horizon=_int(data.get("horizon"), "horizon", optional=True),
-            allow_forbidden=_bool(data.get("allow_forbidden", False), "allow_forbidden"),
-        )
+            conf = verify.gen_initial(n, rng, backend, bbox=bbox, pool_size=pool)
+        except (ValueError, IndexError, RuntimeError) as exc:
+            # e.g. a negative bbox, an empty pool or more pool points than the box holds
+            raise ScenarioError(f"cannot generate the initial configuration: {exc}") from exc
 
-    def to_dict(self) -> dict:
-        initial: dict[str, Any] = {}
-        if self.initial is not None:
-            initial["points"] = self.initial
-        if self.generator is not None:
-            initial["generator"] = self.generator
-        out: dict[str, Any] = {
-            "nG": self.n_robots,
-            "backend": self.backend_name,
-            "initial": initial,
-            "demon": self.demon,
-        }
-        if self.eps_abs is not None or self.eps_rel is not None:
-            out["eps"] = {"abs": self.eps_abs, "rel": self.eps_rel}
-        if self.horizon is not None:
-            out["horizon"] = self.horizon
-        if self.allow_forbidden:
-            out["allow_forbidden"] = True
-        return out
+    demon = _obj(data.get("demon"), "demon", ("kind", "seed", "k", "script"))
+    kind = demon.get("kind", "round_robin")
+    seed = _int(demon.get("seed", 0), "demon seed")
+    k = _int(demon.get("k"), "demon k", optional=True)
+    try:
+        strategy = verify.Strategy(kind, n, backend, seed=seed, k=k, script=demon.get("script"))
+    except (ValueError, TypeError) as exc:
+        raise ScenarioError(f"bad demon: {exc}") from exc
+    if horizon is None:
+        horizon = verify.horizon_for(strategy.k, n)
+    return backend, conf, strategy, horizon
 
-    @classmethod
-    def load(cls, path: str) -> "Scenario":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-        return cls.from_dict(data)
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+def load_scenario(path: str) -> dict:
+    """The scenario object of the JSON file at ``path``, unvalidated
+    (``read_scenario`` validates it); ScenarioError unless the file reads as
+    one JSON object."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ScenarioError("scenario must be a JSON object")
+    return data
 
-    def build(self) -> tuple[Backend, Configuration, verify.Strategy, int]:
-        """Validate and materialize the scenario."""
-        if self.n_robots < 3:
-            raise ScenarioError(f"nG must be at least 3, got {self.n_robots}")
-        if self.horizon is not None and self.horizon < 0:
-            raise ScenarioError(f"horizon must be at least 0, got {self.horizon}")
-        try:
-            backend = get_backend(self.backend_name, self.eps_abs, self.eps_rel)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
 
-        if self.initial is not None:
-            if len(self.initial) != self.n_robots:
-                raise ScenarioError(
-                    f"{len(self.initial)} initial points for nG={self.n_robots}"
-                )
-            try:
-                shared: dict = {}  # this document's point memo, as in read_trace
-                conf = tuple(_point_in(pair, backend, shared) for pair in self.initial)
-            except (TraceFormatError, ValueError, TypeError, ZeroDivisionError) as exc:
-                raise ScenarioError(f"bad initial coordinates: {exc}") from exc
-            if gather2d.forbidden(conf, backend) and not self.allow_forbidden:
-                raise ScenarioError(
-                    "initial configuration is bivalent; pass allow_forbidden "
-                    "(negative tests only) to run it anyway"
-                )
-        else:
-            gen = self.generator or {}
-            rng = random.Random(_int(gen.get("seed", 0), "generator seed"))
-            bbox = _int(gen.get("bbox", 10), "generator bbox")
-            if not backend.is_exact and bbox > FLOAT_INPUT_MAX:
-                raise ScenarioError(f"generator bbox must be at most {FLOAT_INPUT_MAX:g} on floats, got {bbox}")
-            try:
-                conf = verify.gen_initial(
-                    self.n_robots,
-                    rng,
-                    backend,
-                    bbox=bbox,
-                    pool_size=_int(gen.get("pool"), "generator pool", optional=True),
-                )
-            except (ValueError, IndexError, RuntimeError) as exc:
-                # e.g. a negative bbox, an empty pool or more pool points than the box holds
-                raise ScenarioError(f"cannot generate the initial configuration: {exc}") from exc
-
-        demon = dict(self.demon)
-        unknown = sorted(set(demon) - {"kind", "seed", "k", "script"})
-        if unknown:
-            raise ScenarioError(f"unknown demon key(s) {unknown} (expected kind, seed, k, script)")
-        kind = demon.get("kind", "round_robin")
-        seed = _int(demon.get("seed", 0), "demon seed")
-        k = _int(demon.get("k"), "demon k", optional=True)
-        try:
-            strategy = verify.Strategy(kind, self.n_robots, backend, seed=seed, k=k, script=demon.get("script"))
-        except (ValueError, TypeError) as exc:
-            raise ScenarioError(f"bad demon: {exc}") from exc
-        horizon = self.horizon
-        if horizon is None:
-            horizon = verify.horizon_for(strategy.k, self.n_robots)
-        return backend, conf, strategy, horizon
+def save_scenario(data: dict, path: str) -> None:
+    """Write the scenario object ``data`` to ``path``: ``json.dump`` with an
+    indent of 2, then a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
 
 
 def write_trace(
@@ -367,7 +333,7 @@ def read_trace(path: str) -> LoadedTrace:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceFormatError(f"cannot read trace {path}: {exc}") from exc
     if not lines:
         raise TraceFormatError("empty trace file")
@@ -385,11 +351,9 @@ def read_trace(path: str) -> LoadedTrace:
     frame_memo: dict = {}
     scalar_memo: dict = {}
     try:
-        backend = get_backend(header["backend"], *_eps_pair(header.get("eps")))
-        initial = tuple([_point_in(pair, backend, point_memo) for pair in header["initial"]])
-        n_robots = _int(header.get("nG"), "nG")
-        if n_robots < 1 or n_robots != len(initial):
-            raise ValueError(f"nG must be at least 1 and count the {len(initial)} initial points, got {n_robots}")
+        backend, _, initial = _read_start(header, header["backend"], header["initial"], 1, point_memo)
+        if initial is None:
+            raise ScenarioError("initial points must be a list, got None")
         k = _int(header.get("k"), "k", optional=True)
         seed = _int(header.get("seed"), "seed", optional=True)
         if k is not None and k < 1:
@@ -442,15 +406,16 @@ def read_trace(path: str) -> LoadedTrace:
     )
 
 
-def scenario_for_run(spec: verify.RunSpec, backend: Backend) -> Scenario:
+def scenario_for_run(spec: verify.RunSpec, backend: Backend) -> dict:
     """Freeze a fuzz run into a replayable scenario with explicit coordinates
     and, on floats, the run's tolerance."""
-    return Scenario(
-        n_robots=spec.n_robots,
-        backend_name=spec.backend_name,
-        eps_abs=None if backend.is_exact else backend.eps_abs,
-        eps_rel=None if backend.is_exact else backend.eps_rel,
-        initial=[_point_out(p, backend) for p in spec.initial],
-        demon={"kind": spec.strategy_kind, "seed": spec.strategy_seed, "k": spec.k},
-        horizon=spec.horizon,
-    )
+    data: dict[str, Any] = {
+        "nG": spec.n_robots,
+        "backend": spec.backend_name,
+        "initial": {"points": [_point_out(p, backend) for p in spec.initial]},
+        "demon": {"kind": spec.strategy_kind, "seed": spec.strategy_seed, "k": spec.k},
+    }
+    if not backend.is_exact:
+        data["eps"] = {"abs": backend.eps_abs, "rel": backend.eps_rel}
+    data["horizon"] = spec.horizon
+    return data

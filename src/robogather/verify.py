@@ -315,9 +315,6 @@ class CheckReport:
 
     properties: dict[str, PropertyStats] = field(default_factory=dict)
     failures: list[Failure] = field(default_factory=list)
-    runs: int = 0
-    gathered_runs: int = 0
-    timeouts: int = 0
     rounds_to_gather: list[int] = field(default_factory=list)
     observed_arcs: set[tuple[Phase, Phase]] = field(default_factory=set)
 
@@ -346,15 +343,26 @@ class CheckReport:
             mine.checks += stats.checks
             mine.violations += stats.violations
         self.failures.extend(other.failures[: _MAX_FAILURES_KEPT - len(self.failures)])
-        self.runs += other.runs
-        self.gathered_runs += other.gathered_runs
-        self.timeouts += other.timeouts
         self.rounds_to_gather.extend(other.rounds_to_gather)
         self.observed_arcs |= other.observed_arcs
 
     @property
     def ok(self) -> bool:
         return all(s.violations == 0 for s in self.properties.values())
+
+    # the fuzz run counters, read from the one ``gathering`` check that
+    # ``run_one`` records per run and the rounds to gather of those that did
+    @property
+    def runs(self) -> int:
+        return self.properties.get("gathering", PropertyStats()).checks
+
+    @property
+    def gathered_runs(self) -> int:
+        return len(self.rounds_to_gather)
+
+    @property
+    def timeouts(self) -> int:
+        return self.violations_of("gathering")
 
     def violations_of(self, prop: str) -> int:
         return self.properties.get(prop, PropertyStats()).violations
@@ -620,12 +628,8 @@ def run_one(
     gathered_round = next((i for i, s in enumerate(summaries) if s.gathered_pt is not None), None)
     gathered_in_time = gathered_round is not None and gathered_round <= h
     rep.record("gathering", gathered_in_time, run_seed, None, f"not gathered within horizon {h}")
-    rep.runs = 1
     if gathered_in_time:
-        rep.gathered_runs = 1
         rep.rounds_to_gather.append(gathered_round)
-    else:
-        rep.timeouts = 1
     spec = RunSpec(run_seed, strategy_seed, n_robots, kind, strat.k, backend.name, conf, h)
     return spec, trace, rep
 

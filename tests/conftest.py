@@ -48,7 +48,8 @@ zooms = bounded_fractions(Fraction(1, 10), 10, 10)
 @st.composite
 def exact_similarities(draw):
     """Exact frames as production builds them, through ``make_frame`` for a
-    drawn robot location, so they carry the integer form."""
+    drawn robot location; each carries the integer form its ``FrameParams``
+    derived when it was built."""
     zoom = draw(zooms)
     c, s = _unit_pair(draw(rotation_params))
     reflect = draw(st.booleans())

@@ -236,6 +236,11 @@ _BIVALENT = {
         ("scenario", {"backend": "floating", "initial": {"generator": {"bbox": 10**198}}}),
         ("scenario", {"initial": {"points": [[0.1, 0], [0.1, 0], [5, 5.5]]}}),
         ("scenario", {"initial": {"points": [[1e23, 0], [0, 0], [0, 1]]}}),
+        ("scenario", {"horizn": 3}),
+        ("scenario", {"initial": {"pionts": [["0", "0"], ["0", "0"], ["5", "5"]]}}),
+        ("scenario", {"initial": {"generator": {"pol": 1}}}),
+        ("scenario", {"backend": "floating", "eps": {"rle": 0.5}}),
+        ("scenario", {"initial": {"points": [["0", "0"], ["0", "0"], ["5", "5"]], "generator": {"seed": 1}}}),
         ("fuzz", ["--horizon", "-3"]),
         ("fuzz", ["--runs", "-3"]),
         ("fuzz", ["--runs", "0"]),
@@ -313,6 +318,11 @@ _BIVALENT = {
         "floating-generator-bbox-1e198",
         "exact-point-non-integral-number",
         "exact-point-integral-number-1e23",
+        "unknown-top-level-key",
+        "initial-unknown-key",
+        "generator-unknown-key",
+        "eps-unknown-key",
+        "points-with-generator",
         "fuzz-horizon-negative",
         "fuzz-runs-negative",
         "fuzz-runs-zero",
@@ -880,7 +890,7 @@ def test_floating_fuzz_spec_replays_bit_for_bit_through_run(tmp_path, capsys):
     for i in range(200):
         spec, trace, _rep = verify.run_one(master.randrange(2**62), FLOAT64)
         scenario = str(tmp_path / "spec.json")
-        traceio.scenario_for_run(spec, FLOAT64).save(scenario)
+        traceio.save_scenario(traceio.scenario_for_run(spec, FLOAT64), scenario)
         out = str(tmp_path / "replay.jsonl")
         assert cli.main(["run", "--scenario", scenario, "--out", out]) in (cli.EXIT_OK, cli.EXIT_HORIZON)
         capsys.readouterr()
@@ -932,6 +942,38 @@ def test_bundled_scenario_float_trace_is_byte_identical(tmp_path, name):
     argv = ["run", "--scenario", str(scenario), "--backend", "floating", "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BUNDLED_FLOAT_TRACE_SHA256[name]
+
+
+# sha256 of the first counterexample scenario a seed-0 campaign of the
+# unfair demon writes on each backend: the scenario file format is
+# ``json.dump(..., indent=2)`` and a newline, keys in the order nG, backend,
+# initial, demon, eps (floats only), horizon.
+COUNTEREXAMPLE_SCENARIO_SHA256 = {
+    "exact": "b3c3f91289e493178a040ea88c7d248e2a861d0ac96b29d6683f5af0bfe2c6c0",
+    "floating": "44f665c89c8c718518bc258ce9ecfdc6fc92113de867a819ec26051edf79d56b",
+}
+
+
+@pytest.mark.parametrize("backend", sorted(COUNTEREXAMPLE_SCENARIO_SHA256))
+def test_counterexample_scenario_file_is_byte_identical(tmp_path, capsys, backend):
+    argv = ["fuzz", "--strategies", "unfair_skip0", "--seed", "0", "--backend", backend, "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_VIOLATION
+    path = tmp_path / "counterexample_0_scenario.json"
+    written = path.read_bytes()
+    assert hashlib.sha256(written).hexdigest() == COUNTEREXAMPLE_SCENARIO_SHA256[backend]
+    # loading and saving the file again gives the same bytes
+    again = tmp_path / "again.json"
+    traceio.save_scenario(traceio.load_scenario(str(path)), str(again))
+    assert again.read_bytes() == written
+
+
+def test_undecodable_scenario_or_trace_exit_one_without_traceback(tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe{}\n")
+    for argv in (["run", "--scenario", str(bad), "--out", str(tmp_path / "t.jsonl")], ["check", "--trace", str(bad)]):
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_parser_reuse_leaks_no_state_between_calls(tmp_path, capsys):

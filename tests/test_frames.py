@@ -15,7 +15,7 @@ P = EXACT.point
 
 
 def _sim(zoom, c, s, reflect, center):
-    """A similarity built directly, with no integer form."""
+    """A similarity built directly, not through ``make_frame``."""
     return Similarity(FrameParams(zoom, c, s, reflect), center)
 
 
@@ -263,10 +263,10 @@ def test_preimage_examples_with_negative_coordinates():
 def test_frames_are_equal_exactly_when_params_and_centers_are(f, loc, other, p):
     fp = f.fp
     g = make_frame(loc, FrameParams(fp.zoom, fp.c, fp.s, fp.reflect), EXACT)
-    # built directly, the same similarity has no integer form and maps by
-    # the generic formula; both must give the same point
+    # built directly, the same similarity carries the same integer form from
+    # construction, and both map a point to the same point
     rebuilt = _sim(fp.zoom, fp.c, fp.s, fp.reflect, loc)
-    assert g.fp.form is not None and rebuilt.fp.form is None
+    assert g.fp.form is not None and rebuilt.fp.form == g.fp.form
     assert g == rebuilt and hash(g) == hash(rebuilt) and apply(g, p) == apply(rebuilt, p)
     assert (g == _sim(fp.zoom, fp.c, fp.s, fp.reflect, other)) == (other == loc)
     assert g != _sim(fp.zoom, fp.c, fp.s, not fp.reflect, loc)

@@ -25,16 +25,14 @@ def _scenario_dict(**overrides):
 
 
 def test_scenario_roundtrip(tmp_path):
-    sc = traceio.Scenario.from_dict(_scenario_dict())
+    data = _scenario_dict()
     path = tmp_path / "s.json"
-    sc.save(str(path))
-    again = traceio.Scenario.load(str(path))
-    assert again.to_dict() == sc.to_dict()
+    traceio.save_scenario(data, str(path))
+    assert traceio.load_scenario(str(path)) == data
 
 
 def test_scenario_build_explicit_exact():
-    sc = traceio.Scenario.from_dict(_scenario_dict())
-    backend, conf, strategy, horizon = sc.build()
+    backend, conf, strategy, horizon = traceio.read_scenario(_scenario_dict())
     assert backend is EXACT
     assert conf == (P(0, 0), P(0, 0), P(5, 5))
     assert strategy.kind == "all_active"
@@ -42,7 +40,7 @@ def test_scenario_build_explicit_exact():
 
 
 def test_scenario_build_generator():
-    sc = traceio.Scenario.from_dict(
+    backend, conf, strategy, horizon = traceio.read_scenario(
         {
             "nG": 5,
             "backend": "floating",
@@ -50,7 +48,6 @@ def test_scenario_build_generator():
             "demon": {"kind": "random_kfair", "seed": 2, "k": 6},
         }
     )
-    backend, conf, strategy, horizon = sc.build()
     assert backend.name == "floating"
     assert len(conf) == 5
     assert strategy.k == 6
@@ -59,17 +56,17 @@ def test_scenario_build_generator():
 
 def test_scenario_validation_errors():
     with pytest.raises(traceio.ScenarioError):
-        traceio.Scenario.from_dict(_scenario_dict(nG=2)).build()
+        traceio.read_scenario(_scenario_dict(nG=2))
     with pytest.raises(traceio.ScenarioError):
-        traceio.Scenario.from_dict({"backend": "exact"})
+        traceio.read_scenario({"backend": "exact"})
     with pytest.raises(traceio.ScenarioError):
-        traceio.Scenario.from_dict(_scenario_dict(backend="weird")).build()
+        traceio.read_scenario(_scenario_dict(backend="weird"))
     bad_points = _scenario_dict(initial={"points": [["0", "0"], ["1", "1"]]})
     with pytest.raises(traceio.ScenarioError):
-        traceio.Scenario.from_dict(bad_points).build()
+        traceio.read_scenario(bad_points)
     bad_demon = _scenario_dict(demon={"kind": "nope"})
     with pytest.raises(traceio.ScenarioError):
-        traceio.Scenario.from_dict(bad_demon).build()
+        traceio.read_scenario(bad_demon)
 
 
 def test_scenario_forbidden_needs_flag():
@@ -78,9 +75,9 @@ def test_scenario_forbidden_needs_flag():
         initial={"points": [["0", "0"], ["0", "0"], ["1", "1"], ["1", "1"]]},
     )
     with pytest.raises(traceio.ScenarioError):
-        traceio.Scenario.from_dict(data).build()
+        traceio.read_scenario(data)
     data["allow_forbidden"] = True
-    backend, conf, _, _ = traceio.Scenario.from_dict(data).build()
+    backend, conf, _, _ = traceio.read_scenario(data)
     assert gather2d.forbidden(conf, backend)
 
 
@@ -159,8 +156,7 @@ def test_read_trace_errors(tmp_path):
 
 def test_scenario_for_run_replays_identically(tmp_path):
     spec, trace, rep = verify.run_one(31337, EXACT)
-    scenario = traceio.scenario_for_run(spec, EXACT)
-    backend, conf, strategy, horizon = scenario.build()
+    backend, conf, strategy, horizon = traceio.read_scenario(traceio.scenario_for_run(spec, EXACT))
     assert conf == spec.initial
     assert strategy.k == spec.k
     replay = model.execute(
@@ -174,13 +170,15 @@ def test_scenario_for_run_replays_identically(tmp_path):
         assert a.config == b.config
 
 
-def test_float_scenario_for_run_keeps_the_run_tolerance():
-    # a frozen float run replays at its own tolerance, not the default one
+def test_float_scenario_for_run_keeps_the_run_tolerance(tmp_path):
+    # a frozen float run replays at its own tolerance, not the default one,
+    # also from its scenario file
     backend = FloatBackend(1e-6, 1e-6)
     spec, _trace, _rep = verify.run_one(7, backend)
-    scenario = traceio.scenario_for_run(spec, backend)
-    assert scenario.build()[0] == backend
-    assert traceio.Scenario.from_dict(scenario.to_dict()).build()[0] == backend
+    data = traceio.scenario_for_run(spec, backend)
+    assert traceio.read_scenario(data)[0] == backend
+    traceio.save_scenario(data, str(tmp_path / "s.json"))
+    assert traceio.read_scenario(traceio.load_scenario(str(tmp_path / "s.json")))[0] == backend
 
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT64], ids=["exact", "float"])
@@ -307,10 +305,10 @@ def test_write_trace_analyzes_each_distinct_majority_summary_once(tmp_path, monk
     # a majority summary computes its clean flag (a SEC) on its first read
     # and keeps it; rounds that move no robot share one summary, so
     # write_trace runs _analyze once per distinct majority summary
-    # Scenario.build shares the three (0, 0) robots, as robogather run does
+    # read_scenario shares the three (0, 0) robots, as robogather run does
     points = [["0", "0"], ["0", "0"], ["0", "0"], ["5", "5"], ["1", "3"]]
     data = _scenario_dict(nG=5, initial={"points": points}, demon={"kind": "round_robin"})
-    backend, conf, strat, horizon = traceio.Scenario.from_dict(data).build()
+    backend, conf, strat, horizon = traceio.read_scenario(data)
     assert conf[0] is conf[1] is conf[2]
     trace, summaries = verify.execute_global(strat, conf, backend, horizon)
     # a round record's clean flag is its result's: summaries after the first

@@ -129,7 +129,8 @@ def test_each_kind_of_frame_work_happens_once(monkeypatch, tmp_path):
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
     assert done.stdout.split() == ["0", str(len(verify._EXACT_FRAMES))], done.stderr
 
-    # a seeded exact run validates each FrameParams object once, however
+    # an exact FrameParams is checked once, when it is built: a seeded
+    # exact run checks each object the demon's table builds once, however
     # many activations share it (seed 116: 115 activations, 107 objects)
     monkeypatch.setattr(verify, "_EXACT_FRAMES", [None] * len(verify._EXACT_FRAMES))
     checks = _counting(monkeypatch, frames, "check_params")
@@ -138,7 +139,8 @@ def test_each_kind_of_frame_work_happens_once(monkeypatch, tmp_path):
     used = [fp for st in trace.steps for fp in st.action.steps if fp is not None]
     assert len(checks) == len({id(fp) for fp in used}) < len(used)
 
-    # check of the written trace validates once per distinct frame
+    # check of the written trace builds, and so checks, one FrameParams per
+    # distinct frame
     path = str(tmp_path / "run.jsonl")
     traceio.write_trace(path, trace, EXACT, k=spec.k)
     checks.clear()
