@@ -10,11 +10,9 @@ common denominator (``IntegerPoints``, also the one form of the towers of
 an exact spectrum or view, ``frames.View``). ``sec`` reads the integers of
 ``IntegerPoints`` as they are, and scales any other points by the lcm L of
 the denominators of their exact values (``integer_form``; a float is a
-dyadic rational). The kernel keeps only the vertices of the convex hull of
-the distinct integer pairs (Andrew's monotone chain on the sorted pairs),
-whose SEC is that of the whole set, and runs Welzl's move-to-front
-algorithm (expected linear time) on them behind a deterministic,
-seed-driven shuffle. A circle is an integer tuple
+dyadic rational). The kernel runs Welzl's move-to-front algorithm
+(expected linear time) on the sorted distinct integer pairs, behind a
+deterministic, seed-driven shuffle. A circle is an integer tuple
 (ux, uy, d, rn) with d ≠ 0, center (ux/d, uy/d) and squared radius rn/d² in
 scaled units, and every enclosure test is one integer comparison. The SEC is
 unique, so the circle does not depend on the form or on the order; only the
@@ -250,7 +248,7 @@ def sec(points: Sequence[Point], backend: Backend) -> tuple[Circle, list[Point]]
 
     The circle is permutation- and duplication-invariant; ``sec([])`` is the
     zero circle at the origin, with no boundary. Welzl's move-to-front scheme
-    on the hull vertices of an integer form of the points, on both backends:
+    on the distinct pairs of an integer form of the points, on both backends:
     ``points`` itself when it is ``IntegerPoints`` (an exact view's towers),
     else ``integer_form(points)``. On floats the circle is rounded once, by
     int true division, which is correctly rounded, and the boundary is
@@ -277,7 +275,7 @@ def sec(points: Sequence[Point], backend: Backend) -> tuple[Circle, list[Point]]
         found = _welzl([ints[i] for i in form.hint])
         on = _boundary_indices(ints, *found)
     if on is None:
-        found = _welzl(_hull_vertices(sorted(set(ints))))
+        found = _welzl(sorted(set(ints)))
         if exact:
             on = _boundary_indices(ints, *found)
             form.hint = tuple(on)
@@ -307,10 +305,9 @@ def _boundary_indices(ints: Sequence[tuple[int, int]], ux: int, uy: int, d: int,
 
 def _welzl(pts: Sequence[tuple[int, int]]) -> tuple[int, int, int, int]:
     """The SEC (ux, uy, d, rn), d > 0, of non-empty integer pairs: Welzl's
-    move-to-front in the seeded shuffled order. ``sec`` hands it the hull
-    vertices of the distinct pairs, or a hint's few points; the SEC of a set
-    is that of its hull vertices, and it is unique, so the circle depends
-    neither on the filter nor on the order."""
+    move-to-front in the seeded shuffled order. ``sec`` hands it the sorted
+    distinct pairs, or a hint's few points; the SEC is unique, so the circle
+    does not depend on the order."""
     pts = [pts[i] for i in _shuffle_order(len(pts))]
     ux, uy, d, rn = pts[0][0], pts[0][1], 1, 0
     for i, (x, y) in enumerate(pts):
@@ -320,33 +317,6 @@ def _welzl(pts: Sequence[tuple[int, int]]) -> tuple[int, int, int, int]:
     if d < 0:  # so that a zero center coordinate rounds to 0.0, not -0.0
         ux, uy, d = -ux, -uy, -d
     return ux, uy, d, rn
-
-
-def _hull_vertices(pts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The vertices of the convex hull of ``pts``, sorted distinct integer
-    pairs, counterclockwise from the first: Andrew's monotone chain, which
-    drops every point inside the hull or inside one of its edges. Only the
-    points strictly below the line from the first point to the last can be
-    on the lower chain, and only those strictly above it on the upper one,
-    so each point is scanned by one chain. Collinear input gives its two
-    ends."""
-    if len(pts) < 3:
-        return list(pts)
-    first, last = pts[0], pts[-1]
-    (lx, ly), ex, ey = first, last[0] - first[0], last[1] - first[1]
-    below = [p for p in pts if ex * (p[1] - ly) < ey * (p[0] - lx)]
-    above = [p for p in reversed(pts) if ex * (p[1] - ly) > ey * (p[0] - lx)]
-    hull: list[tuple[int, int]] = []
-    for chain, seq in (([first], below + [last]), ([last], above + [first])):
-        for x, y in seq:
-            while len(chain) >= 2:
-                (ax, ay), (bx, by) = chain[-2], chain[-1]
-                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
-                    break
-                chain.pop()
-            chain.append((x, y))
-        hull += chain[:-1]
-    return hull
 
 
 def _int_sec_one_point(pts: Sequence[tuple[int, int]], px: int, py: int) -> tuple[int, int, int, int]:

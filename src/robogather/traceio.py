@@ -11,12 +11,13 @@ serialize as "numerator/denominator" strings so replay is bit-exact;
 floating coordinates serialize as JSON numbers (repr round-trips exactly).
 A document is parsed with one memo per kind of object: each distinct [x, y]
 pair is parsed once and every later occurrence is the same ``Point``, so an
-unchanged configuration is summarized once (``verify.summaries_of``); a
-round whose raw locations list is the previous round's again reuses that
-configuration whole; each distinct frame object is parsed and checked once,
-and each distinct string among frame parameters is parsed once. A pair, a
-locations list and a frame are keyed by their repr, which keeps ``true``,
-``1``, ``1.0`` and ``-0.0`` apart (they are equal as dict keys). The writer
+unchanged configuration holds the same objects and is summarized once
+(``verify.summaries_of``); each distinct frame object is parsed and checked
+once, and each distinct string among frame parameters is parsed once. A
+pair and a frame are keyed by their repr, which keeps ``true``, ``1``,
+``1.0`` and ``-0.0`` apart (they are equal as dict keys). The header and
+each distinct frame object are read through the same key check as a
+scenario, so a misspelt key is an input error there too. The writer
 makes the JSON text of each distinct ``Point`` and ``FrameParams`` object
 once per write and splices it into the lines.
 """
@@ -81,15 +82,22 @@ def _scalar_in(value, backend: Backend, shared: dict):
     return x
 
 
+# The keys of a frame object and of a trace header
+_FRAME_KEYS = ("zoom", "c", "s", "reflect")
+_HEADER_KEYS = ("type", "backend", "nG", "k", "strategy", "seed", "horizon", "initial", "eps")
+
+
 def _frame_in(obj, backend: Backend, shared: dict, scalars: dict) -> FrameParams:
     """The frame of a step that is not null, from the document's frame memo
     ``shared``: one checked ``FrameParams`` per distinct JSON object, keyed
-    by its repr, built (and, if exact, checked) on its first read; a float
-    one is checked against the tolerance of ``backend``. Its zoom, c and s
-    are read through the scalar memo ``scalars``."""
+    by its repr, its keys checked and the frame built (and, if exact,
+    checked) on its first read; a float one is checked against the tolerance
+    of ``backend``. Its zoom, c and s are read through the scalar memo
+    ``scalars``."""
     key = repr(obj)
     fp = shared.get(key)
     if fp is None:
+        obj = _obj(obj, "frame", _FRAME_KEYS)
         zoom, c, s = obj["zoom"], obj["c"], obj["s"]
         reflect = _bool(obj["reflect"], "frame reflect")
         try:
@@ -329,7 +337,8 @@ class LoadedTrace:
 def read_trace(path: str) -> LoadedTrace:
     """Parse a trace file back into a checkable Trace with shared points and
     frames; the header's nG must be at least 1 and count its initial points,
-    and the k-th round record must have index k."""
+    the k-th round record must have index k, and the header and every frame
+    may hold only the keys the writer writes."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
@@ -351,6 +360,7 @@ def read_trace(path: str) -> LoadedTrace:
     frame_memo: dict = {}
     scalar_memo: dict = {}
     try:
+        _obj(header, "header", _HEADER_KEYS)
         backend, _, initial = _read_start(header, header["backend"], header["initial"], 1, point_memo)
         if initial is None:
             raise ScenarioError("initial points must be a list, got None")
@@ -363,10 +373,6 @@ def read_trace(path: str) -> LoadedTrace:
 
     steps: list[model.TraceStep] = []
     stopped_early = False
-    # The raw locations list of the previous configuration and its repr (made
-    # when first needed): an equal list with an equal repr, which keeps
-    # true, 1, 1.0 and -0.0 apart, is the same configuration.
-    config, raw_prev, key_prev = initial, header["initial"], None
     for rec in records[1:]:
         if not isinstance(rec, dict):
             raise TraceFormatError(f"record is not a JSON object: {rec!r}")
@@ -375,14 +381,7 @@ def read_trace(path: str) -> LoadedTrace:
             try:
                 fps = [obj if obj is None else _frame_in(obj, backend, frame_memo, scalar_memo) for obj in rec["steps"]]
                 action = DemonicAction(tuple(fps))
-                raw, key = rec["locations"], None
-                if raw == raw_prev:
-                    key = repr(raw)
-                    if key_prev is None:
-                        key_prev = repr(raw_prev)
-                if key is None or key != key_prev:
-                    config = tuple([_point_in(pair, backend, point_memo) for pair in raw])
-                raw_prev, key_prev = raw, key
+                config = tuple([_point_in(pair, backend, point_memo) for pair in rec["locations"]])
                 index = _int(rec["index"], "round index")
             except (KeyError, ValueError, TypeError, ZeroDivisionError, ScenarioError) as exc:
                 raise TraceFormatError(f"bad round record: {exc}") from exc

@@ -159,6 +159,36 @@ def misaligned_summaries(trace, summaries, other_run, backend) -> dict:
     }
 
 
+class SecRuns:
+    """Counts of ``geometry.sec``'s Welzl runs while installed on
+    ``monkeypatch``: ``hinted`` is the calls given an exact form with a
+    ``hint`` (each runs Welzl once on the hint's 2-4 points, and once more
+    only if that circle misses a point), ``full`` the Welzl runs on a whole
+    distinct set, every run but the hinted ones."""
+
+    def __init__(self, monkeypatch):
+        self.welzl = self.hinted = 0
+        welzl, sec = geometry._welzl, geometry.sec
+
+        def counting_welzl(pts):
+            self.welzl += 1
+            return welzl(pts)
+
+        def counting_sec(points, backend):
+            self.hinted += bool(getattr(points, "hint", None))
+            return sec(points, backend)
+
+        monkeypatch.setattr(geometry, "_welzl", counting_welzl)
+        monkeypatch.setattr(geometry, "sec", counting_sec)
+
+    @property
+    def full(self) -> int:
+        return self.welzl - self.hinted
+
+    def clear(self) -> None:
+        self.welzl = self.hinted = 0
+
+
 def circles_eq(a, b, backend) -> bool:
     return backend.points_eq(a.center, b.center) and backend.eq(a.radius_sq, b.radius_sq)
 

@@ -478,6 +478,45 @@ def test_check_header_eps_nan_names_the_tolerance(tmp_path, capsys):
     assert "eps.abs must be finite" in capsys.readouterr().err
 
 
+def _check_edited_trace(tmp_path, capsys, scenario, edit) -> str:
+    """The standard error of ``check`` on the trace of ``scenario`` after
+    ``edit`` changed its records, which must exit 1."""
+    out = str(tmp_path / "trace.jsonl")
+    assert cli.main(["run", "--scenario", scenario, "--out", out]) == cli.EXIT_OK
+    records = [json.loads(line) for line in open(out) if line.strip()]
+    edit(records)
+    (tmp_path / "bad.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert cli.main(["check", "--trace", str(tmp_path / "bad.jsonl")]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+def test_check_rejects_an_unknown_frame_key(tmp_path, capsys):
+    # a misspelt frame key is an input error, not a key read past
+    scenario = str(Path(__file__).resolve().parent.parent / "scenarios" / "majority_demo.json")
+
+    def edit(records):
+        frame = next(fp for fp in records[1]["steps"] if fp is not None)
+        frame.update(zoomm="2", colour="red")
+
+    err = _check_edited_trace(tmp_path, capsys, scenario, edit)
+    assert "frame" in err and "'colour'" in err and "'zoomm'" in err
+
+
+def test_check_rejects_an_unknown_header_key(tmp_path, capsys):
+    # a float header that says esp for eps would be checked at the default
+    # tolerance, not at the one it was run with
+    scenario = _write_scenario(tmp_path, backend="floating", eps={"abs": 1e-6, "rel": 1e-6})
+
+    def edit(records):
+        records[0]["esp"] = records[0].pop("eps")
+
+    err = _check_edited_trace(tmp_path, capsys, scenario, edit)
+    assert "header" in err and "'esp'" in err
+
+
 @pytest.mark.parametrize(
     "demon, key",
     [

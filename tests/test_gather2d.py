@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bounded_fractions, exact_points, exact_similarities, float_points
+from conftest import SecRuns, bounded_fractions, exact_points, exact_similarities, float_points
 from robogather import frames, gather2d, geometry, model, verify
 from robogather.gather2d import Measure, Phase
 from robogather.geometry import TriangleKind
@@ -451,19 +451,18 @@ def test_negative_control_order_mutant_fails_pgm_order_property(monkeypatch, bac
 
 @pytest.mark.parametrize("gen_seed", [0, 2, 9], ids=["scalene_dirty", "diameter_dirty", "majority"])
 def test_check_builds_one_hull_per_distinct_configuration_not_per_robot(monkeypatch, gen_seed):
-    # an all-active exact round from a generated nG-64 spread start: every
-    # view starts its SEC from the hint of the spectrum's analysis, so only
-    # the summaries, one per configuration that needs a SEC, build a hull
+    # an all-active exact round from a generated nG-64 spread start: only
+    # the summaries, one per configuration that needs a SEC, run Welzl on
+    # the whole tower set; every view runs it once, on its hint alone
     conf = verify.gen_initial(64, random.Random(gen_seed), EXACT, bbox=64, pool_size=64)
     da = verify.Strategy("all_active", 64, EXACT, seed=1)(0, conf)
     trace = model.Trace(conf, [model.TraceStep(0, da, gather2d.round_global(da.activated(), conf, EXACT))])
     with_sec = sum(gather2d.summarize(c, EXACT).analysis is not None for c in trace.configs())
     assert (with_sec > 0) == (gen_seed != 9)
-    calls = []
-    hull = geometry._hull_vertices
-    monkeypatch.setattr(geometry, "_hull_vertices", lambda pts: calls.append(1) or hull(pts))
+    runs = SecRuns(monkeypatch)
     assert verify.check_trace(trace, EXACT).ok
-    assert len(calls) == with_sec
+    assert runs.full == with_sec
+    assert (runs.hinted > 0) == (with_sec > 0)
 
 
 def test_a_directly_built_integer_form_has_no_hint():

@@ -492,7 +492,7 @@ def test_cached_shuffle_order_is_the_seeded_shuffle():
         assert g._shuffle_order(n) == tuple(order)
 
 
-# --- the integer form and the hull filter ------------------------------------
+# --- the integer form -----------------------------------------------------------
 
 # well past the brute-force oracle's cap, so only certificates can check them
 _large_exact_lists = st.lists(exact_points, min_size=13, max_size=300)
@@ -544,20 +544,6 @@ def test_float_sec_from_the_integer_form_equals_sec_from_the_points(pts, k):
     # the rounded circle is the exact SEC of the floats, rounded once
     exact = g.sec([P(F(x), F(y)) for x, y in pts], EXACT)[0]
     assert c == g.Circle(Point(float(exact.center.x), float(exact.center.y)), float(exact.radius_sq))
-
-
-@given(_large_exact_lists)
-@settings(max_examples=40)
-def test_hull_filter_keeps_input_points_that_enclose_the_rest(pts):
-    ints = g.integer_form(pts).coords
-    hull = g._hull_vertices(sorted(set(ints)))
-    assert set(hull) <= set(ints)
-    # counterclockwise, no point outside an edge, no vertex inside one
-    n = len(hull)
-    for i in range(n if n > 2 else 0):
-        (ax, ay), (bx, by), (cx, cy) = hull[i], hull[(i + 1) % n], hull[(i + 2) % n]
-        assert (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0
-        assert all((bx - ax) * (y - ay) - (by - ay) * (x - ax) >= 0 for x, y in ints)
 
 
 @given(exact_similarities(), _large_exact_lists)

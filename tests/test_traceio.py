@@ -423,8 +423,8 @@ def _float_trace(path, *location_lists, steps=None):
     _write_records(path, header, *rounds, {"type": "end"})
 
 
-def test_read_trace_reuses_a_repeated_locations_list_only_when_its_repr_matches(tmp_path):
-    # an equal raw list is the configuration before it only when its repr is
+def test_read_trace_point_memo_keeps_equal_json_numbers_apart(tmp_path):
+    # a repeated pair is the point read before it only when its repr is
     # equal too: 1 and 1.0, and 0.0 and -0.0, are equal values written apart
     path = tmp_path / "t.jsonl"
     base = [[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]]
@@ -432,15 +432,14 @@ def test_read_trace_reuses_a_repeated_locations_list_only_when_its_repr_matches(
     signed = [[1, 0.0], [2.0, 0.0], [0.0, -0.0]]
     _float_trace(path, base, base, ints, ints, signed)
     initial, *configs = traceio.read_trace(str(path)).trace.configs()
-    assert configs[0] is initial and configs[2] is configs[1]
     assert configs[1] == initial and configs[1][0] is not initial[0] and configs[1][1] is initial[1]
     assert configs[3] == configs[2] and configs[3][2] is not configs[2][2]
     assert str(configs[3][2].y) == "-0.0" and str(configs[2][2].y) == "0.0"
 
 
 def test_check_rejects_a_repeated_locations_list_with_a_bool(tmp_path, capsys):
-    # [true, 0.0] equals [1.0, 0.0] as a value: the repeated list is read
-    # afresh, and the bool is an input error, not the configuration before
+    # [true, 0.0] equals [1.0, 0.0] as a value: the bool is an input error,
+    # not the point before
     path = tmp_path / "t.jsonl"
     base = [[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]]
     _float_trace(path, base, base, [[True, 0.0], [2.0, 0.0], [0.0, 0.0]])
